@@ -43,12 +43,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drm::{
-    fleet_summarize, fnv1a64, ArchPoint, DrmChoice, DvsPoint, FleetConfig, FleetPartial,
-    FleetSummary, Strategy, SweepSummary, DIE_BATCH,
+    fleet_summarize, ArchPoint, DrmChoice, DvsPoint, FleetConfig, FleetPartial, FleetSummary,
+    Strategy, SweepSummary, DIE_BATCH,
 };
 use ramp::Fit;
 use scenario::Scenario;
-use sim_common::{QuantileSketch, SimError};
+use sim_common::{fnv1a64, QuantileSketch, SimError};
 use sim_server::{Client, Reply, RetryPolicy, Server, ServerConfig, ServerState, Status};
 use workload::App;
 

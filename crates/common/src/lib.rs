@@ -18,6 +18,9 @@
 //!   exact interpolating [`quantile_sorted`] for in-memory samples and a
 //!   deterministic streaming [`QuantileSketch`] for fleet-scale
 //!   populations.
+//! * [`textfmt`] — the one line-format core every text format is built
+//!   on: line scanner, typed fields, token cursor, checksummed record
+//!   lines, and the seeded corruption generator their tests share.
 //! * [`error`] — the common [`SimError`] type.
 //!
 //! # Examples
@@ -37,6 +40,7 @@ pub mod floorplan;
 pub mod quantile;
 pub mod rng;
 pub mod structure;
+pub mod textfmt;
 pub mod units;
 
 pub use error::SimError;
@@ -44,4 +48,5 @@ pub use floorplan::{Block, Floorplan, Rect};
 pub use quantile::{quantile_sorted, QuantileSketch};
 pub use rng::{splitmix64, Xoshiro256pp};
 pub use structure::{Structure, StructureMap};
+pub use textfmt::fnv1a64;
 pub use units::{Hertz, Kelvin, Seconds, SquareMillimeters, Volts, Watts};

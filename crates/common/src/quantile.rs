@@ -24,6 +24,8 @@
 //! per-batch sketches in batch order and gets bit-identical results at
 //! any worker count.
 
+use crate::textfmt::Hex64;
+
 /// Exact `q`-quantile of an ascending-sorted sample, linearly
 /// interpolating between the two nearest ranks (`h = (n−1)·q`).
 ///
@@ -246,11 +248,11 @@ impl QuantileSketch {
     pub fn to_compact_string(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
-            "v1:{}:{}:{:016x}:{:016x}:",
+            "v1:{}:{}:{}:{}:",
             self.k,
             self.count,
-            self.min.to_bits(),
-            self.max.to_bits()
+            Hex64::of(self.min),
+            Hex64::of(self.max)
         );
         for &p in &self.parity {
             out.push(if p { '1' } else { '0' });
@@ -264,7 +266,7 @@ impl QuantileSketch {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{:016x}", v.to_bits());
+                let _ = write!(out, "{}", Hex64::of(*v));
             }
         }
         out
@@ -294,9 +296,9 @@ impl QuantileSketch {
             .parse()
             .map_err(|_| "count must be an integer".to_owned())?;
         let bits = |tok: &str, what: &str| -> Result<f64, String> {
-            let raw = u64::from_str_radix(tok, 16)
-                .map_err(|_| format!("{what} must be 16 hex digits, got `{tok}`"))?;
-            Ok(f64::from_bits(raw))
+            tok.parse::<Hex64>()
+                .map(Hex64::to_f64)
+                .map_err(|()| format!("{what} must be 16 hex digits, got `{tok}`"))
         };
         let min = bits(next("min")?, "min")?;
         let max = bits(next("max")?, "max")?;

@@ -9,6 +9,8 @@
 //! predicted target; overflow wraps (oldest entry lost), which is what
 //! bounds prediction accuracy under deep recursion.
 
+use sim_common::SimError;
+
 use crate::config::BpredConfig;
 
 /// Saturating 2-bit counter states (strongly-not-taken is 0).
@@ -168,28 +170,28 @@ impl Bpred {
 
     /// Restores a captured [`BpredState`]. Statistics are untouched.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the state does not fit this predictor's geometry: a
-    /// counter-table size mismatch, a counter value above 3, or a RAS
-    /// deeper than the configured capacity.
-    pub fn restore_state(&mut self, state: &BpredState) {
-        assert_eq!(
-            state.counters.len(),
-            self.counters.len(),
-            "bpred counter table size mismatch"
-        );
-        assert!(
-            state.counters.iter().all(|&c| c <= STRONG_TAKEN),
-            "bpred counter value out of range"
-        );
-        assert!(
-            state.ras.len() <= self.ras_capacity,
-            "RAS deeper than capacity"
-        );
+    /// Returns [`SimError::InvalidConfig`] when the state does not fit this
+    /// predictor's geometry: a counter-table size mismatch, a counter value
+    /// above 3, or a RAS deeper than the configured capacity.
+    pub fn restore_state(&mut self, state: &BpredState) -> Result<(), SimError> {
+        let problem = if state.counters.len() != self.counters.len() {
+            Some("bpred counter table size mismatch")
+        } else if state.counters.iter().any(|&c| c > STRONG_TAKEN) {
+            Some("bpred counter value out of range")
+        } else if state.ras.len() > self.ras_capacity {
+            Some("RAS deeper than capacity")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            return Err(SimError::invalid_config(problem));
+        }
         self.counters.copy_from_slice(&state.counters);
         self.ras.clear();
         self.ras.extend_from_slice(&state.ras);
+        Ok(())
     }
 
     /// Accumulated statistics.
@@ -324,7 +326,7 @@ mod tests {
         p.ras_push(0x200);
         let state = p.state();
         let mut restored = bp();
-        restored.restore_state(&state);
+        restored.restore_state(&state).unwrap();
         assert_eq!(restored.state(), state);
         for pc in (0..512u64).step_by(4) {
             assert_eq!(restored.peek(pc), p.peek(pc));
@@ -334,14 +336,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "table size mismatch")]
     fn restore_rejects_mismatched_table() {
         let state = bp().state();
-        Bpred::new(BpredConfig {
+        let err = Bpred::new(BpredConfig {
             counters: 128,
             ras_entries: 32,
         })
-        .restore_state(&state);
+        .restore_state(&state)
+        .unwrap_err();
+        assert!(err.to_string().contains("table size mismatch"), "{err}");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! (Table 1: 64 KB 2-way L1D with 2 ports and 12 MSHRs, 32 KB 2-way L1I,
 //! 1 MB 4-way unified off-chip L2, 102-cycle main memory at 4 GHz).
 
+use sim_common::SimError;
+
 use crate::config::CacheConfig;
 
 /// Outcome of a single cache lookup.
@@ -49,25 +51,30 @@ struct Line {
     lru: u64,
 }
 
-/// One cache line's warm state, captured at a slice boundary.
+/// One valid cache line's warm state, captured at a slice boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLineState {
+    /// Line index, set-major (the ways of set 0, then set 1, ...).
+    pub index: u64,
     /// Tag (line address divided by the set count).
     pub tag: u64,
-    /// Line holds data.
-    pub valid: bool,
     /// Line was written since fill.
     pub dirty: bool,
     /// LRU timestamp (value of the cache's access clock at last touch).
     pub lru: u64,
 }
 
-/// Warm contents of one cache: every way of every set plus the LRU clock.
-/// Statistics are *not* part of the state — checkpoints are cut at interval
-/// boundaries, where [`Cache::take_stats`] has just zeroed them.
+/// Warm contents of one cache: its valid lines plus the LRU clock. A line
+/// never returns to invalid once filled, so every unlisted line is in its
+/// power-on state and the sparse listing is lossless — and restoring
+/// never allocates from an untrusted line count. Statistics are *not*
+/// part of the state — checkpoints are cut at interval boundaries, where
+/// [`Cache::take_stats`] has just zeroed them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheState {
-    /// All lines, set-major (the ways of set 0, then set 1, ...).
+    /// Line count (sets × ways) of the cache the state was captured from.
+    pub line_count: u64,
+    /// The valid lines, ascending by index.
     pub lines: Vec<CacheLineState>,
     /// The access clock driving LRU timestamps.
     pub clock: u64,
@@ -103,9 +110,9 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Returns [`sim_common::SimError::InvalidConfig`] when the geometry
+    /// Returns [`SimError::InvalidConfig`] when the geometry
     /// fails [`CacheConfig::validate`].
-    pub fn new(config: CacheConfig) -> Result<Cache, sim_common::SimError> {
+    pub fn new(config: CacheConfig) -> Result<Cache, SimError> {
         let sets = config.sets()?;
         Ok(Cache {
             lines: vec![Line::default(); (sets * config.assoc as u64) as usize],
@@ -191,12 +198,13 @@ impl Cache {
     #[must_use]
     pub fn state(&self) -> CacheState {
         CacheState {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| CacheLineState {
+            line_count: self.lines.len() as u64,
+            lines: (0..)
+                .zip(&self.lines)
+                .filter(|(_, l)| l.valid)
+                .map(|(index, l)| CacheLineState {
+                    index,
                     tag: l.tag,
-                    valid: l.valid,
                     dirty: l.dirty,
                     lru: l.lru,
                 })
@@ -207,29 +215,43 @@ impl Cache {
 
     /// Restores captured [`CacheState`] contents. Statistics are untouched.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the line count does not match this cache's geometry or
-    /// an LRU timestamp is ahead of the restored clock.
-    pub fn restore_state(&mut self, state: &CacheState) {
-        assert_eq!(
-            state.lines.len(),
-            self.lines.len(),
-            "cache line count mismatch"
-        );
-        assert!(
-            state.lines.iter().all(|l| l.lru <= state.clock),
-            "LRU timestamp ahead of the cache clock"
-        );
-        for (line, s) in self.lines.iter_mut().zip(&state.lines) {
-            *line = Line {
-                tag: s.tag,
-                valid: s.valid,
-                dirty: s.dirty,
-                lru: s.lru,
+    /// Returns [`SimError::InvalidConfig`] when the line count does not
+    /// match this cache's geometry, a line index is out of range, or an
+    /// LRU timestamp is ahead of the restored clock.
+    pub fn restore_state(&mut self, state: &CacheState) -> Result<(), SimError> {
+        if state.line_count != self.lines.len() as u64 {
+            return Err(SimError::invalid_config(format!(
+                "cache line count mismatch: state has {}, cache has {}",
+                state.line_count,
+                self.lines.len()
+            )));
+        }
+        for l in &state.lines {
+            if l.index >= state.line_count {
+                return Err(SimError::invalid_config(format!(
+                    "cache line index {} out of range",
+                    l.index
+                )));
+            }
+            if l.lru > state.clock {
+                return Err(SimError::invalid_config(
+                    "LRU timestamp ahead of the cache clock",
+                ));
+            }
+        }
+        self.lines.fill(Line::default());
+        for l in &state.lines {
+            self.lines[l.index as usize] = Line {
+                tag: l.tag,
+                valid: true,
+                dirty: l.dirty,
+                lru: l.lru,
             };
         }
         self.clock = state.clock;
+        Ok(())
     }
 }
 
@@ -316,7 +338,7 @@ impl MemHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`sim_common::SimError::InvalidConfig`] when any cache
+    /// Returns [`SimError::InvalidConfig`] when any cache
     /// geometry fails [`CacheConfig::validate`].
     pub fn new(
         l1i: CacheConfig,
@@ -324,7 +346,7 @@ impl MemHierarchy {
         l2: CacheConfig,
         latencies: MemLatencies,
         mshr_capacity: u32,
-    ) -> Result<MemHierarchy, sim_common::SimError> {
+    ) -> Result<MemHierarchy, SimError> {
         Ok(MemHierarchy {
             l1i: Cache::new(l1i)?,
             l1d: Cache::new(l1d)?,
@@ -465,18 +487,18 @@ impl MemHierarchy {
     /// untouched; latencies and the prefetch switch keep their configured
     /// values.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a cache's geometry does not match or more MSHRs are
-    /// recorded than this hierarchy has.
-    pub fn restore_state(&mut self, state: &MemHierarchyState) {
-        assert!(
-            state.mshrs.len() <= self.mshr_capacity,
-            "more MSHRs than capacity"
-        );
-        self.l1i.restore_state(&state.l1i);
-        self.l1d.restore_state(&state.l1d);
-        self.l2.restore_state(&state.l2);
+    /// Returns [`SimError::InvalidConfig`] when a cache's state does not
+    /// fit (see [`Cache::restore_state`]) or more MSHRs are recorded than
+    /// this hierarchy has.
+    pub fn restore_state(&mut self, state: &MemHierarchyState) -> Result<(), SimError> {
+        if state.mshrs.len() > self.mshr_capacity {
+            return Err(SimError::invalid_config("more MSHRs than capacity"));
+        }
+        self.l1i.restore_state(&state.l1i)?;
+        self.l1d.restore_state(&state.l1d)?;
+        self.l2.restore_state(&state.l2)?;
         self.mshrs.clear();
         self.mshrs.extend(state.mshrs.iter().map(|m| Mshr {
             line: m.line,
@@ -484,6 +506,7 @@ impl MemHierarchy {
         }));
         self.l2_inst_refs = state.l2_inst_refs;
         self.prefetches = state.prefetches;
+        Ok(())
     }
 }
 
@@ -678,7 +701,7 @@ mod tests {
 
         let mut r = hierarchy(4);
         r.set_prefetch_next_line(true);
-        r.restore_state(&state);
+        r.restore_state(&state).unwrap();
         assert_eq!(r.state(), state);
         // Both copies behave identically afterwards.
         for now in [60u64, 70, 80] {
@@ -691,7 +714,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "line count mismatch")]
     fn restore_rejects_wrong_geometry() {
         let state = Cache::new(small()).unwrap().state();
         let mut other = Cache::new(CacheConfig {
@@ -700,7 +722,24 @@ mod tests {
             line_bytes: 64,
         })
         .unwrap();
-        other.restore_state(&state);
+        let err = other.restore_state(&state).unwrap_err().to_string();
+        assert!(err.contains("line count mismatch"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_lines_and_future_timestamps() {
+        let mut cache = Cache::new(small()).unwrap();
+        let _ = cache.access(0x40, true);
+        let good = cache.state();
+        let mut bad = good.clone();
+        bad.lines[0].index = bad.line_count;
+        assert!(cache.restore_state(&bad).is_err());
+        let mut bad = good.clone();
+        bad.clock = 0;
+        let err = cache.restore_state(&bad).unwrap_err().to_string();
+        assert!(err.contains("LRU timestamp ahead"), "{err}");
+        cache.restore_state(&good).unwrap();
+        assert_eq!(cache.state(), good);
     }
 
     #[test]

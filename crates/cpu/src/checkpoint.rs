@@ -2,11 +2,10 @@
 //! [`Processor`](crate::Processor) plus its synthetic instruction stream,
 //! in a strict plain-text format.
 //!
-//! Follows the `workload::textfmt` conventions: std-only, `#` comments,
-//! whitespace-separated tokens, unknown keys, duplicate keys, and wrong
-//! token counts are line-numbered errors. Printing then parsing is
-//! bit-exact (`parse(print(c)) == c`), so checkpoints can live on disk and
-//! cross the wire unchanged.
+//! The grammar is the shared line format of [`sim_common::textfmt`]:
+//! unknown keys, duplicate keys, and wrong token counts are line-numbered
+//! errors. Printing then parsing is bit-exact (`parse(print(c)) == c`), so
+//! checkpoints can live on disk and cross the wire unchanged.
 //!
 //! A checkpoint is cut at an interval boundary, where every statistic has
 //! just been zeroed, so it carries *only* warm state: rename maps,
@@ -18,12 +17,13 @@
 //! Variable-length lists are count-prefixed (`key N v1 .. vN`); per-entry
 //! repeated lines (`window`, `fetchq`, `mshr`, `cache.*.line`) carry their
 //! declared counts in a companion singleton key, and the parser rejects any
-//! mismatch. Cache sections list only valid lines — an invalid line is
-//! always in its power-on state, so the omission is lossless.
+//! mismatch. No count is ever allocated from: each is checked against the
+//! entries actually present. Cache sections list only valid lines (see
+//! [`CacheState`]).
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use sim_common::textfmt::{Doc, Line, Schema};
 use sim_common::SimError;
 use workload::{ArchReg, MicroOp, OpClass, RegClass, StreamState};
 
@@ -64,198 +64,81 @@ impl Checkpoint {
     }
 }
 
-/// Every singleton key the format accepts. All are required — a checkpoint
-/// is a complete machine state, not a patch.
-const SINGLETON_KEYS: &[&str] = &[
-    "checkpoint.version",
-    "checkpoint.workload",
-    "checkpoint.seed",
-    "checkpoint.fingerprint",
-    "stream.rng",
-    "stream.next_regs",
-    "stream.recent_int",
-    "stream.recent_fp",
-    "stream.pc",
-    "stream.loop_start",
-    "stream.emitted",
-    "stream.call_stack",
-    "stream.offsets",
-    "stream.phase",
-    "rename.int.map",
-    "rename.int.free",
-    "rename.int.ready",
-    "rename.fp.map",
-    "rename.fp.free",
-    "rename.fp.ready",
-    "bpred.counters",
-    "bpred.ras",
-    "mem.counts",
-    "mem.mshrs",
-    "cache.l1i.clock",
-    "cache.l1i.lines",
-    "cache.l1d.clock",
-    "cache.l1d.lines",
-    "cache.l2.clock",
-    "cache.l2.lines",
-    "pipe.now",
-    "pipe.seq_next",
-    "pipe.committed",
-    "pipe.last_commit_cycle",
-    "pipe.fetch_resume_at",
-    "pipe.blocking_branch",
-    "pipe.return_check",
-    "pipe.cur_fetch_line",
-    "pipe.int_free",
-    "pipe.fp_free",
-    "pipe.agen_free",
-    "pipe.pending",
-    "pipe.window",
-    "pipe.fetchq",
-];
+/// The format's keys. Every singleton is required — a checkpoint is a
+/// complete machine state, not a patch — and each repeated key carries its
+/// entry count in a companion singleton (`mshr` in `mem.mshrs`,
+/// `cache.*.line` in `cache.*.lines`, `window` in `pipe.window`, `fetchq`
+/// in `pipe.fetchq`).
+static SCHEMA: Schema = Schema {
+    singles: &[
+        "checkpoint.version",
+        "checkpoint.workload",
+        "checkpoint.seed",
+        "checkpoint.fingerprint",
+        "stream.rng",
+        "stream.next_regs",
+        "stream.recent_int",
+        "stream.recent_fp",
+        "stream.pc",
+        "stream.loop_start",
+        "stream.emitted",
+        "stream.call_stack",
+        "stream.offsets",
+        "stream.phase",
+        "rename.int.map",
+        "rename.int.free",
+        "rename.int.ready",
+        "rename.fp.map",
+        "rename.fp.free",
+        "rename.fp.ready",
+        "bpred.counters",
+        "bpred.ras",
+        "mem.counts",
+        "mem.mshrs",
+        "cache.l1i.clock",
+        "cache.l1i.lines",
+        "cache.l1d.clock",
+        "cache.l1d.lines",
+        "cache.l2.clock",
+        "cache.l2.lines",
+        "pipe.now",
+        "pipe.seq_next",
+        "pipe.committed",
+        "pipe.last_commit_cycle",
+        "pipe.fetch_resume_at",
+        "pipe.blocking_branch",
+        "pipe.return_check",
+        "pipe.cur_fetch_line",
+        "pipe.int_free",
+        "pipe.fp_free",
+        "pipe.agen_free",
+        "pipe.pending",
+        "pipe.window",
+        "pipe.fetchq",
+    ],
+    repeated: &[
+        "mshr",
+        "cache.l1i.line",
+        "cache.l1d.line",
+        "cache.l2.line",
+        "window",
+        "fetchq",
+    ],
+    missing: "key",
+};
 
-/// Keys that repeat once per entry, paired with the singleton that declares
-/// their count.
-const REPEATED_KEYS: &[(&str, &str)] = &[
-    ("mshr", "mem.mshrs"),
-    ("cache.l1i.line", "cache.l1i.lines"),
-    ("cache.l1d.line", "cache.l1d.lines"),
-    ("cache.l2.line", "cache.l2.lines"),
-    ("window", "pipe.window"),
-    ("fetchq", "pipe.fetchq"),
-];
-
-fn line_err(lineno: usize, msg: impl std::fmt::Display) -> SimError {
-    SimError::invalid_config(format!("line {}: {msg}", lineno + 1))
-}
-
-#[derive(Debug)]
-struct Entry {
-    lineno: usize,
-    values: Vec<String>,
-}
-
-impl Entry {
-    fn expect_len(&self, key: &str, n: usize) -> Result<(), SimError> {
-        if self.values.len() != n {
-            return Err(line_err(
-                self.lineno,
-                format!(
-                    "`{key}` expects {n} value{}, got {}",
-                    if n == 1 { "" } else { "s" },
-                    self.values.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn u64_at(&self, key: &str, idx: usize) -> Result<u64, SimError> {
-        self.values[idx].parse().map_err(|_| {
-            line_err(
-                self.lineno,
-                format!("`{key}` must be a non-negative integer"),
-            )
-        })
-    }
-
-    fn u16_at(&self, key: &str, idx: usize) -> Result<u16, SimError> {
-        self.values[idx].parse().map_err(|_| {
-            line_err(
-                self.lineno,
-                format!("`{key}` must be a 16-bit non-negative integer"),
-            )
-        })
-    }
-}
-
-struct Scanned {
-    singles: HashMap<String, Entry>,
-    repeated: HashMap<&'static str, Vec<Entry>>,
-}
-
-fn scan(text: &str) -> Result<Scanned, SimError> {
-    let mut singles: HashMap<String, Entry> = HashMap::new();
-    let mut repeated: HashMap<&'static str, Vec<Entry>> = HashMap::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        let mut tokens = line.split_whitespace().map(str::to_owned);
-        let key = match tokens.next() {
-            Some(k) => k,
-            None => continue,
-        };
-        let entry = Entry {
-            lineno,
-            values: tokens.collect(),
-        };
-        if let Some((rep, _)) = REPEATED_KEYS.iter().find(|(k, _)| *k == key) {
-            repeated.entry(rep).or_default().push(entry);
-        } else if SINGLETON_KEYS.contains(&key.as_str()) {
-            if singles.insert(key.clone(), entry).is_some() {
-                return Err(line_err(lineno, format!("duplicate key `{key}`")));
-            }
-        } else {
-            return Err(line_err(lineno, format!("unknown key `{key}`")));
-        }
-    }
-    Ok(Scanned { singles, repeated })
-}
-
-fn req<'a>(scanned: &'a Scanned, key: &str) -> Result<&'a Entry, SimError> {
-    scanned
-        .singles
-        .get(key)
-        .ok_or_else(|| SimError::invalid_config(format!("missing key `{key}`")))
-}
-
-fn req_u64(scanned: &Scanned, key: &str) -> Result<u64, SimError> {
-    let e = req(scanned, key)?;
-    e.expect_len(key, 1)?;
-    e.u64_at(key, 0)
-}
-
-/// Parses a count-prefixed `key N v1 .. vN` list.
-fn req_list_u64(scanned: &Scanned, key: &str) -> Result<Vec<u64>, SimError> {
-    let e = req(scanned, key)?;
-    if e.values.is_empty() {
-        return Err(line_err(e.lineno, format!("`{key}` expects a count")));
-    }
-    let n = e.u64_at(key, 0)? as usize;
-    e.expect_len(key, n + 1)?;
-    (1..=n).map(|i| e.u64_at(key, i)).collect()
-}
-
-fn req_list_u16(scanned: &Scanned, key: &str) -> Result<Vec<u16>, SimError> {
-    let e = req(scanned, key)?;
-    if e.values.is_empty() {
-        return Err(line_err(e.lineno, format!("`{key}` expects a count")));
-    }
-    let n = e.u64_at(key, 0)? as usize;
-    e.expect_len(key, n + 1)?;
-    (1..=n).map(|i| e.u16_at(key, i)).collect()
-}
-
-/// Parses a `0`/`1` bit string token into ready bits.
-fn req_bits(scanned: &Scanned, key: &str) -> Result<Vec<bool>, SimError> {
-    let e = req(scanned, key)?;
-    e.expect_len(key, 1)?;
-    e.values[0]
-        .chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            _ => Err(line_err(
-                e.lineno,
-                format!("`{key}` must be a string of 0/1 digits"),
-            )),
-        })
+/// Decodes a line's one token of decimal digits, each at most `max`
+/// (ready bits, 2-bit predictor counters).
+fn digits_from_line(line: &Line<'_>, max: u8) -> Result<Vec<u8>, SimError> {
+    let bad = || line.err(format!("`{}` must be a string of digits 0-{max}", line.key));
+    line.expect_len(1)?.values[0]
+        .bytes()
+        .map(|b| b.checked_sub(b'0').filter(|&d| d <= max).ok_or_else(bad))
         .collect()
 }
 
-fn bits_to_string(bits: &[bool]) -> String {
-    bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
+fn digits_to_string(digits: impl Iterator<Item = u8>) -> String {
+    digits.map(|d| char::from(b'0' + d)).collect()
 }
 
 fn list_to_string<T: std::fmt::Display>(values: &[T]) -> String {
@@ -266,78 +149,69 @@ fn list_to_string<T: std::fmt::Display>(values: &[T]) -> String {
     s
 }
 
-// --- token codecs for registers, ops, and optional fields ---------------
+// --- token codecs for registers, ops, flags, and optional fields ---------
+
+/// `-` for `None`, else the value's display form.
+fn opt_to_token<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map_or_else(|| "-".to_owned(), |v| v.to_string())
+}
 
 fn phys_to_token(p: Option<PhysReg>) -> String {
-    match p {
-        None => "-".to_owned(),
-        Some(p) => match p.class {
-            RegClass::Int => format!("i{}", p.index),
-            RegClass::Fp => format!("f{}", p.index),
-        },
-    }
+    opt_to_token(p.map(|p| match p.class {
+        RegClass::Int => format!("i{}", p.index),
+        RegClass::Fp => format!("f{}", p.index),
+    }))
 }
 
-fn phys_from_token(lineno: usize, key: &str, tok: &str) -> Result<Option<PhysReg>, SimError> {
+/// Decodes `-` or a register token: a class letter (`int` for the integer
+/// class, `f` for floating point) and an index below `limit`.
+fn reg_from_token(
+    line: &Line<'_>,
+    tok: &str,
+    int: u8,
+    limit: u16,
+) -> Result<Option<(RegClass, u16)>, SimError> {
     if tok == "-" {
         return Ok(None);
     }
-    let bad = || line_err(lineno, format!("`{key}`: bad physical register `{tok}`"));
-    let class = match tok.as_bytes().first() {
-        Some(b'i') => RegClass::Int,
-        Some(b'f') => RegClass::Fp,
+    let bad = || line.err(format!("`{}`: bad register `{tok}`", line.key));
+    let class = match tok.as_bytes()[0] {
+        b'f' => RegClass::Fp,
+        c if c == int => RegClass::Int,
         _ => return Err(bad()),
     };
-    let index: u16 = tok[1..].parse().map_err(|_| bad())?;
-    Ok(Some(PhysReg { class, index }))
-}
-
-fn arch_to_token(r: Option<ArchReg>) -> String {
-    match r {
-        None => "-".to_owned(),
-        Some(r) => r.to_string(), // "r5" / "f5"
+    match tok[1..].parse() {
+        Ok(index) if index < limit => Ok(Some((class, index))),
+        _ => Err(bad()),
     }
 }
 
-fn arch_from_token(lineno: usize, key: &str, tok: &str) -> Result<Option<ArchReg>, SimError> {
-    if tok == "-" {
-        return Ok(None);
-    }
-    let bad = || {
-        line_err(
-            lineno,
-            format!("`{key}`: bad architectural register `{tok}`"),
-        )
-    };
-    let class = match tok.as_bytes().first() {
-        Some(b'r') => RegClass::Int,
-        Some(b'f') => RegClass::Fp,
-        _ => return Err(bad()),
-    };
-    let index: u16 = tok[1..].parse().map_err(|_| bad())?;
-    if index >= workload::ARCH_REGS_PER_CLASS {
-        return Err(bad());
-    }
-    Ok(Some(ArchReg::new(class, index)))
+fn phys_from_token(line: &Line<'_>, tok: &str) -> Result<Option<PhysReg>, SimError> {
+    let reg = reg_from_token(line, tok, b'i', u16::MAX)?;
+    Ok(reg.map(|(class, index)| PhysReg { class, index }))
 }
 
-fn opt_u64_to_token(v: Option<u64>) -> String {
-    match v {
-        None => "-".to_owned(),
-        Some(v) => v.to_string(),
+fn arch_from_token(line: &Line<'_>, tok: &str) -> Result<Option<ArchReg>, SimError> {
+    let reg = reg_from_token(line, tok, b'r', workload::ARCH_REGS_PER_CLASS)?;
+    Ok(reg.map(|(class, index)| ArchReg::new(class, index)))
+}
+
+fn opt_u64_from_token(line: &Line<'_>, tok: &str) -> Result<Option<u64>, SimError> {
+    match tok {
+        "-" => Ok(None),
+        _ => line.parse(tok).map(Some),
     }
 }
 
-fn opt_u64_from_token(lineno: usize, key: &str, tok: &str) -> Result<Option<u64>, SimError> {
-    if tok == "-" {
-        return Ok(None);
+fn flag_from_token(line: &Line<'_>, tok: &str, what: &str) -> Result<bool, SimError> {
+    match tok {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(line.err(format!(
+            "`{}`: {what} flag must be 0 or 1, got `{other}`",
+            line.key
+        ))),
     }
-    tok.parse().map(Some).map_err(|_| {
-        line_err(
-            lineno,
-            format!("`{key}` must be a non-negative integer or `-`"),
-        )
-    })
 }
 
 /// Number of tokens a serialized [`MicroOp`] occupies.
@@ -349,41 +223,29 @@ fn op_to_tokens(op: &MicroOp, out: &mut String) {
         "{} {} {} {} {} {} {}",
         op.pc,
         op.class,
-        arch_to_token(op.dest),
-        arch_to_token(op.srcs[0]),
-        arch_to_token(op.srcs[1]),
-        opt_u64_to_token(op.addr),
+        opt_to_token(op.dest),
+        opt_to_token(op.srcs[0]),
+        opt_to_token(op.srcs[1]),
+        opt_to_token(op.addr),
         u8::from(op.taken),
     );
 }
 
-fn op_from_tokens(lineno: usize, key: &str, toks: &[String]) -> Result<MicroOp, SimError> {
-    debug_assert_eq!(toks.len(), OP_TOKENS);
-    let pc: u64 = toks[0]
-        .parse()
-        .map_err(|_| line_err(lineno, format!("`{key}`: bad pc `{}`", toks[0])))?;
-    let class = OpClass::from_name(&toks[1])
-        .ok_or_else(|| line_err(lineno, format!("`{key}`: unknown op class `{}`", toks[1])))?;
-    let taken = match toks[6].as_str() {
-        "0" => false,
-        "1" => true,
-        other => {
-            return Err(line_err(
-                lineno,
-                format!("`{key}`: taken flag must be 0 or 1, got `{other}`"),
-            ))
-        }
-    };
+/// Decodes the [`OP_TOKENS`] tokens of an op (the caller checked the
+/// line's arity).
+fn op_from_tokens(line: &Line<'_>, toks: &[&str]) -> Result<MicroOp, SimError> {
+    let class = OpClass::from_name(toks[1])
+        .ok_or_else(|| line.err(format!("`{}`: unknown op class `{}`", line.key, toks[1])))?;
     Ok(MicroOp {
-        pc,
+        pc: line.parse(toks[0])?,
         class,
-        dest: arch_from_token(lineno, key, &toks[2])?,
+        dest: arch_from_token(line, toks[2])?,
         srcs: [
-            arch_from_token(lineno, key, &toks[3])?,
-            arch_from_token(lineno, key, &toks[4])?,
+            arch_from_token(line, toks[3])?,
+            arch_from_token(line, toks[4])?,
         ],
-        addr: opt_u64_from_token(lineno, key, &toks[5])?,
-        taken,
+        addr: opt_u64_from_token(line, toks[5])?,
+        taken: flag_from_token(line, toks[6], "taken")?,
     })
 }
 
@@ -395,15 +257,14 @@ fn phase_to_token(phase: ExecPhase) -> &'static str {
     }
 }
 
-fn phase_from_token(lineno: usize, tok: &str) -> Result<ExecPhase, SimError> {
+fn phase_from_token(line: &Line<'_>, tok: &str) -> Result<ExecPhase, SimError> {
     match tok {
         "w" => Ok(ExecPhase::Waiting),
         "i" => Ok(ExecPhase::Issued),
         "d" => Ok(ExecPhase::Done),
-        other => Err(line_err(
-            lineno,
-            format!("`window`: execution phase must be w/i/d, got `{other}`"),
-        )),
+        other => Err(line.err(format!(
+            "`window`: execution phase must be w/i/d, got `{other}`"
+        ))),
     }
 }
 
@@ -415,91 +276,67 @@ fn write_rename_class(out: &mut String, prefix: &str, class: &RenameClassState) 
     let _ = writeln!(
         out,
         "rename.{prefix}.ready {}",
-        bits_to_string(&class.ready)
+        digits_to_string(class.ready.iter().map(|&b| u8::from(b)))
     );
 }
 
-fn read_rename_class(scanned: &Scanned, prefix: &str) -> Result<RenameClassState, SimError> {
+fn read_rename_class(doc: &mut Doc<'_>, prefix: &str) -> Result<RenameClassState, SimError> {
     Ok(RenameClassState {
-        map: req_list_u16(scanned, &format!("rename.{prefix}.map"))?,
-        free: req_list_u16(scanned, &format!("rename.{prefix}.free"))?,
-        ready: req_bits(scanned, &format!("rename.{prefix}.ready"))?,
+        map: doc.list(&format!("rename.{prefix}.map"))?,
+        free: doc.list(&format!("rename.{prefix}.free"))?,
+        ready: digits_from_line(&doc.take(&format!("rename.{prefix}.ready"))?, 1)?
+            .into_iter()
+            .map(|d| d == 1)
+            .collect(),
     })
 }
 
 fn write_cache(out: &mut String, name: &str, cache: &CacheState) {
     let _ = writeln!(out, "cache.{name}.clock {}", cache.clock);
-    let valid = cache.lines.iter().filter(|l| l.valid).count();
-    let _ = writeln!(out, "cache.{name}.lines {} {valid}", cache.lines.len());
-    for (idx, line) in cache.lines.iter().enumerate() {
-        if line.valid {
-            let _ = writeln!(
-                out,
-                "cache.{name}.line {idx} {} {} {}",
-                line.tag,
-                u8::from(line.dirty),
-                line.lru
-            );
-        }
+    let _ = writeln!(
+        out,
+        "cache.{name}.lines {} {}",
+        cache.line_count,
+        cache.lines.len()
+    );
+    for line in &cache.lines {
+        let _ = writeln!(
+            out,
+            "cache.{name}.line {} {} {} {}",
+            line.index,
+            line.tag,
+            u8::from(line.dirty),
+            line.lru
+        );
     }
 }
 
-fn read_cache(scanned: &Scanned, name: &str, entries: &[Entry]) -> Result<CacheState, SimError> {
-    let clock = req_u64(scanned, &format!("cache.{name}.clock"))?;
-    let counts_key = format!("cache.{name}.lines");
-    let e = req(scanned, &counts_key)?;
-    e.expect_len(&counts_key, 2)?;
-    let total = e.u64_at(&counts_key, 0)? as usize;
-    let valid = e.u64_at(&counts_key, 1)? as usize;
-    if entries.len() != valid {
-        return Err(SimError::invalid_config(format!(
-            "`{counts_key}` declares {valid} valid lines, found {}",
-            entries.len()
-        )));
-    }
-    let mut lines = vec![
-        CacheLineState {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            lru: 0,
-        };
-        total
-    ];
-    let key = format!("cache.{name}.line");
-    for entry in entries {
-        entry.expect_len(&key, 4)?;
-        let idx = entry.u64_at(&key, 0)? as usize;
-        if idx >= total {
-            return Err(line_err(
-                entry.lineno,
-                format!("`{key}`: index {idx} out of range (cache has {total} lines)"),
-            ));
+fn read_cache(doc: &mut Doc<'_>, name: &str) -> Result<CacheState, SimError> {
+    let clock = doc.value(&format!("cache.{name}.clock"))?;
+    let counts = doc.take(&format!("cache.{name}.lines"))?;
+    let line_count: u64 = counts.expect_len(2)?.at(0)?;
+    let entries = doc.counted(&format!("cache.{name}.line"), &counts, 1)?;
+    let mut lines: Vec<CacheLineState> = Vec::with_capacity(entries.len());
+    for entry in &entries {
+        let index = entry.expect_len(4)?.at(0)?;
+        if index >= line_count || lines.last().is_some_and(|l| l.index >= index) {
+            return Err(entry.err(format!(
+                "`{}`: index {index} out of order or range (cache has {line_count} lines)",
+                entry.key
+            )));
         }
-        if lines[idx].valid {
-            return Err(line_err(
-                entry.lineno,
-                format!("`{key}`: duplicate line index {idx}"),
-            ));
-        }
-        let dirty = match entry.values[2].as_str() {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(line_err(
-                    entry.lineno,
-                    format!("`{key}`: dirty flag must be 0 or 1, got `{other}`"),
-                ))
-            }
-        };
-        lines[idx] = CacheLineState {
-            tag: entry.u64_at(&key, 1)?,
-            valid: true,
-            dirty,
-            lru: entry.u64_at(&key, 3)?,
-        };
+        lines.push(CacheLineState {
+            index,
+            tag: entry.at(1)?,
+            dirty: flag_from_token(entry, entry.values[2], "dirty")?,
+            lru: entry.at(3)?,
+        });
     }
-    Ok(CacheState { lines, clock })
+    Ok(CacheState {
+        line_count,
+        lines,
+        clock,
+    })
 }
 
 // --- printing -----------------------------------------------------------
@@ -546,12 +383,7 @@ pub fn checkpoint_to_text(checkpoint: &Checkpoint) -> String {
     write_rename_class(&mut out, "fp", &p.rename.fp);
 
     out.push_str("\n# branch predictor: 2-bit counters (one digit each), RAS oldest first\n");
-    let digits: String = p
-        .bpred
-        .counters
-        .iter()
-        .map(|&c| char::from_digit(u32::from(c), 10).expect("counters are 0..=3"))
-        .collect();
+    let digits = digits_to_string(p.bpred.counters.iter().copied());
     let _ = writeln!(out, "bpred.counters {digits}");
     let _ = writeln!(out, "bpred.ras {}", list_to_string(&p.bpred.ras));
 
@@ -578,17 +410,14 @@ pub fn checkpoint_to_text(checkpoint: &Checkpoint) -> String {
     let _ = writeln!(
         out,
         "pipe.blocking_branch {}",
-        opt_u64_to_token(p.blocking_branch)
+        opt_to_token(p.blocking_branch)
     );
-    let (rc_seq, rc_pc) = match p.return_check {
-        Some((seq, pc)) => (Some(seq), Some(pc)),
-        None => (None, None),
-    };
+    let (rc_seq, rc_pc) = (p.return_check.map(|r| r.0), p.return_check.map(|r| r.1));
     let _ = writeln!(
         out,
         "pipe.return_check {} {}",
-        opt_u64_to_token(rc_seq),
-        opt_u64_to_token(rc_pc)
+        opt_to_token(rc_seq),
+        opt_to_token(rc_pc)
     );
     let _ = writeln!(out, "pipe.cur_fetch_line {}", p.cur_fetch_line);
     let _ = writeln!(out, "pipe.int_free {}", list_to_string(&p.int_free));
@@ -636,187 +465,126 @@ pub fn checkpoint_to_text(checkpoint: &Checkpoint) -> String {
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] with a 1-based line number on
-/// unknown keys, duplicate keys, wrong token counts, malformed values, or
-/// count/entry mismatches, and on a missing key or unsupported version.
+/// unknown keys, duplicate keys, wrong token counts, malformed values,
+/// count/entry mismatches, or an unsupported version, and naming the key
+/// when one is missing.
 pub fn checkpoint_from_text(text: &str) -> Result<Checkpoint, SimError> {
-    let scanned = scan(text)?;
-    let version = req_u64(&scanned, "checkpoint.version")?;
+    let mut doc = Doc::scan(text, &SCHEMA)?;
+    let version_line = doc.take("checkpoint.version")?;
+    let version: u64 = version_line.one()?;
     if version != CHECKPOINT_VERSION {
-        return Err(SimError::invalid_config(format!(
+        return Err(version_line.err(format!(
             "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
         )));
     }
-    let workload = {
-        let e = req(&scanned, "checkpoint.workload")?;
-        e.expect_len("checkpoint.workload", 1)?;
-        e.values[0].clone()
-    };
-    let seed = req_u64(&scanned, "checkpoint.seed")?;
-    let fingerprint = req_u64(&scanned, "checkpoint.fingerprint")?;
+    let workload = doc.value("checkpoint.workload")?;
+    let seed = doc.value("checkpoint.seed")?;
+    let fingerprint = doc.value("checkpoint.fingerprint")?;
 
-    let stream = {
-        let rng_entry = req(&scanned, "stream.rng")?;
-        rng_entry.expect_len("stream.rng", 4)?;
-        let mut rng = [0u64; 4];
-        for (i, slot) in rng.iter_mut().enumerate() {
-            *slot = rng_entry.u64_at("stream.rng", i)?;
-        }
-        let regs = req(&scanned, "stream.next_regs")?;
-        regs.expect_len("stream.next_regs", 2)?;
-        let phase = req(&scanned, "stream.phase")?;
-        phase.expect_len("stream.phase", 2)?;
-        StreamState {
-            rng,
-            recent_int: req_list_u16(&scanned, "stream.recent_int")?,
-            recent_fp: req_list_u16(&scanned, "stream.recent_fp")?,
-            next_int_reg: regs.u16_at("stream.next_regs", 0)?,
-            next_fp_reg: regs.u16_at("stream.next_regs", 1)?,
-            pc: req_u64(&scanned, "stream.pc")?,
-            loop_start: req_u64(&scanned, "stream.loop_start")?,
-            emitted: req_u64(&scanned, "stream.emitted")?,
-            call_stack: req_list_u64(&scanned, "stream.call_stack")?,
-            stream_offsets: req_list_u64(&scanned, "stream.offsets")?,
-            phase_idx: phase.u64_at("stream.phase", 0)?,
-            phase_remaining: phase.u64_at("stream.phase", 1)?,
-        }
+    let rng = doc.take("stream.rng")?;
+    let regs = doc.take("stream.next_regs")?;
+    let phase = doc.take("stream.phase")?;
+    rng.expect_len(4)?;
+    regs.expect_len(2)?;
+    phase.expect_len(2)?;
+    let stream = StreamState {
+        rng: [rng.at(0)?, rng.at(1)?, rng.at(2)?, rng.at(3)?],
+        recent_int: doc.list("stream.recent_int")?,
+        recent_fp: doc.list("stream.recent_fp")?,
+        next_int_reg: regs.at(0)?,
+        next_fp_reg: regs.at(1)?,
+        pc: doc.value("stream.pc")?,
+        loop_start: doc.value("stream.loop_start")?,
+        emitted: doc.value("stream.emitted")?,
+        call_stack: doc.list("stream.call_stack")?,
+        stream_offsets: doc.list("stream.offsets")?,
+        phase_idx: phase.at(0)?,
+        phase_remaining: phase.at(1)?,
     };
 
     let rename = RenameState {
-        int: read_rename_class(&scanned, "int")?,
-        fp: read_rename_class(&scanned, "fp")?,
+        int: read_rename_class(&mut doc, "int")?,
+        fp: read_rename_class(&mut doc, "fp")?,
     };
 
-    let bpred = {
-        let e = req(&scanned, "bpred.counters")?;
-        e.expect_len("bpred.counters", 1)?;
-        let counters: Vec<u8> = e.values[0]
-            .chars()
-            .map(|c| match c {
-                '0'..='3' => Ok(c as u8 - b'0'),
-                _ => Err(line_err(
-                    e.lineno,
-                    "`bpred.counters` must be a string of digits 0-3",
-                )),
+    let bpred = BpredState {
+        counters: digits_from_line(&doc.take("bpred.counters")?, 3)?,
+        ras: doc.list("bpred.ras")?,
+    };
+
+    let counts = doc.take("mem.counts")?;
+    counts.expect_len(2)?;
+    let mshr_count = doc.take("mem.mshrs")?;
+    let mshrs = doc
+        .counted("mshr", mshr_count.expect_len(1)?, 0)?
+        .iter()
+        .map(|e| {
+            e.expect_len(2)?;
+            Ok(MshrState {
+                line: e.at(0)?,
+                ready: e.at(1)?,
             })
-            .collect::<Result<_, _>>()?;
-        BpredState {
-            counters,
-            ras: req_list_u64(&scanned, "bpred.ras")?,
-        }
+        })
+        .collect::<Result<_, SimError>>()?;
+    let mem = MemHierarchyState {
+        l1i: read_cache(&mut doc, "l1i")?,
+        l1d: read_cache(&mut doc, "l1d")?,
+        l2: read_cache(&mut doc, "l2")?,
+        mshrs,
+        l2_inst_refs: counts.at(0)?,
+        prefetches: counts.at(1)?,
     };
 
-    let empty = Vec::new();
-    let mem = {
-        let counts = req(&scanned, "mem.counts")?;
-        counts.expect_len("mem.counts", 2)?;
-        let mshr_count = req_u64(&scanned, "mem.mshrs")? as usize;
-        let mshr_entries = scanned.repeated.get("mshr").unwrap_or(&empty);
-        if mshr_entries.len() != mshr_count {
-            return Err(SimError::invalid_config(format!(
-                "`mem.mshrs` declares {mshr_count} entries, found {}",
-                mshr_entries.len()
-            )));
-        }
-        let mut mshrs = Vec::with_capacity(mshr_count);
-        for e in mshr_entries {
-            e.expect_len("mshr", 2)?;
-            mshrs.push(MshrState {
-                line: e.u64_at("mshr", 0)?,
-                ready: e.u64_at("mshr", 1)?,
-            });
-        }
-        MemHierarchyState {
-            l1i: read_cache(
-                &scanned,
-                "l1i",
-                scanned.repeated.get("cache.l1i.line").unwrap_or(&empty),
-            )?,
-            l1d: read_cache(
-                &scanned,
-                "l1d",
-                scanned.repeated.get("cache.l1d.line").unwrap_or(&empty),
-            )?,
-            l2: read_cache(
-                &scanned,
-                "l2",
-                scanned.repeated.get("cache.l2.line").unwrap_or(&empty),
-            )?,
-            mshrs,
-            l2_inst_refs: counts.u64_at("mem.counts", 0)?,
-            prefetches: counts.u64_at("mem.counts", 1)?,
-        }
+    let pending = doc.take("pipe.pending")?;
+    let pending = match pending.values.as_slice() {
+        ["-"] => None,
+        toks => Some(op_from_tokens(pending.expect_len(OP_TOKENS)?, toks)?),
     };
 
-    let pending = {
-        let e = req(&scanned, "pipe.pending")?;
-        if e.values.len() == 1 && e.values[0] == "-" {
-            None
-        } else {
-            e.expect_len("pipe.pending", OP_TOKENS)?;
-            Some(op_from_tokens(e.lineno, "pipe.pending", &e.values)?)
-        }
+    let rc = doc.take("pipe.return_check")?;
+    rc.expect_len(2)?;
+    let return_check = match (
+        opt_u64_from_token(&rc, rc.values[0])?,
+        opt_u64_from_token(&rc, rc.values[1])?,
+    ) {
+        (Some(seq), Some(pc)) => Some((seq, pc)),
+        (None, None) => None,
+        _ => return Err(rc.err("`pipe.return_check` needs both fields or both `-`")),
     };
 
-    let return_check = {
-        let e = req(&scanned, "pipe.return_check")?;
-        e.expect_len("pipe.return_check", 2)?;
-        let seq = opt_u64_from_token(e.lineno, "pipe.return_check", &e.values[0])?;
-        let pc = opt_u64_from_token(e.lineno, "pipe.return_check", &e.values[1])?;
-        match (seq, pc) {
-            (Some(seq), Some(pc)) => Some((seq, pc)),
-            (None, None) => None,
-            _ => {
-                return Err(line_err(
-                    e.lineno,
-                    "`pipe.return_check` needs both fields or both `-`",
-                ))
-            }
-        }
-    };
+    let window_count = doc.take("pipe.window")?;
+    let window = doc
+        .counted("window", window_count.expect_len(1)?, 0)?
+        .iter()
+        .map(|e| {
+            let v = &e.expect_len(7 + OP_TOKENS)?.values;
+            Ok(WindowSlotState {
+                seq: e.at(0)?,
+                phase: phase_from_token(e, v[1])?,
+                ready_cycle: e.at(2)?,
+                dest: phys_from_token(e, v[3])?,
+                old_dest: phys_from_token(e, v[4])?,
+                srcs: [phys_from_token(e, v[5])?, phys_from_token(e, v[6])?],
+                op: op_from_tokens(e, &v[7..])?,
+            })
+        })
+        .collect::<Result<_, SimError>>()?;
 
-    let window_count = req_u64(&scanned, "pipe.window")? as usize;
-    let window_entries = scanned.repeated.get("window").unwrap_or(&empty);
-    if window_entries.len() != window_count {
-        return Err(SimError::invalid_config(format!(
-            "`pipe.window` declares {window_count} entries, found {}",
-            window_entries.len()
-        )));
-    }
-    let mut window = Vec::with_capacity(window_count);
-    for e in window_entries {
-        e.expect_len("window", 7 + OP_TOKENS)?;
-        window.push(WindowSlotState {
-            seq: e.u64_at("window", 0)?,
-            phase: phase_from_token(e.lineno, &e.values[1])?,
-            ready_cycle: e.u64_at("window", 2)?,
-            dest: phys_from_token(e.lineno, "window", &e.values[3])?,
-            old_dest: phys_from_token(e.lineno, "window", &e.values[4])?,
-            srcs: [
-                phys_from_token(e.lineno, "window", &e.values[5])?,
-                phys_from_token(e.lineno, "window", &e.values[6])?,
-            ],
-            op: op_from_tokens(e.lineno, "window", &e.values[7..])?,
-        });
-    }
+    let fetchq_count = doc.take("pipe.fetchq")?;
+    let fetch_queue = doc
+        .counted("fetchq", fetchq_count.expect_len(1)?, 0)?
+        .iter()
+        .map(|e| {
+            let v = &e.expect_len(2 + OP_TOKENS)?.values;
+            Ok(FetchedState {
+                seq: e.at(0)?,
+                dispatch_at: e.at(1)?,
+                op: op_from_tokens(e, &v[2..])?,
+            })
+        })
+        .collect::<Result<_, SimError>>()?;
 
-    let fetchq_count = req_u64(&scanned, "pipe.fetchq")? as usize;
-    let fetchq_entries = scanned.repeated.get("fetchq").unwrap_or(&empty);
-    if fetchq_entries.len() != fetchq_count {
-        return Err(SimError::invalid_config(format!(
-            "`pipe.fetchq` declares {fetchq_count} entries, found {}",
-            fetchq_entries.len()
-        )));
-    }
-    let mut fetch_queue = Vec::with_capacity(fetchq_count);
-    for e in fetchq_entries {
-        e.expect_len("fetchq", 2 + OP_TOKENS)?;
-        fetch_queue.push(FetchedState {
-            seq: e.u64_at("fetchq", 0)?,
-            dispatch_at: e.u64_at("fetchq", 1)?,
-            op: op_from_tokens(e.lineno, "fetchq", &e.values[2..])?,
-        });
-    }
-
+    let blocking = doc.take("pipe.blocking_branch")?;
     let pipeline = PipelineState {
         rename,
         bpred,
@@ -824,21 +592,17 @@ pub fn checkpoint_from_text(text: &str) -> Result<Checkpoint, SimError> {
         window,
         fetch_queue,
         pending,
-        now: req_u64(&scanned, "pipe.now")?,
-        seq_next: req_u64(&scanned, "pipe.seq_next")?,
-        committed: req_u64(&scanned, "pipe.committed")?,
-        last_commit_cycle: req_u64(&scanned, "pipe.last_commit_cycle")?,
-        fetch_resume_at: req_u64(&scanned, "pipe.fetch_resume_at")?,
-        blocking_branch: {
-            let e = req(&scanned, "pipe.blocking_branch")?;
-            e.expect_len("pipe.blocking_branch", 1)?;
-            opt_u64_from_token(e.lineno, "pipe.blocking_branch", &e.values[0])?
-        },
+        now: doc.value("pipe.now")?,
+        seq_next: doc.value("pipe.seq_next")?,
+        committed: doc.value("pipe.committed")?,
+        last_commit_cycle: doc.value("pipe.last_commit_cycle")?,
+        fetch_resume_at: doc.value("pipe.fetch_resume_at")?,
+        blocking_branch: opt_u64_from_token(&blocking, blocking.expect_len(1)?.values[0])?,
         return_check,
-        cur_fetch_line: req_u64(&scanned, "pipe.cur_fetch_line")?,
-        int_free: req_list_u64(&scanned, "pipe.int_free")?,
-        fp_free: req_list_u64(&scanned, "pipe.fp_free")?,
-        agen_free: req_list_u64(&scanned, "pipe.agen_free")?,
+        cur_fetch_line: doc.value("pipe.cur_fetch_line")?,
+        int_free: doc.list("pipe.int_free")?,
+        fp_free: doc.list("pipe.fp_free")?,
+        agen_free: doc.list("pipe.agen_free")?,
     };
 
     Ok(Checkpoint {
@@ -853,7 +617,7 @@ pub fn checkpoint_from_text(text: &str) -> Result<Checkpoint, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoreConfig;
+    use crate::config::{CacheConfig, CoreConfig};
     use crate::pipeline::Processor;
     use sim_common::Xoshiro256pp;
     use workload::{App, InstructionSource, SyntheticStream};
@@ -914,28 +678,22 @@ mod tests {
         }
     }
 
-    fn random_cache(rng: &mut Xoshiro256pp, lines: usize) -> CacheState {
+    fn random_cache(rng: &mut Xoshiro256pp, line_count: u64) -> CacheState {
         let clock = rng.gen_u64(1..1_000_000);
+        let mut lines = Vec::new();
+        for index in 0..line_count {
+            if rng.gen_bool(0.4) {
+                lines.push(CacheLineState {
+                    index,
+                    tag: rng.next_u64() >> 20,
+                    dirty: rng.gen_bool(0.5),
+                    lru: rng.gen_u64(0..clock + 1),
+                });
+            }
+        }
         CacheState {
-            lines: (0..lines)
-                .map(|_| {
-                    if rng.gen_bool(0.4) {
-                        CacheLineState {
-                            tag: rng.next_u64() >> 20,
-                            valid: true,
-                            dirty: rng.gen_bool(0.5),
-                            lru: rng.gen_u64(0..clock + 1),
-                        }
-                    } else {
-                        CacheLineState {
-                            tag: 0,
-                            valid: false,
-                            dirty: false,
-                            lru: 0,
-                        }
-                    }
-                })
-                .collect(),
+            line_count,
+            lines,
             clock,
         }
     }
@@ -1180,12 +938,123 @@ mod tests {
             pipeline: cpu.state(),
         };
         let parsed = checkpoint_from_text(&checkpoint_to_text(&chk)).unwrap();
-        let stream = SyntheticStream::restore(App::Twolf.profile(), parsed.seed, &parsed.stream);
+        let stream =
+            SyntheticStream::restore(App::Twolf.profile(), parsed.seed, &parsed.stream).unwrap();
         let mut resumed = Processor::new(CoreConfig::base(), stream).unwrap();
-        resumed.restore_state(&parsed.pipeline);
+        resumed.restore_state(&parsed.pipeline).unwrap();
         assert_eq!(parsed.instructions(), 12_000);
         let a = cpu.run_instructions(8_000);
         let b = resumed.run_instructions(8_000);
         assert_eq!(a, b);
+    }
+
+    /// The canonical text of a deterministic capture, pinned by its length
+    /// and FNV-1a digest: the printer's bytes must never drift.
+    #[test]
+    fn captured_text_matches_the_golden_digest() {
+        let text = checkpoint_to_text(&captured_checkpoint(App::Gzip, 7, 15_000));
+        assert_eq!(text.len(), 196_589);
+        assert_eq!(sim_common::fnv1a64(text.as_bytes()), 0x2a41_83e8_5b67_7326);
+    }
+
+    /// A processor with small caches, so the corruption harness below
+    /// parses and restores hundreds of cases quickly.
+    fn small_config() -> CoreConfig {
+        CoreConfig {
+            l1i: CacheConfig::new(2048, 2, 64).unwrap(),
+            l1d: CacheConfig::new(2048, 2, 64).unwrap(),
+            l2: CacheConfig::new(8192, 4, 64).unwrap(),
+            ..CoreConfig::base()
+        }
+    }
+
+    fn small_capture() -> Checkpoint {
+        let mut cpu =
+            Processor::new(small_config(), SyntheticStream::new(App::Gzip.profile(), 5)).unwrap();
+        cpu.run_instructions(4_000);
+        Checkpoint {
+            workload: cpu.source().name().to_owned(),
+            seed: 5,
+            fingerprint: 9,
+            stream: cpu.source().state(),
+            pipeline: cpu.state(),
+        }
+    }
+
+    /// Parses `text` and restores it into a fresh small processor.
+    fn parse_and_restore(text: &str) -> Result<(), SimError> {
+        let chk = checkpoint_from_text(text)?;
+        let stream = SyntheticStream::restore(App::Gzip.profile(), chk.seed, &chk.stream)?;
+        Processor::new(small_config(), stream)?.restore_state(&chk.pipeline)
+    }
+
+    #[test]
+    fn hostile_counts_and_states_are_errors_not_panics() {
+        let text = checkpoint_to_text(&small_capture());
+        parse_and_restore(&text).unwrap();
+        let edit = |prefix: &str, replacement: &str| -> String {
+            text.lines()
+                .map(|l| {
+                    if l.starts_with(prefix) {
+                        replacement
+                    } else {
+                        l
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        // A count at u64::MAX once overflowed the arity arithmetic.
+        let err = checkpoint_from_text(&edit(
+            "stream.call_stack ",
+            "stream.call_stack 18446744073709551615",
+        ))
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("declares 18446744073709551615 values"),
+            "{err}"
+        );
+        // A huge cache is never allocated from the file's line count.
+        let valid = text
+            .lines()
+            .find_map(|l| l.strip_prefix("cache.l1i.lines "))
+            .and_then(|v| v.split_whitespace().nth(1))
+            .unwrap();
+        let huge = format!("cache.l1i.lines 100000000000000 {valid}");
+        let err = parse_and_restore(&edit("cache.l1i.lines ", &huge))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("cache line count mismatch"), "{err}");
+        let err = parse_and_restore(&edit("pipe.int_free ", "pipe.int_free 1 0"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("integer unit count mismatch"), "{err}");
+        let err = parse_and_restore(&edit("cache.l1d.clock ", "cache.l1d.clock 0"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("LRU timestamp ahead of the cache clock"),
+            "{err}"
+        );
+    }
+
+    /// Seeded corruptions of a canonical checkpoint either parse and
+    /// restore or fail with an error naming a line (or the missing key);
+    /// none panics.
+    #[test]
+    fn corrupted_checkpoints_never_panic() {
+        let text = checkpoint_to_text(&small_capture());
+        for seed in 0..500 {
+            let bad = sim_common::textfmt::corrupt(&text, seed);
+            if let Err(e) = parse_and_restore(&bad) {
+                let msg = e.to_string();
+                let restore_error = checkpoint_from_text(&bad).is_ok();
+                assert!(
+                    restore_error || msg.contains("line ") || msg.contains("missing key"),
+                    "seed {seed}: {msg}"
+                );
+            }
+        }
     }
 }

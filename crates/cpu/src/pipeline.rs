@@ -808,34 +808,31 @@ impl<S: InstructionSource> Processor<S> {
     /// serialized. Statistics restart from zero, exactly as they stood at
     /// the cut.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the state does not fit this processor's configuration
-    /// (structure sizes, functional-unit counts) — checkpoints are only
-    /// valid for the exact timing configuration that produced them.
-    pub fn restore_state(&mut self, state: &PipelineState) {
-        assert!(
-            state.window.len() <= self.config.window_size as usize,
-            "window larger than configured"
-        );
-        assert_eq!(
-            state.int_free.len(),
-            self.int_free.len(),
-            "integer unit count mismatch"
-        );
-        assert_eq!(
-            state.fp_free.len(),
-            self.fp_free.len(),
-            "FP unit count mismatch"
-        );
-        assert_eq!(
-            state.agen_free.len(),
-            self.agen_free.len(),
-            "address-generation unit count mismatch"
-        );
-        self.rename.restore_state(&state.rename);
-        self.bpred.restore_state(&state.bpred);
-        self.mem.restore_state(&state.mem);
+    /// Returns [`sim_common::SimError::InvalidConfig`] when the state does
+    /// not fit this processor's configuration (structure sizes,
+    /// functional-unit counts) — checkpoints are only valid for the exact
+    /// timing configuration that produced them. A failed restore leaves
+    /// the processor unusable.
+    pub fn restore_state(&mut self, state: &PipelineState) -> Result<(), sim_common::SimError> {
+        let problem = if state.window.len() > self.config.window_size as usize {
+            Some("window larger than configured")
+        } else if state.int_free.len() != self.int_free.len() {
+            Some("integer unit count mismatch")
+        } else if state.fp_free.len() != self.fp_free.len() {
+            Some("FP unit count mismatch")
+        } else if state.agen_free.len() != self.agen_free.len() {
+            Some("address-generation unit count mismatch")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            return Err(sim_common::SimError::invalid_config(problem));
+        }
+        self.rename.restore_state(&state.rename)?;
+        self.bpred.restore_state(&state.bpred)?;
+        self.mem.restore_state(&state.mem)?;
         self.window.clear();
         self.window.extend(state.window.iter().map(|s| Slot {
             seq: s.seq,
@@ -890,6 +887,7 @@ impl<S: InstructionSource> Processor<S> {
         self.interval_start_cycle = state.now;
         self.interval_start_committed = state.committed;
         self.commit_target = u64::MAX;
+        Ok(())
     }
 
     /// Collects and resets the statistics accumulated since the previous
@@ -1084,9 +1082,10 @@ mod tests {
         cpu.prewarm(0x1000_0000, 512 * 1024, 0, 24 * 1024);
         cpu.run_instructions(20_000);
         let cut = cpu.state();
-        let stream = SyntheticStream::restore(App::Twolf.profile(), 12345, &cpu.source().state());
+        let stream =
+            SyntheticStream::restore(App::Twolf.profile(), 12345, &cpu.source().state()).unwrap();
         let mut resumed = Processor::new(CoreConfig::base(), stream).unwrap();
-        resumed.restore_state(&cut);
+        resumed.restore_state(&cut).unwrap();
         assert_eq!(resumed.state(), cut, "capture is idempotent");
         for _ in 0..3 {
             let a = cpu.run_instructions(10_000);
@@ -1107,7 +1106,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unit count mismatch")]
     fn restore_rejects_mismatched_configuration() {
         let mut cpu = processor(App::Gzip, CoreConfig::base());
         cpu.run_instructions(1_000);
@@ -1115,7 +1113,8 @@ mod tests {
         // Same window size, fewer integer units.
         let small = CoreConfig::base().with_adaptation(128, 2, 1).unwrap();
         let mut other = processor(App::Gzip, small);
-        other.restore_state(&cut);
+        let err = other.restore_state(&cut).unwrap_err();
+        assert!(err.to_string().contains("unit count mismatch"), "{err}");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! (Table 1: 192 integer + 192 floating-point physical registers, separate
 //! from the centralized instruction window, as in the MIPS R10000).
 
+use sim_common::SimError;
 use workload::{ArchReg, RegClass, ARCH_REGS_PER_CLASS};
 
 /// A physical register: class plus index within that class's file.
@@ -61,30 +62,28 @@ impl ClassState {
         }
     }
 
-    fn restore_state(&mut self, state: &RenameClassState) {
-        assert_eq!(state.map.len(), self.map.len(), "rename map size mismatch");
-        assert_eq!(
-            state.ready.len(),
-            self.ready.len(),
-            "physical register count mismatch"
-        );
+    fn restore_state(&mut self, state: &RenameClassState) -> Result<(), SimError> {
         let phys = self.ready.len();
-        assert!(
-            state
-                .map
-                .iter()
-                .chain(state.free.iter())
-                .all(|&p| (p as usize) < phys),
-            "physical register index out of range"
-        );
-        assert!(
-            state.free.len() <= phys,
-            "free list larger than the register file"
-        );
+        let out_of_range = |regs: &[u16]| regs.iter().any(|&p| p as usize >= phys);
+        let problem = if state.map.len() != self.map.len() {
+            Some("rename map size mismatch")
+        } else if state.ready.len() != phys {
+            Some("physical register count mismatch")
+        } else if out_of_range(&state.map) || out_of_range(&state.free) {
+            Some("physical register index out of range")
+        } else if state.free.len() > phys {
+            Some("free list larger than the register file")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            return Err(SimError::invalid_config(problem));
+        }
         self.map.copy_from_slice(&state.map);
         self.free.clear();
         self.free.extend_from_slice(&state.free);
         self.ready.copy_from_slice(&state.ready);
+        Ok(())
     }
 
     fn new(phys_count: u32) -> ClassState {
@@ -224,13 +223,14 @@ impl Rename {
 
     /// Restores a captured [`RenameState`]. Statistics are untouched.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when either class's state does not fit this rename stage's
-    /// register-file sizes, or references a physical register out of range.
-    pub fn restore_state(&mut self, state: &RenameState) {
-        self.int.restore_state(&state.int);
-        self.fp.restore_state(&state.fp);
+    /// Returns [`SimError::InvalidConfig`] when either class's state does
+    /// not fit this rename stage's register-file sizes, or references a
+    /// physical register out of range.
+    pub fn restore_state(&mut self, state: &RenameState) -> Result<(), SimError> {
+        self.int.restore_state(&state.int)?;
+        self.fp.restore_state(&state.fp)
     }
 
     /// Returns and clears the port statistics for both files
@@ -319,7 +319,7 @@ mod tests {
         rn.release(old);
         let state = rn.state();
         let mut restored = Rename::new(192, 192);
-        restored.restore_state(&state);
+        restored.restore_state(&state).unwrap();
         assert_eq!(restored.state(), state);
         assert_eq!(restored.rename_src(int_reg(3)), rn.rename_src(int_reg(3)));
         assert_eq!(
@@ -330,10 +330,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "register count mismatch")]
     fn restore_rejects_mismatched_file_size() {
         let state = Rename::new(192, 192).state();
-        Rename::new(128, 192).restore_state(&state);
+        let err = Rename::new(128, 192).restore_state(&state).unwrap_err();
+        assert!(err.to_string().contains("register count mismatch"), "{err}");
     }
 
     #[test]

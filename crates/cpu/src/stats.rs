@@ -64,7 +64,7 @@ impl ActivityCounters {
 }
 
 /// Statistics for one measurement interval.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IntervalStats {
     /// Cycles elapsed in the interval.
     pub cycles: u64,

@@ -560,7 +560,8 @@ impl Evaluator {
             if let Some(cuts) =
                 store.load_run(&profile.name, self.params.seed, fingerprint, lens.len())?
             {
-                let intervals = self.run_slices(profile, config, &cuts, &lens, slice.workers)?;
+                let intervals =
+                    self.run_slices(profile, config, &cuts, &lens, slice.workers, store)?;
                 return Ok(TimingRun {
                     intervals,
                     wall: start.elapsed(),
@@ -621,7 +622,8 @@ impl Evaluator {
 
     /// The parallel resume path: every slice restores its checkpoint and
     /// simulates independently; per-slice interval statistics are folded
-    /// back in slice order.
+    /// back in slice order. A checkpoint that does not fit the processor
+    /// fails naming its file in `store`.
     fn run_slices(
         &self,
         profile: &AppProfile,
@@ -629,6 +631,7 @@ impl Evaluator {
         cuts: &[Checkpoint],
         lens: &[u64],
         workers: usize,
+        store: &CheckpointStore,
     ) -> Result<Vec<IntervalStats>, SimError> {
         // A valid cut set partitions the measurement: cut k must sit at
         // exactly warmup + k slices of committed instructions.
@@ -659,8 +662,12 @@ impl Evaluator {
                         if k >= count {
                             break;
                         }
-                        let result =
-                            run_one_slice(profile, seed, config, &cuts[k], lens[k], interval);
+                        let cut = &cuts[k];
+                        let result = run_one_slice(profile, seed, config, cut, lens[k], interval)
+                            .map_err(|e| {
+                                let path = store.path(&cut.workload, cut.seed, cut.fingerprint, k);
+                                SimError::invalid_config(format!("{}: {e}", path.display()))
+                            });
                         if tx.send((k, result)).is_err() {
                             break;
                         }
@@ -845,9 +852,9 @@ fn run_one_slice(
     len: u64,
     interval: u64,
 ) -> Result<Vec<IntervalStats>, SimError> {
-    let stream = SyntheticStream::restore(profile.clone(), seed, &cut.stream);
+    let stream = SyntheticStream::restore(profile.clone(), seed, &cut.stream)?;
     let mut cpu = Processor::new(config.clone(), stream)?;
-    cpu.restore_state(&cut.pipeline);
+    cpu.restore_state(&cut.pipeline)?;
     let mut out = Vec::with_capacity((len / interval + 1) as usize);
     let mut remaining = len;
     while remaining > 0 {
@@ -1113,6 +1120,41 @@ mod tests {
             .evaluate(App::MpgDec, &CoreConfig::base())
             .unwrap();
         assert_eq!(short_plain, short_sliced);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_fit_fails_naming_its_file() {
+        let dir = temp_dir("misfit");
+        let slice = SliceParams::new(30_000).with_dir(&dir);
+        let sliced = evaluator().with_slice(slice).unwrap();
+        sliced.evaluate(App::Gzip, &CoreConfig::base()).unwrap();
+        // One integer unit short: the file parses, the processor refuses it.
+        let (path, _) = CheckpointStore::new(&dir)
+            .unwrap()
+            .list()
+            .unwrap()
+            .pop()
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let misfit: String = text
+            .lines()
+            .map(|l| {
+                let l = if l.starts_with("pipe.int_free ") {
+                    "pipe.int_free 1 0"
+                } else {
+                    l
+                };
+                format!("{l}\n")
+            })
+            .collect();
+        std::fs::write(&path, misfit).unwrap();
+        let err = sliced
+            .evaluate(App::Gzip, &CoreConfig::base())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("integer unit count mismatch"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -88,7 +88,8 @@ pub use mix::WorkloadMix;
 pub use oracle::{DrmChoice, Oracle};
 pub use scaling::{scaling_study, ScalingRow, TechnologyNode};
 pub use sensors::{SensorBank, SensorParams};
-pub use slice::{fnv1a64, slice_fingerprint, slice_lengths, CheckpointStore, SliceParams};
+pub use sim_common::fnv1a64;
+pub use slice::{slice_fingerprint, slice_lengths, CheckpointStore, SliceParams};
 pub use space::{ArchPoint, Strategy};
 pub use store::{EvalStore, StoreRecord, STORE_EXTENSION, STORE_HEADER};
 pub use surrogate::{AppTable, ErrorBounds, Surrogate, SurrogateParams, SurrogateScore};

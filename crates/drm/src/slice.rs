@@ -26,7 +26,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sim_common::SimError;
+use sim_common::{fnv1a64, SimError};
 use sim_cpu::{checkpoint_from_text, checkpoint_to_text, Checkpoint, CoreConfig};
 
 use crate::batch::default_workers;
@@ -117,19 +117,6 @@ pub fn slice_lengths(total: u64, slice: u64) -> Vec<u64> {
         remaining -= n;
     }
     lens
-}
-
-/// FNV-1a over `bytes` (64-bit). Deterministic across runs and platforms,
-/// unlike the standard library's randomized default hasher — which is why
-/// the evaluation store's checksums and the cluster layer's work-unit
-/// routing use it too.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Fingerprint of everything (besides workload name and seed, which key

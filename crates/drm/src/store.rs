@@ -11,10 +11,11 @@
 //! cache key — is reconstructed bit-identically on load.
 //!
 //! Format (`ramp-evalstore/1`): a text segment with one record per
-//! line, in the textfmt idiom. Each record carries keyed header tokens,
-//! a fixed-width positional payload (58 values per interval, `u64`s in
-//! decimal and `f64`s as 16-digit hex bit patterns), and a trailing
-//! FNV-1a checksum over everything before it. Appends are fsync'd; the
+//! line, read with the token cursor of [`sim_common::textfmt`]. Each
+//! record carries keyed header tokens, a fixed-width positional payload
+//! (58 values per interval, `u64`s in decimal and `f64`s as 16-digit hex
+//! bit patterns), and is sealed with the trailing FNV-1a checksum token
+//! over everything before it. Appends are fsync'd; the
 //! index is rebuilt by scanning on open. A truncated tail record (torn
 //! write on crash) is silently dropped and the segment truncated back
 //! to the last complete line; a *complete* record that fails to parse
@@ -23,21 +24,21 @@
 //!
 //! [`CoreConfig`]: sim_cpu::CoreConfig
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use sim_common::{Hertz, SimError, Structure, StructureMap, Volts};
-use sim_cpu::{ActivityCounters, BpredStats, CacheStats, IntervalStats, RegFileStats};
+use sim_common::textfmt::{seal, unseal, Hex64, TokenError, Tokens};
+use sim_common::{Hertz, SimError, Structure, Volts};
+use sim_cpu::IntervalStats;
 use workload::App;
 
 use crate::batch::EvalKey;
 use crate::dvs::DvsPoint;
 use crate::evaluator::TimingRun;
-use crate::slice::fnv1a64;
 use crate::space::ArchPoint;
 
 /// First line of every store segment.
@@ -92,9 +93,9 @@ impl StoreRecord {
 #[derive(Debug)]
 pub struct EvalStore {
     path: PathBuf,
-    file: Mutex<File>,
-    /// Keys known to be durable (any segment) — appends dedupe on this.
-    index: Mutex<HashMap<EvalKey, ()>>,
+    /// The segment file, and the keys known to be durable in any segment
+    /// (appends dedupe on them).
+    file: Mutex<(File, HashSet<EvalKey>)>,
     /// Records loaded at open, in last-write-wins replay order.
     loaded: Mutex<Vec<StoreRecord>>,
 }
@@ -117,14 +118,49 @@ fn complete_lines(content: &str) -> (Vec<&str>, usize) {
     }
 }
 
-fn push_u64(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, " {v}");
-}
-
-fn push_f64_bits(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, " {:016x}", v.to_bits());
+/// The `u64` payload fields of an interval after its activity factors,
+/// in record order. The encoder and the decoder both walk this one list,
+/// so their field orders cannot drift apart.
+fn counter_fields(iv: &mut IntervalStats) -> Vec<&mut u64> {
+    let c = &mut iv.counters;
+    let mut fields = vec![
+        &mut c.fetched,
+        &mut c.window_writes,
+        &mut c.window_wakeups,
+        &mut c.window_issues,
+        &mut c.lsq_inserts,
+        &mut c.lsq_searches,
+        &mut c.int_busy,
+        &mut c.fp_busy,
+        &mut c.agen_busy,
+        &mut c.forwards,
+        &mut c.cycles_window_empty,
+        &mut c.cycles_head_mem,
+        &mut c.cycles_head_exec,
+        &mut c.cycles_fetch_stalled,
+    ];
+    fields.extend(&mut c.class_commits);
+    let b = &mut iv.bpred;
+    fields.extend([
+        &mut b.lookups,
+        &mut b.updates,
+        &mut b.mispredicts,
+        &mut b.ras_pushes,
+        &mut b.ras_pops,
+        &mut b.ras_mispredicts,
+    ]);
+    for cache in [&mut iv.l1i, &mut iv.l1d, &mut iv.l2] {
+        fields.extend([
+            &mut cache.accesses,
+            &mut cache.hits,
+            &mut cache.misses,
+            &mut cache.writebacks,
+        ]);
+    }
+    for rf in [&mut iv.int_regfile, &mut iv.fp_regfile] {
+        fields.extend([&mut rf.reads, &mut rf.writes]);
+    }
+    fields
 }
 
 /// Encodes one record as a single line (no trailing newline), checksum
@@ -133,190 +169,61 @@ fn encode_record(key: EvalKey, freq_bits: u64, vdd_bits: u64, run: &TimingRun) -
     use std::fmt::Write as _;
     let mut line = format!(
         "run app={} window={} alus={} fpus={} freq_khz={} vdd_uv={} \
-         freq_bits={:016x} vdd_bits={:016x} wall_ns={} intervals={}",
+         freq_bits={} vdd_bits={} wall_ns={} intervals={}",
         key.app.name(),
         key.arch.window,
         key.arch.alus,
         key.arch.fpus,
         key.freq_khz,
         key.vdd_uv,
-        freq_bits,
-        vdd_bits,
+        Hex64(freq_bits),
+        Hex64(vdd_bits),
         run.wall().as_nanos(),
         run.intervals().len(),
     );
     for iv in run.intervals() {
-        push_u64(&mut line, iv.cycles);
-        push_u64(&mut line, iv.instructions);
+        let _ = write!(line, " {} {}", iv.cycles, iv.instructions);
         for s in Structure::ALL {
-            push_f64_bits(&mut line, iv.activity[s]);
+            let _ = write!(line, " {}", Hex64::of(iv.activity[s]));
         }
-        let c = &iv.counters;
-        for v in [
-            c.fetched,
-            c.window_writes,
-            c.window_wakeups,
-            c.window_issues,
-            c.lsq_inserts,
-            c.lsq_searches,
-            c.int_busy,
-            c.fp_busy,
-            c.agen_busy,
-            c.forwards,
-            c.cycles_window_empty,
-            c.cycles_head_mem,
-            c.cycles_head_exec,
-            c.cycles_fetch_stalled,
-        ] {
-            push_u64(&mut line, v);
-        }
-        for v in c.class_commits {
-            push_u64(&mut line, v);
-        }
-        for v in [
-            iv.bpred.lookups,
-            iv.bpred.updates,
-            iv.bpred.mispredicts,
-            iv.bpred.ras_pushes,
-            iv.bpred.ras_pops,
-            iv.bpred.ras_mispredicts,
-        ] {
-            push_u64(&mut line, v);
-        }
-        for cache in [&iv.l1i, &iv.l1d, &iv.l2] {
-            for v in [cache.accesses, cache.hits, cache.misses, cache.writebacks] {
-                push_u64(&mut line, v);
-            }
-        }
-        for rf in [&iv.int_regfile, &iv.fp_regfile] {
-            push_u64(&mut line, rf.reads);
-            push_u64(&mut line, rf.writes);
+        for v in counter_fields(&mut iv.clone()) {
+            let _ = write!(line, " {v}");
         }
     }
-    let sum = fnv1a64(line.as_bytes());
-    let _ = write!(line, " sum={sum:016x}");
+    seal(&mut line);
     line
-}
-
-/// A strict cursor over one record's whitespace tokens, reporting
-/// 1-based token positions on every failure.
-struct Tokens<'a> {
-    tokens: Vec<&'a str>,
-    pos: usize,
-}
-
-impl<'a> Tokens<'a> {
-    fn new(line: &'a str) -> Tokens<'a> {
-        Tokens {
-            tokens: line.split_whitespace().collect(),
-            pos: 0,
-        }
-    }
-
-    /// Consumes the next token, or fails naming the position past the
-    /// end.
-    fn next(&mut self, what: &str) -> Result<(&'a str, usize), String> {
-        self.pos += 1;
-        match self.tokens.get(self.pos - 1) {
-            Some(tok) => Ok((tok, self.pos)),
-            None => Err(format!("token {}: missing {what}", self.pos)),
-        }
-    }
-
-    /// Consumes a `key=value` token, returning the value.
-    fn keyed(&mut self, key: &str) -> Result<(&'a str, usize), String> {
-        let (tok, pos) = self.next(key)?;
-        tok.strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix('='))
-            .ok_or_else(|| format!("token {pos}: expected {key}=..., got {tok:?}"))
-            .map(|v| (v, pos))
-    }
-
-    fn keyed_u64(&mut self, key: &str) -> Result<u64, String> {
-        let (v, pos) = self.keyed(key)?;
-        v.parse::<u64>()
-            .map_err(|_| format!("token {pos}: {key} must be an unsigned integer, got {v:?}"))
-    }
-
-    fn keyed_u32(&mut self, key: &str) -> Result<u32, String> {
-        let (v, pos) = self.keyed(key)?;
-        v.parse::<u32>()
-            .map_err(|_| format!("token {pos}: {key} must be an unsigned integer, got {v:?}"))
-    }
-
-    fn keyed_hex64(&mut self, key: &str) -> Result<u64, String> {
-        let (v, pos) = self.keyed(key)?;
-        if v.len() != 16 {
-            return Err(format!(
-                "token {pos}: {key} must be 16 hex digits, got {v:?}"
-            ));
-        }
-        u64::from_str_radix(v, 16)
-            .map_err(|_| format!("token {pos}: {key} must be 16 hex digits, got {v:?}"))
-    }
-
-    /// Consumes a positional decimal `u64`.
-    fn value_u64(&mut self, what: &str) -> Result<u64, String> {
-        let (tok, pos) = self.next(what)?;
-        tok.parse::<u64>()
-            .map_err(|_| format!("token {pos}: {what} must be an unsigned integer, got {tok:?}"))
-    }
-
-    /// Consumes a positional `f64` bit pattern (16 hex digits).
-    fn value_f64(&mut self, what: &str) -> Result<f64, String> {
-        let (tok, pos) = self.next(what)?;
-        if tok.len() != 16 {
-            return Err(format!(
-                "token {pos}: {what} must be 16 hex digits, got {tok:?}"
-            ));
-        }
-        u64::from_str_radix(tok, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("token {pos}: {what} must be 16 hex digits, got {tok:?}"))
-    }
 }
 
 /// Decodes one complete record line, verifying the checksum and the
 /// embedded fixed-point key against the raw DVS bits.
 fn decode_record(line: &str) -> Result<StoreRecord, String> {
-    // Checksum first: everything before the trailing ` sum=` token must
-    // hash to the recorded value, so any torn-but-newline-terminated or
-    // bit-flipped record is rejected before field parsing.
-    let sum_at = line
-        .rfind(" sum=")
-        .ok_or_else(|| "record has no sum= checksum token".to_string())?;
-    let body = &line[..sum_at];
-    let recorded = line[sum_at + " sum=".len()..].trim();
-    let expect = fnv1a64(body.as_bytes());
-    let got = u64::from_str_radix(recorded, 16)
-        .map_err(|_| format!("checksum must be 16 hex digits, got {recorded:?}"))?;
-    if got != expect {
-        return Err(format!(
-            "checksum mismatch: record says {got:016x}, content hashes to {expect:016x}"
-        ));
-    }
-
+    // Checksum first, so any torn-but-newline-terminated or bit-flipped
+    // record is rejected before field parsing.
+    let body = unseal(line)?;
     let mut t = Tokens::new(body);
-    let (verb, pos) = t.next("record verb")?;
-    if verb != "run" {
-        return Err(format!("token {pos}: expected verb \"run\", got {verb:?}"));
+    let verb = t.next("record verb")?;
+    if verb.value != "run" {
+        let msg = format!("expected verb \"run\", got `{}`", verb.value);
+        return Err(TokenError::new(verb.pos, msg).into());
     }
-    let (app_name, app_pos) = t.keyed("app")?;
+    let app_name = t.keyed::<String>("app")?;
     let app = *App::ALL
         .iter()
-        .find(|a| a.name() == app_name)
-        .ok_or_else(|| format!("token {app_pos}: unknown app {app_name:?}"))?;
+        .find(|a| a.name() == app_name.value)
+        .ok_or_else(|| {
+            TokenError::new(app_name.pos, format!("unknown app `{}`", app_name.value))
+        })?;
     let arch = ArchPoint {
-        window: t.keyed_u32("window")?,
-        alus: t.keyed_u32("alus")?,
-        fpus: t.keyed_u32("fpus")?,
+        window: t.keyed("window")?.value,
+        alus: t.keyed("alus")?.value,
+        fpus: t.keyed("fpus")?.value,
     };
-    let freq_khz = t.keyed_u64("freq_khz")?;
-    let vdd_uv = t.keyed_u64("vdd_uv")?;
-    let freq_bits = t.keyed_hex64("freq_bits")?;
-    let vdd_bits = t.keyed_hex64("vdd_bits")?;
-    let wall_ns = t.keyed_u64("wall_ns")?;
-    let intervals = t.keyed_u64("intervals")? as usize;
+    let freq_khz = t.keyed("freq_khz")?.value;
+    let vdd_uv = t.keyed("vdd_uv")?.value;
+    let freq_bits = t.keyed::<Hex64>("freq_bits")?.value.0;
+    let vdd_bits = t.keyed::<Hex64>("vdd_bits")?.value.0;
+    let wall_ns = t.keyed("wall_ns")?.value;
+    let intervals: u64 = t.keyed("intervals")?.value;
 
     // Embedded-key verification: the fixed-point key tokens must match
     // the key recomputed from the raw DVS bits, like `CheckpointStore`
@@ -334,84 +241,35 @@ fn decode_record(line: &str) -> Result<StoreRecord, String> {
         ));
     }
 
-    let expected_tokens = HEADER_TOKENS + intervals * VALUES_PER_INTERVAL;
-    if t.tokens.len() != expected_tokens {
+    // The interval count is checked against the tokens present before
+    // anything is sized from it.
+    let payload = (t.count() - HEADER_TOKENS) as u64;
+    if intervals.checked_mul(VALUES_PER_INTERVAL as u64) != Some(payload) {
         return Err(format!(
-            "record has {} tokens before the checksum, expected {expected_tokens} \
-             for {intervals} interval(s)",
-            t.tokens.len()
+            "record has {} tokens before the checksum, which does not fit \
+             {intervals} interval(s) of {VALUES_PER_INTERVAL} values",
+            t.count()
         ));
     }
 
-    let mut ivs = Vec::with_capacity(intervals);
+    let mut ivs = Vec::with_capacity(intervals as usize);
     for _ in 0..intervals {
-        let cycles = t.value_u64("cycles")?;
-        let instructions = t.value_u64("instructions")?;
-        let mut activity = [0.0f64; Structure::COUNT];
-        for (s, slot) in Structure::ALL.iter().zip(activity.iter_mut()) {
-            let v = t.value_f64("activity")?;
+        let mut iv = IntervalStats {
+            cycles: t.value("cycles")?,
+            instructions: t.value("instructions")?,
+            ..IntervalStats::default()
+        };
+        for s in Structure::ALL {
+            let v = t.value::<Hex64>("activity")?.to_f64();
             if v.is_nan() {
-                return Err(format!("token {}: activity[{s:?}] is NaN", t.pos));
+                return Err(TokenError::new(t.pos(), format!("activity[{s:?}] is NaN")).into());
             }
-            *slot = v;
+            iv.activity[s] = v;
         }
-        let mut counters = ActivityCounters::default();
-        for slot in [
-            &mut counters.fetched,
-            &mut counters.window_writes,
-            &mut counters.window_wakeups,
-            &mut counters.window_issues,
-            &mut counters.lsq_inserts,
-            &mut counters.lsq_searches,
-            &mut counters.int_busy,
-            &mut counters.fp_busy,
-            &mut counters.agen_busy,
-            &mut counters.forwards,
-            &mut counters.cycles_window_empty,
-            &mut counters.cycles_head_mem,
-            &mut counters.cycles_head_exec,
-            &mut counters.cycles_fetch_stalled,
-        ] {
-            *slot = t.value_u64("counter")?;
+        for slot in counter_fields(&mut iv) {
+            *slot = t.value("counter")?;
         }
-        for slot in &mut counters.class_commits {
-            *slot = t.value_u64("class commits")?;
-        }
-        let mut bpred = BpredStats::default();
-        for slot in [
-            &mut bpred.lookups,
-            &mut bpred.updates,
-            &mut bpred.mispredicts,
-            &mut bpred.ras_pushes,
-            &mut bpred.ras_pops,
-            &mut bpred.ras_mispredicts,
-        ] {
-            *slot = t.value_u64("bpred")?;
-        }
-        let mut caches = [CacheStats::default(); 3];
-        for cache in &mut caches {
-            cache.accesses = t.value_u64("cache accesses")?;
-            cache.hits = t.value_u64("cache hits")?;
-            cache.misses = t.value_u64("cache misses")?;
-            cache.writebacks = t.value_u64("cache writebacks")?;
-        }
-        let mut regfiles = [RegFileStats::default(); 2];
-        for rf in &mut regfiles {
-            rf.reads = t.value_u64("regfile reads")?;
-            rf.writes = t.value_u64("regfile writes")?;
-        }
-        ivs.push(IntervalStats {
-            cycles,
-            instructions,
-            activity: StructureMap::from_fn(|s| activity[s.index()]),
-            counters,
-            bpred,
-            l1i: caches[0],
-            l1d: caches[1],
-            l2: caches[2],
-            int_regfile: regfiles[0],
-            fp_regfile: regfiles[1],
-        });
+        ivs.push(iv);
     }
 
     Ok(StoreRecord {
@@ -509,28 +367,7 @@ impl EvalStore {
     /// its embedded key. A torn tail record is *not* an error: it is
     /// dropped and the segment truncated back to the last complete line.
     pub fn open(path: &Path) -> Result<EvalStore, SimError> {
-        let (file, content) = open_segment(path)?;
-        let mut loaded = Vec::new();
-        let mut by_key = HashMap::new();
-        if !content.is_empty() {
-            let (lines, _) = complete_lines(&content);
-            load_segment(path, &lines, &mut loaded, &mut by_key)?;
-        }
-        let index = by_key.keys().map(|&k| (k, ())).collect();
-        sim_obs::counter!("drm.store.opens", 1);
-        sim_obs::counter!("drm.store.records_loaded", loaded.len() as u64);
-        sim_obs::log_debug!(
-            "drm.store",
-            "opened {} with {} record(s)",
-            path.display(),
-            loaded.len()
-        );
-        Ok(EvalStore {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            index: Mutex::new(index),
-            loaded: Mutex::new(loaded),
-        })
+        EvalStore::open_segments(path, &[])
     }
 
     /// Opens a shared store directory: reads every `*.evalstore` segment
@@ -554,39 +391,34 @@ impl EvalStore {
             })
             .collect();
         segments.sort();
+        EvalStore::open_segments(&own, &segments)
+    }
 
+    /// Loads the read-only `shared` segments in order, then `own` — the
+    /// segment this store appends to — last, so its records win ties.
+    fn open_segments(own: &Path, shared: &[PathBuf]) -> Result<EvalStore, SimError> {
         let mut loaded = Vec::new();
         let mut by_key = HashMap::new();
-        for seg in &segments {
+        for seg in shared {
             let raw = std::fs::read(seg).map_err(|e| io_err(seg, "read", &e))?;
             let content = String::from_utf8_lossy(&raw);
-            let (lines, _) = complete_lines(&content);
-            if lines.is_empty() {
-                continue;
-            }
-            load_segment(seg, &lines, &mut loaded, &mut by_key)?;
+            load_segment(seg, &complete_lines(&content).0, &mut loaded, &mut by_key)?;
         }
-
-        // Our own segment last, so this shard's records win on ties.
-        let (file, content) = open_segment(&own)?;
-        if !content.is_empty() {
-            let (lines, _) = complete_lines(&content);
-            load_segment(&own, &lines, &mut loaded, &mut by_key)?;
-        }
-        let index = by_key.keys().map(|&k| (k, ())).collect();
+        let (file, content) = open_segment(own)?;
+        load_segment(own, &complete_lines(&content).0, &mut loaded, &mut by_key)?;
+        let index = by_key.into_keys().collect();
         sim_obs::counter!("drm.store.opens", 1);
         sim_obs::counter!("drm.store.records_loaded", loaded.len() as u64);
         sim_obs::log_debug!(
             "drm.store",
             "opened {} ({} shared segment(s)) with {} record(s)",
             own.display(),
-            segments.len(),
+            shared.len(),
             loaded.len()
         );
         Ok(EvalStore {
-            path: own,
-            file: Mutex::new(file),
-            index: Mutex::new(index),
+            path: own.to_path_buf(),
+            file: Mutex::new((file, index)),
             loaded: Mutex::new(loaded),
         })
     }
@@ -599,7 +431,7 @@ impl EvalStore {
     /// Number of distinct keys known to be durable (across every
     /// segment read at open, plus appends since).
     pub fn len(&self) -> usize {
-        self.index.lock().expect("store index lock poisoned").len()
+        self.file.lock().expect("store file lock poisoned").1.len()
     }
 
     /// True when no record is stored.
@@ -628,20 +460,18 @@ impl EvalStore {
         vdd_bits: u64,
         run: &TimingRun,
     ) -> Result<(), SimError> {
-        let mut index = self.index.lock().expect("store index lock poisoned");
-        if index.contains_key(&key) {
+        let mut guard = self.file.lock().expect("store file lock poisoned");
+        let (file, index) = &mut *guard;
+        if index.contains(&key) {
             return Ok(());
         }
         let mut line = encode_record(key, freq_bits, vdd_bits, run);
         line.push('\n');
-        {
-            let mut file = self.file.lock().expect("store file lock poisoned");
-            file.write_all(line.as_bytes())
-                .map_err(|e| io_err(&self.path, "append", &e))?;
-            file.sync_data()
-                .map_err(|e| io_err(&self.path, "sync", &e))?;
-        }
-        index.insert(key, ());
+        file.write_all(line.as_bytes())
+            .map_err(|e| io_err(&self.path, "append", &e))?;
+        file.sync_data()
+            .map_err(|e| io_err(&self.path, "sync", &e))?;
+        index.insert(key);
         sim_obs::counter!("drm.store.appends", 1);
         Ok(())
     }
@@ -651,6 +481,7 @@ impl EvalStore {
 mod tests {
     use super::*;
     use crate::evaluator::{EvalParams, Evaluator};
+    use sim_common::fnv1a64;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -867,5 +698,64 @@ mod tests {
             "a key already durable in another segment must not be rewritten"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record encoded with a fixed wall time, pinned by its length and
+    /// FNV-1a digest: the encoder's bytes must never drift.
+    #[test]
+    fn encoded_record_matches_the_golden_digest() {
+        let rec = sample_record(0);
+        let run = TimingRun::from_parts(
+            rec.run.intervals().to_vec(),
+            Duration::from_nanos(1_234_567),
+        );
+        let line = encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &run);
+        assert_eq!(line.len(), 1481);
+        assert_eq!(fnv1a64(line.as_bytes()), 0x05b3_c878_013a_0563);
+    }
+
+    /// Loads one segment's text in memory, as `EvalStore::open` would.
+    fn load_text(text: &str) -> Result<Vec<StoreRecord>, SimError> {
+        let (lines, _) = complete_lines(text);
+        let mut records = Vec::new();
+        load_segment(Path::new("mem"), &lines, &mut records, &mut HashMap::new())?;
+        Ok(records)
+    }
+
+    #[test]
+    fn an_overflowing_interval_count_is_an_error() {
+        let rec = sample_record(0);
+        let line = encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run);
+        let mut body = unseal(&line).unwrap().replace(
+            &format!("intervals={}", rec.run.intervals().len()),
+            "intervals=636094623231363848",
+        );
+        seal(&mut body);
+        let err = load_text(&format!("{STORE_HEADER}\n{body}\n"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(
+            err.contains("does not fit 636094623231363848 interval(s)"),
+            "{err}"
+        );
+    }
+
+    /// Seeded corruptions of a canonical segment (checksums re-sealed, so
+    /// they reach field decoding) load or fail naming a line; none panics.
+    #[test]
+    fn corrupted_segments_never_panic() {
+        let rec = sample_record(0);
+        let text = format!(
+            "{STORE_HEADER}\n{}\n",
+            encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
+        );
+        assert_eq!(load_text(&text).unwrap().len(), 1);
+        for seed in 0..500 {
+            let bad = sim_common::textfmt::corrupt(&text, seed);
+            if let Err(e) = load_text(&bad) {
+                assert!(e.to_string().contains(": line "), "seed {seed}: {e}");
+            }
+        }
     }
 }

@@ -1,18 +1,28 @@
 //! The disabled fast path must not allocate: with recording off, every
 //! sim-obs macro is one relaxed atomic load and a branch. Verified with
-//! a counting global allocator. This lives in its own test binary so no
-//! other test's allocations pollute the counter.
+//! a counting global allocator that counts per thread, so tests running
+//! concurrently in this binary never pollute each other's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized: reaching it never allocates, so the allocator
+    // itself can touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's allocations during its own teardown go
+    // uncounted instead of panicking.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -21,7 +31,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -29,10 +39,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made by this thread while `f` runs.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
@@ -40,6 +51,11 @@ fn disabled_macros_do_not_allocate() {
     // Default state: recording disabled, no sinks. Warm up the thread
     // locals outside the measured window (lazy init may allocate once).
     assert!(!sim_obs::enabled());
+    // The counter sees this thread's allocations.
+    assert_eq!(
+        allocations_during(|| drop(std::hint::black_box(vec![0u8; 8]))),
+        1
+    );
     sim_obs::counter!("warmup", 1);
     let _warm = sim_obs::span!("warmup");
     drop(_warm);

@@ -1,9 +1,10 @@
 //! The plain-text scenario format.
 //!
-//! Follows the `workload::textfmt` conventions: std-only, `#` comments,
-//! whitespace-separated tokens, unknown keys and trailing tokens are
-//! line-numbered errors. Every scalar is written with Rust's shortest
-//! round-trip float formatting, so `parse(print(s)) == s` bit-identically.
+//! The grammar is the shared line format of [`sim_common::textfmt`]:
+//! `#` comments, whitespace-separated tokens, and unknown keys, duplicate
+//! keys and trailing tokens are line-numbered errors. Every scalar is
+//! written with Rust's shortest round-trip float formatting, so
+//! `parse(print(s)) == s` bit-identically.
 //!
 //! The format is flat `section.key value...` lines:
 //!
@@ -31,18 +32,18 @@
 //! may be omitted entirely. `ramp scenario print` emits the canonical
 //! form to start from.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use drm::{ArchPoint, DvsRange, EvalParams, FleetConfig, VariationParams};
 use ramp::FailureParams;
+use sim_common::textfmt::{lines, Doc, Line, Schema};
 use sim_common::{
     Block, Floorplan, Hertz, Kelvin, Rect, SimError, Structure, StructureMap, Volts, Watts,
 };
 use sim_cpu::{BpredConfig, CacheConfig, CoreConfig};
 use sim_power::PowerParams;
 use sim_thermal::ThermalParams;
-use workload::textfmt::{profile_from_text, profile_to_text};
+use workload::textfmt::{profile_from_lines, profile_to_text};
 use workload::App;
 
 use crate::{
@@ -50,385 +51,171 @@ use crate::{
     WorkloadSpec,
 };
 
-/// Every singleton `section.key` the format accepts, used to distinguish
-/// typos (unknown key) from omissions (missing key) in error messages.
-const SINGLETON_KEYS: &[&str] = &[
-    "scenario.name",
-    "core.frequency_hz",
-    "core.vdd",
-    "core.fetch_width",
-    "core.retire_width",
-    "core.frontend_latency",
-    "core.mispredict_redirect",
-    "core.window",
-    "core.int_regs",
-    "core.fp_regs",
-    "core.mem_queue",
-    "core.int_alus",
-    "core.fpus",
-    "core.addr_gens",
-    "core.bpred_counters",
-    "core.bpred_ras",
-    "core.l1d",
-    "core.l1i",
-    "core.l2",
-    "core.l1d_ports",
-    "core.l1_hit_cycles",
-    "core.l2_hit_ns",
-    "core.mem_ns",
-    "core.mshrs",
-    "core.prefetch_next_line",
-    "dvs.base_ghz",
-    "dvs.base_vdd",
-    "dvs.min_ghz",
-    "dvs.max_ghz",
-    "dvs.step_ghz",
-    "dvs.v_intercept",
-    "dvs.v_slope",
-    "power.idle_fraction",
-    "power.leakage_density",
-    "power.leakage_ref_k",
-    "power.leakage_beta",
-    "power.base_vdd",
-    "power.base_frequency_hz",
-    "thermal.r_vertical_per_area",
-    "thermal.r_lateral_per_edge",
-    "thermal.r_spreader_sink",
-    "thermal.r_sink_ambient",
-    "thermal.c_block_per_area",
-    "thermal.c_spreader",
-    "thermal.c_sink",
-    "thermal.ambient_k",
-    "floorplan.die",
-    "failure.em_n",
-    "failure.em_ea",
-    "failure.sm_n",
-    "failure.sm_ea",
-    "failure.sm_t0_k",
-    "failure.tddb_a",
-    "failure.tddb_b",
-    "failure.tddb_x",
-    "failure.tddb_y",
-    "failure.tddb_z",
-    "failure.tc_q",
-    "failure.tc_ambient_k",
-    "qual.t_qual_k",
-    "qual.alpha",
-    "qual.target_fit",
-    "eval.warmup_instructions",
-    "eval.measure_instructions",
-    "eval.interval_instructions",
-    "eval.seed",
-    "eval.leakage_iterations",
-    "eval.prewarm_bytes",
-    "fleet.dies",
-    "fleet.seed",
-    "fleet.shape",
-    "fleet.sigma_leakage",
-    "fleet.sigma_beta",
-    "fleet.sigma_ea",
-    "fleet.sigma_geometry",
-    "slo.fit_burn",
-    "slice.instructions",
-    "slice.checkpoint_dir",
-    "surrogate.enabled",
-    "surrogate.top_k",
-    "surrogate.calibration_apps",
-    "cluster.shards",
-    "cluster.store_dir",
-];
+/// The format's keys. Singletons are required — a scenario file is a
+/// complete experiment record, not a patch — except those of the opt-in
+/// `[slo]`, `[slice]`, `[surrogate]` and `[cluster]` sections. `workload`
+/// lines and inline `profile` blocks are order-sensitive and read before
+/// the document is filed (see [`scan`]).
+static SCHEMA: Schema = Schema {
+    singles: &[
+        "scenario.name",
+        "core.frequency_hz",
+        "core.vdd",
+        "core.fetch_width",
+        "core.retire_width",
+        "core.frontend_latency",
+        "core.mispredict_redirect",
+        "core.window",
+        "core.int_regs",
+        "core.fp_regs",
+        "core.mem_queue",
+        "core.int_alus",
+        "core.fpus",
+        "core.addr_gens",
+        "core.bpred_counters",
+        "core.bpred_ras",
+        "core.l1d",
+        "core.l1i",
+        "core.l2",
+        "core.l1d_ports",
+        "core.l1_hit_cycles",
+        "core.l2_hit_ns",
+        "core.mem_ns",
+        "core.mshrs",
+        "core.prefetch_next_line",
+        "dvs.base_ghz",
+        "dvs.base_vdd",
+        "dvs.min_ghz",
+        "dvs.max_ghz",
+        "dvs.step_ghz",
+        "dvs.v_intercept",
+        "dvs.v_slope",
+        "power.idle_fraction",
+        "power.leakage_density",
+        "power.leakage_ref_k",
+        "power.leakage_beta",
+        "power.base_vdd",
+        "power.base_frequency_hz",
+        "thermal.r_vertical_per_area",
+        "thermal.r_lateral_per_edge",
+        "thermal.r_spreader_sink",
+        "thermal.r_sink_ambient",
+        "thermal.c_block_per_area",
+        "thermal.c_spreader",
+        "thermal.c_sink",
+        "thermal.ambient_k",
+        "floorplan.die",
+        "failure.em_n",
+        "failure.em_ea",
+        "failure.sm_n",
+        "failure.sm_ea",
+        "failure.sm_t0_k",
+        "failure.tddb_a",
+        "failure.tddb_b",
+        "failure.tddb_x",
+        "failure.tddb_y",
+        "failure.tddb_z",
+        "failure.tc_q",
+        "failure.tc_ambient_k",
+        "qual.t_qual_k",
+        "qual.alpha",
+        "qual.target_fit",
+        "eval.warmup_instructions",
+        "eval.measure_instructions",
+        "eval.interval_instructions",
+        "eval.seed",
+        "eval.leakage_iterations",
+        "eval.prewarm_bytes",
+        "fleet.dies",
+        "fleet.seed",
+        "fleet.shape",
+        "fleet.sigma_leakage",
+        "fleet.sigma_beta",
+        "fleet.sigma_ea",
+        "fleet.sigma_geometry",
+        "slo.fit_burn",
+        "slice.instructions",
+        "slice.checkpoint_dir",
+        "surrogate.enabled",
+        "surrogate.top_k",
+        "surrogate.calibration_apps",
+        "cluster.shards",
+        "cluster.store_dir",
+    ],
+    repeated: &[
+        "power.pmax",
+        "floorplan.block",
+        "arch",
+        "slo.verb",
+        "cluster.addr",
+    ],
+    missing: "required key",
+};
 
-/// Singleton keys that may be omitted (every other singleton is
-/// required — a scenario file is a complete experiment record, but the
-/// `[slo]` and `[slice]` sections are opt-in add-ons).
-const OPTIONAL_KEYS: &[&str] = &[
-    "slo.fit_burn",
-    "slice.instructions",
-    "slice.checkpoint_dir",
-    "surrogate.enabled",
-    "surrogate.top_k",
-    "surrogate.calibration_apps",
-    "cluster.shards",
-    "cluster.store_dir",
-];
-
-fn line_err(lineno: usize, msg: impl std::fmt::Display) -> SimError {
-    SimError::invalid_config(format!("line {}: {msg}", lineno + 1))
-}
-
-#[derive(Debug)]
-struct Entry {
-    lineno: usize,
-    values: Vec<String>,
-}
-
-impl Entry {
-    fn expect_len(&self, key: &str, n: usize) -> Result<(), SimError> {
-        if self.values.len() != n {
-            return Err(line_err(
-                self.lineno,
-                format!(
-                    "`{key}` expects {n} value{}, got {}",
-                    if n == 1 { "" } else { "s" },
-                    self.values.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn f64_at(&self, key: &str, idx: usize) -> Result<f64, SimError> {
-        self.values[idx]
-            .parse()
-            .map_err(|_| line_err(self.lineno, format!("`{key}` must be a number")))
-    }
-
-    fn u64_at(&self, key: &str, idx: usize) -> Result<u64, SimError> {
-        self.values[idx].parse().map_err(|_| {
-            line_err(
-                self.lineno,
-                format!("`{key}` must be a non-negative integer"),
-            )
-        })
-    }
-
-    fn u32_at(&self, key: &str, idx: usize) -> Result<u32, SimError> {
-        self.values[idx].parse().map_err(|_| {
-            line_err(
-                self.lineno,
-                format!("`{key}` must be a non-negative integer"),
-            )
-        })
-    }
-}
-
-/// The scanned file: singleton entries plus the repeated forms.
-struct Scanned {
-    singles: HashMap<String, Entry>,
-    pmax: Vec<Entry>,
-    blocks: Vec<Entry>,
-    arch: Vec<Entry>,
-    slo_verbs: Vec<Entry>,
-    cluster_addrs: Vec<Entry>,
-    /// Workload suite in encounter order.
-    workloads: Vec<WorkloadSpec>,
-}
-
-fn scan(text: &str) -> Result<Scanned, SimError> {
-    let mut singles: HashMap<String, Entry> = HashMap::new();
-    let mut pmax = Vec::new();
-    let mut blocks = Vec::new();
-    let mut arch = Vec::new();
-    let mut slo_verbs = Vec::new();
-    let mut cluster_addrs = Vec::new();
+/// Files every line of `text`, collecting the workload suite in file
+/// order: `workload <app>` lines and `profile begin` ... `profile end`
+/// blocks (whose lines keep the file's line numbers).
+fn scan(text: &str) -> Result<(Doc<'_>, Vec<WorkloadSpec>), SimError> {
+    let mut doc = Doc::new(&SCHEMA);
     let mut workloads = Vec::new();
-
-    let mut lines = text.lines().enumerate();
-    while let Some((lineno, raw)) = lines.next() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let key = tokens.next().expect("non-empty line has a first token");
-        let values: Vec<String> = tokens.map(str::to_owned).collect();
-        let entry = Entry { lineno, values };
-        match key {
+    let mut lines = lines(text);
+    while let Some(line) = lines.next() {
+        match line.key {
             "profile" => {
-                if entry.values.as_slice() != ["begin"] {
-                    return Err(line_err(
-                        lineno,
-                        "expected `profile begin` to open an inline profile block",
-                    ));
+                if line.values != ["begin"] {
+                    return Err(
+                        line.err("expected `profile begin` to open an inline profile block")
+                    );
                 }
-                let mut body = String::new();
-                let mut closed = false;
-                for (inner_no, inner_raw) in lines.by_ref() {
-                    let inner = inner_raw.split('#').next().unwrap_or("").trim();
-                    if inner == "profile end" {
-                        closed = true;
-                        break;
+                let mut body = Vec::new();
+                loop {
+                    let Some(inner) = lines.next() else {
+                        return Err(line.err("`profile begin` without `profile end`"));
+                    };
+                    match (inner.key, inner.values.as_slice()) {
+                        ("profile", ["end"]) => break,
+                        ("profile", ["begin"]) => return Err(inner.err("nested `profile begin`")),
+                        _ => body.push(inner),
                     }
-                    if inner == "profile begin" {
-                        return Err(line_err(inner_no, "nested `profile begin`"));
-                    }
-                    body.push_str(inner_raw);
-                    body.push('\n');
                 }
-                if !closed {
-                    return Err(line_err(lineno, "`profile begin` without `profile end`"));
-                }
-                let profile = profile_from_text(&body).map_err(|e| {
+                let profile = profile_from_lines(body).map_err(|e| {
                     SimError::invalid_config(format!(
                         "inline profile starting at line {}: {e}",
-                        lineno + 2
+                        line.no + 1
                     ))
                 })?;
                 workloads.push(WorkloadSpec::Inline(profile));
             }
             "workload" => {
-                entry.expect_len("workload", 1)?;
-                let name = &entry.values[0];
+                let name = line.expect_len(1)?.values[0];
                 let app = App::ALL
                     .into_iter()
                     .find(|a| a.name().eq_ignore_ascii_case(name))
-                    .ok_or_else(|| {
-                        line_err(lineno, format!("unknown built-in workload `{name}`"))
-                    })?;
+                    .ok_or_else(|| line.err(format!("unknown built-in workload `{name}`")))?;
                 workloads.push(WorkloadSpec::Builtin(app));
             }
-            "power.pmax" => pmax.push(entry),
-            "floorplan.block" => blocks.push(entry),
-            "arch" => arch.push(entry),
-            "slo.verb" => slo_verbs.push(entry),
-            "cluster.addr" => cluster_addrs.push(entry),
-            _ => {
-                if !SINGLETON_KEYS.contains(&key) {
-                    return Err(line_err(lineno, format!("unknown key `{key}`")));
-                }
-                if let Some(first) = singles.get(key) {
-                    return Err(line_err(
-                        lineno,
-                        format!("duplicate key `{key}` (first at line {})", first.lineno + 1),
-                    ));
-                }
-                singles.insert(key.to_owned(), entry);
-            }
+            _ => doc.insert(line)?,
         }
     }
-    Ok(Scanned {
-        singles,
-        pmax,
-        blocks,
-        arch,
-        slo_verbs,
-        cluster_addrs,
-        workloads,
-    })
+    Ok((doc, workloads))
 }
 
-/// Removes a required singleton key and checks its arity.
-fn req(scanned: &mut Scanned, key: &str, arity: usize) -> Result<Entry, SimError> {
-    let entry = scanned
-        .singles
-        .remove(key)
-        .ok_or_else(|| SimError::invalid_config(format!("missing required key `{key}`")))?;
-    entry.expect_len(key, arity)?;
-    Ok(entry)
-}
-
-fn req_f64(scanned: &mut Scanned, key: &str) -> Result<f64, SimError> {
-    req(scanned, key, 1)?.f64_at(key, 0)
-}
-
-/// Removes an optional singleton key (see [`OPTIONAL_KEYS`]).
-fn opt_f64(scanned: &mut Scanned, key: &str) -> Result<Option<f64>, SimError> {
-    debug_assert!(OPTIONAL_KEYS.contains(&key), "`{key}` is required");
-    match scanned.singles.remove(key) {
-        None => Ok(None),
-        Some(entry) => {
-            entry.expect_len(key, 1)?;
-            Ok(Some(entry.f64_at(key, 0)?))
-        }
-    }
-}
-
-fn req_u64(scanned: &mut Scanned, key: &str) -> Result<u64, SimError> {
-    req(scanned, key, 1)?.u64_at(key, 0)
-}
-
-/// Removes an optional singleton key (see [`OPTIONAL_KEYS`]).
-fn opt_u64(scanned: &mut Scanned, key: &str) -> Result<Option<u64>, SimError> {
-    debug_assert!(OPTIONAL_KEYS.contains(&key), "`{key}` is required");
-    match scanned.singles.remove(key) {
-        None => Ok(None),
-        Some(entry) => {
-            entry.expect_len(key, 1)?;
-            Ok(Some(entry.u64_at(key, 0)?))
-        }
-    }
-}
-
-/// Removes an optional single-token string key (see [`OPTIONAL_KEYS`]).
-fn opt_token(scanned: &mut Scanned, key: &str) -> Result<Option<String>, SimError> {
-    debug_assert!(OPTIONAL_KEYS.contains(&key), "`{key}` is required");
-    match scanned.singles.remove(key) {
-        None => Ok(None),
-        Some(entry) => {
-            entry.expect_len(key, 1)?;
-            Ok(Some(entry.values[0].clone()))
-        }
-    }
-}
-
-/// Removes an optional single-token `u32` key (see [`OPTIONAL_KEYS`]).
-fn opt_u32(scanned: &mut Scanned, key: &str) -> Result<Option<u32>, SimError> {
-    debug_assert!(OPTIONAL_KEYS.contains(&key), "`{key}` is required");
-    match scanned.singles.remove(key) {
-        None => Ok(None),
-        Some(entry) => {
-            entry.expect_len(key, 1)?;
-            Ok(Some(entry.u32_at(key, 0)?))
-        }
-    }
-}
-
-/// Removes an optional boolean key (see [`OPTIONAL_KEYS`]).
-fn opt_bool(scanned: &mut Scanned, key: &str) -> Result<Option<bool>, SimError> {
-    debug_assert!(OPTIONAL_KEYS.contains(&key), "`{key}` is required");
-    match scanned.singles.remove(key) {
-        None => Ok(None),
-        Some(entry) => {
-            entry.expect_len(key, 1)?;
-            match entry.values[0].as_str() {
-                "true" => Ok(Some(true)),
-                "false" => Ok(Some(false)),
-                other => Err(line_err(
-                    entry.lineno,
-                    format!("`{key}` must be `true` or `false`, got `{other}`"),
-                )),
-            }
-        }
-    }
-}
-
-fn req_u32(scanned: &mut Scanned, key: &str) -> Result<u32, SimError> {
-    req(scanned, key, 1)?.u32_at(key, 0)
-}
-
-fn req_kelvin(scanned: &mut Scanned, key: &str) -> Result<Kelvin, SimError> {
-    Ok(Kelvin(req_f64(scanned, key)?))
-}
-
-fn req_bool(scanned: &mut Scanned, key: &str) -> Result<bool, SimError> {
-    let entry = req(scanned, key, 1)?;
-    match entry.values[0].as_str() {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(line_err(
-            entry.lineno,
-            format!("`{key}` must be `true` or `false`, got `{other}`"),
-        )),
-    }
-}
-
-fn req_cache(scanned: &mut Scanned, key: &str) -> Result<CacheConfig, SimError> {
-    let entry = req(scanned, key, 3)?;
+fn cache_from_line(line: &Line<'_>) -> Result<CacheConfig, SimError> {
+    line.expect_len(3)?;
     let config = CacheConfig {
-        size_bytes: entry.u64_at(key, 0)?,
-        assoc: entry.u32_at(key, 1)?,
-        line_bytes: entry.u32_at(key, 2)?,
+        size_bytes: line.at(0)?,
+        assoc: line.at(1)?,
+        line_bytes: line.at(2)?,
     };
-    config
-        .validate(key)
-        .map_err(|e| line_err(entry.lineno, e))?;
+    config.validate(line.key).map_err(|e| line.err(e))?;
     Ok(config)
 }
 
-fn structure_at(entry: &Entry, key: &str, idx: usize) -> Result<Structure, SimError> {
-    let name = &entry.values[idx];
+/// The structure named by a line's first value (arity already checked).
+fn structure_at(line: &Line<'_>) -> Result<Structure, SimError> {
+    let name = line.values[0];
     Structure::from_name(name)
-        .ok_or_else(|| line_err(entry.lineno, format!("`{key}`: unknown structure `{name}`")))
+        .ok_or_else(|| line.err(format!("`{}`: unknown structure `{name}`", line.key)))
 }
 
 /// Parses a scenario from the text format.
@@ -439,182 +226,165 @@ fn structure_at(entry: &Entry, key: &str, idx: usize) -> Result<Structure, SimEr
 /// errors (unknown/duplicate/malformed keys), and a descriptive message
 /// for missing keys or failed semantic validation.
 pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
-    let mut s = scan(text)?;
-
-    let name_entry = req(&mut s, "scenario.name", 1)?;
-    let name = name_entry.values[0].clone();
+    let (mut s, workloads) = scan(text)?;
+    let name = s.value("scenario.name")?;
 
     let core = CoreConfig {
-        frequency: Hertz(req_f64(&mut s, "core.frequency_hz")?),
-        vdd: Volts(req_f64(&mut s, "core.vdd")?),
-        fetch_width: req_u32(&mut s, "core.fetch_width")?,
-        retire_width: req_u32(&mut s, "core.retire_width")?,
-        frontend_latency: req_u32(&mut s, "core.frontend_latency")?,
-        mispredict_redirect: req_u32(&mut s, "core.mispredict_redirect")?,
-        window_size: req_u32(&mut s, "core.window")?,
-        int_regs: req_u32(&mut s, "core.int_regs")?,
-        fp_regs: req_u32(&mut s, "core.fp_regs")?,
-        mem_queue: req_u32(&mut s, "core.mem_queue")?,
-        int_alus: req_u32(&mut s, "core.int_alus")?,
-        fpus: req_u32(&mut s, "core.fpus")?,
-        addr_gens: req_u32(&mut s, "core.addr_gens")?,
+        frequency: Hertz(s.value("core.frequency_hz")?),
+        vdd: Volts(s.value("core.vdd")?),
+        fetch_width: s.value("core.fetch_width")?,
+        retire_width: s.value("core.retire_width")?,
+        frontend_latency: s.value("core.frontend_latency")?,
+        mispredict_redirect: s.value("core.mispredict_redirect")?,
+        window_size: s.value("core.window")?,
+        int_regs: s.value("core.int_regs")?,
+        fp_regs: s.value("core.fp_regs")?,
+        mem_queue: s.value("core.mem_queue")?,
+        int_alus: s.value("core.int_alus")?,
+        fpus: s.value("core.fpus")?,
+        addr_gens: s.value("core.addr_gens")?,
         bpred: BpredConfig {
-            counters: req_u32(&mut s, "core.bpred_counters")?,
-            ras_entries: req_u32(&mut s, "core.bpred_ras")?,
+            counters: s.value("core.bpred_counters")?,
+            ras_entries: s.value("core.bpred_ras")?,
         },
-        l1d: req_cache(&mut s, "core.l1d")?,
-        l1i: req_cache(&mut s, "core.l1i")?,
-        l2: req_cache(&mut s, "core.l2")?,
-        l1d_ports: req_u32(&mut s, "core.l1d_ports")?,
-        l1_hit_cycles: req_u32(&mut s, "core.l1_hit_cycles")?,
-        l2_hit_ns: req_f64(&mut s, "core.l2_hit_ns")?,
-        mem_ns: req_f64(&mut s, "core.mem_ns")?,
-        mshrs: req_u32(&mut s, "core.mshrs")?,
-        prefetch_next_line: req_bool(&mut s, "core.prefetch_next_line")?,
+        l1d: cache_from_line(&s.take("core.l1d")?)?,
+        l1i: cache_from_line(&s.take("core.l1i")?)?,
+        l2: cache_from_line(&s.take("core.l2")?)?,
+        l1d_ports: s.value("core.l1d_ports")?,
+        l1_hit_cycles: s.value("core.l1_hit_cycles")?,
+        l2_hit_ns: s.value("core.l2_hit_ns")?,
+        mem_ns: s.value("core.mem_ns")?,
+        mshrs: s.value("core.mshrs")?,
+        prefetch_next_line: s.value("core.prefetch_next_line")?,
     };
 
     let dvs = DvsRange {
-        base_ghz: req_f64(&mut s, "dvs.base_ghz")?,
-        base_vdd: req_f64(&mut s, "dvs.base_vdd")?,
-        min_ghz: req_f64(&mut s, "dvs.min_ghz")?,
-        max_ghz: req_f64(&mut s, "dvs.max_ghz")?,
-        step_ghz: req_f64(&mut s, "dvs.step_ghz")?,
-        v_intercept: req_f64(&mut s, "dvs.v_intercept")?,
-        v_slope: req_f64(&mut s, "dvs.v_slope")?,
+        base_ghz: s.value("dvs.base_ghz")?,
+        base_vdd: s.value("dvs.base_vdd")?,
+        min_ghz: s.value("dvs.min_ghz")?,
+        max_ghz: s.value("dvs.max_ghz")?,
+        step_ghz: s.value("dvs.step_ghz")?,
+        v_intercept: s.value("dvs.v_intercept")?,
+        v_slope: s.value("dvs.v_slope")?,
     };
 
     let mut pmax: StructureMap<Option<Watts>> = StructureMap::from_fn(|_| None);
-    for entry in s.pmax.drain(..) {
-        entry.expect_len("power.pmax", 2)?;
-        let structure = structure_at(&entry, "power.pmax", 0)?;
-        let watts = entry.f64_at("power.pmax", 1)?;
-        if pmax[structure].is_some() {
-            return Err(line_err(
-                entry.lineno,
-                format!("duplicate `power.pmax {structure}`"),
-            ));
+    for line in s.repeated("power.pmax") {
+        let structure = structure_at(line.expect_len(2)?)?;
+        if pmax[structure].replace(Watts(line.at(1)?)).is_some() {
+            return Err(line.err(format!("duplicate `power.pmax {structure}`")));
         }
-        pmax[structure] = Some(Watts(watts));
     }
-    for structure in Structure::ALL {
-        if pmax[structure].is_none() {
-            return Err(SimError::invalid_config(format!(
-                "missing `power.pmax {structure}` line"
-            )));
-        }
+    if let Some(structure) = Structure::ALL.into_iter().find(|&st| pmax[st].is_none()) {
+        let msg = format!("missing `power.pmax {structure}` line");
+        return Err(SimError::invalid_config(msg));
     }
     let power = PowerParams {
         pmax_dynamic: pmax.map(|_, w| (*w).expect("checked complete")),
-        idle_fraction: req_f64(&mut s, "power.idle_fraction")?,
-        leakage_density: req_f64(&mut s, "power.leakage_density")?,
-        leakage_ref: req_kelvin(&mut s, "power.leakage_ref_k")?,
-        leakage_beta: req_f64(&mut s, "power.leakage_beta")?,
-        base_vdd: Volts(req_f64(&mut s, "power.base_vdd")?),
-        base_frequency: Hertz(req_f64(&mut s, "power.base_frequency_hz")?),
+        idle_fraction: s.value("power.idle_fraction")?,
+        leakage_density: s.value("power.leakage_density")?,
+        leakage_ref: Kelvin(s.value("power.leakage_ref_k")?),
+        leakage_beta: s.value("power.leakage_beta")?,
+        base_vdd: Volts(s.value("power.base_vdd")?),
+        base_frequency: Hertz(s.value("power.base_frequency_hz")?),
     };
 
     let thermal = ThermalParams {
-        r_vertical_per_area: req_f64(&mut s, "thermal.r_vertical_per_area")?,
-        r_lateral_per_edge: req_f64(&mut s, "thermal.r_lateral_per_edge")?,
-        r_spreader_sink: req_f64(&mut s, "thermal.r_spreader_sink")?,
-        r_sink_ambient: req_f64(&mut s, "thermal.r_sink_ambient")?,
-        c_block_per_area: req_f64(&mut s, "thermal.c_block_per_area")?,
-        c_spreader: req_f64(&mut s, "thermal.c_spreader")?,
-        c_sink: req_f64(&mut s, "thermal.c_sink")?,
-        ambient: req_kelvin(&mut s, "thermal.ambient_k")?,
+        r_vertical_per_area: s.value("thermal.r_vertical_per_area")?,
+        r_lateral_per_edge: s.value("thermal.r_lateral_per_edge")?,
+        r_spreader_sink: s.value("thermal.r_spreader_sink")?,
+        r_sink_ambient: s.value("thermal.r_sink_ambient")?,
+        c_block_per_area: s.value("thermal.c_block_per_area")?,
+        c_spreader: s.value("thermal.c_spreader")?,
+        c_sink: s.value("thermal.c_sink")?,
+        ambient: Kelvin(s.value("thermal.ambient_k")?),
     };
 
-    let die_entry = req(&mut s, "floorplan.die", 2)?;
-    let die_width = die_entry.f64_at("floorplan.die", 0)?;
-    let die_height = die_entry.f64_at("floorplan.die", 1)?;
-    let mut floorplan_blocks = Vec::with_capacity(s.blocks.len());
-    for entry in s.blocks.drain(..) {
-        entry.expect_len("floorplan.block", 5)?;
-        let structure = structure_at(&entry, "floorplan.block", 0)?;
-        let [x, y, w, h] = [1usize, 2, 3, 4].map(|i| entry.f64_at("floorplan.block", i));
+    let die = s.take("floorplan.die")?;
+    die.expect_len(2)?;
+    let mut floorplan_blocks = Vec::new();
+    for line in s.repeated("floorplan.block") {
+        let structure = structure_at(line.expect_len(5)?)?;
+        let [x, y, w, h] = [1, 2, 3, 4].map(|i| line.at::<f64>(i));
         let (x, y, w, h) = (x?, y?, w?, h?);
         if !(w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite()) {
-            return Err(line_err(
-                entry.lineno,
-                format!("`floorplan.block {structure}` must have positive finite extent"),
-            ));
+            return Err(line.err(format!(
+                "`floorplan.block {structure}` must have positive finite extent"
+            )));
         }
         floorplan_blocks.push(Block {
             structure,
             rect: Rect { x, y, w, h },
         });
     }
-    let floorplan = Floorplan::new(floorplan_blocks, die_width, die_height)?;
+    let floorplan = Floorplan::new(floorplan_blocks, die.at(0)?, die.at(1)?)?;
 
     let failure = FailureParams {
-        em_n: req_f64(&mut s, "failure.em_n")?,
-        em_ea: req_f64(&mut s, "failure.em_ea")?,
-        sm_n: req_f64(&mut s, "failure.sm_n")?,
-        sm_ea: req_f64(&mut s, "failure.sm_ea")?,
-        sm_t0: req_kelvin(&mut s, "failure.sm_t0_k")?,
-        tddb_a: req_f64(&mut s, "failure.tddb_a")?,
-        tddb_b: req_f64(&mut s, "failure.tddb_b")?,
-        tddb_x: req_f64(&mut s, "failure.tddb_x")?,
-        tddb_y: req_f64(&mut s, "failure.tddb_y")?,
-        tddb_z: req_f64(&mut s, "failure.tddb_z")?,
-        tc_q: req_f64(&mut s, "failure.tc_q")?,
-        tc_ambient: req_kelvin(&mut s, "failure.tc_ambient_k")?,
+        em_n: s.value("failure.em_n")?,
+        em_ea: s.value("failure.em_ea")?,
+        sm_n: s.value("failure.sm_n")?,
+        sm_ea: s.value("failure.sm_ea")?,
+        sm_t0: Kelvin(s.value("failure.sm_t0_k")?),
+        tddb_a: s.value("failure.tddb_a")?,
+        tddb_b: s.value("failure.tddb_b")?,
+        tddb_x: s.value("failure.tddb_x")?,
+        tddb_y: s.value("failure.tddb_y")?,
+        tddb_z: s.value("failure.tddb_z")?,
+        tc_q: s.value("failure.tc_q")?,
+        tc_ambient: Kelvin(s.value("failure.tc_ambient_k")?),
     };
 
     let qualification = Qualification {
-        t_qual: req_kelvin(&mut s, "qual.t_qual_k")?,
-        alpha: req_f64(&mut s, "qual.alpha")?,
-        target_fit: req_f64(&mut s, "qual.target_fit")?,
+        t_qual: Kelvin(s.value("qual.t_qual_k")?),
+        alpha: s.value("qual.alpha")?,
+        target_fit: s.value("qual.target_fit")?,
     };
 
     let eval = EvalParams {
-        warmup_instructions: req_u64(&mut s, "eval.warmup_instructions")?,
-        measure_instructions: req_u64(&mut s, "eval.measure_instructions")?,
-        interval_instructions: req_u64(&mut s, "eval.interval_instructions")?,
-        seed: req_u64(&mut s, "eval.seed")?,
-        leakage_iterations: req_u32(&mut s, "eval.leakage_iterations")?,
-        prewarm_bytes: req_u64(&mut s, "eval.prewarm_bytes")?,
+        warmup_instructions: s.value("eval.warmup_instructions")?,
+        measure_instructions: s.value("eval.measure_instructions")?,
+        interval_instructions: s.value("eval.interval_instructions")?,
+        seed: s.value("eval.seed")?,
+        leakage_iterations: s.value("eval.leakage_iterations")?,
+        prewarm_bytes: s.value("eval.prewarm_bytes")?,
     };
 
     let fleet = FleetConfig {
-        dies: req_u64(&mut s, "fleet.dies")?,
-        seed: req_u64(&mut s, "fleet.seed")?,
-        shape: req_f64(&mut s, "fleet.shape")?,
+        dies: s.value("fleet.dies")?,
+        seed: s.value("fleet.seed")?,
+        shape: s.value("fleet.shape")?,
         variation: VariationParams {
-            sigma_leakage: req_f64(&mut s, "fleet.sigma_leakage")?,
-            sigma_beta: req_f64(&mut s, "fleet.sigma_beta")?,
-            sigma_ea: req_f64(&mut s, "fleet.sigma_ea")?,
-            sigma_geometry: req_f64(&mut s, "fleet.sigma_geometry")?,
+            sigma_leakage: s.value("fleet.sigma_leakage")?,
+            sigma_beta: s.value("fleet.sigma_beta")?,
+            sigma_ea: s.value("fleet.sigma_ea")?,
+            sigma_geometry: s.value("fleet.sigma_geometry")?,
         },
     };
 
-    let mut arch_points = Vec::with_capacity(s.arch.len());
-    for entry in s.arch.drain(..) {
-        entry.expect_len("arch", 3)?;
+    let mut arch_points = Vec::new();
+    for line in s.repeated("arch") {
+        line.expect_len(3)?;
         let point = ArchPoint {
-            window: entry.u32_at("arch", 0)?,
-            alus: entry.u32_at("arch", 1)?,
-            fpus: entry.u32_at("arch", 2)?,
+            window: line.at(0)?,
+            alus: line.at(1)?,
+            fpus: line.at(2)?,
         };
         if arch_points.contains(&point) {
-            return Err(line_err(
-                entry.lineno,
-                format!("duplicate adaptation point {point}"),
-            ));
+            return Err(line.err(format!("duplicate adaptation point {point}")));
         }
         arch_points.push(point);
     }
 
-    let mut slo_verbs = Vec::with_capacity(s.slo_verbs.len());
-    for entry in s.slo_verbs.drain(..) {
-        entry.expect_len("slo.verb", 3)?;
+    let mut slo_verbs = Vec::new();
+    for line in s.repeated("slo.verb") {
+        line.expect_len(3)?;
         slo_verbs.push(SloVerb {
-            verb: entry.values[0].clone(),
-            quantile: entry.f64_at("slo.verb", 1)?,
-            target_ms: entry.f64_at("slo.verb", 2)?,
+            verb: line.values[0].to_owned(),
+            quantile: line.at(1)?,
+            target_ms: line.at(2)?,
         });
     }
-    let max_fit_burn = opt_f64(&mut s, "slo.fit_burn")?;
+    let max_fit_burn = s.opt_value("slo.fit_burn")?;
     let slo = if slo_verbs.is_empty() && max_fit_burn.is_none() {
         None
     } else {
@@ -624,8 +394,8 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         })
     };
 
-    let slice_instructions = opt_u64(&mut s, "slice.instructions")?;
-    let slice_dir = opt_token(&mut s, "slice.checkpoint_dir")?;
+    let slice_instructions = s.opt_value("slice.instructions")?;
+    let slice_dir = s.opt_value("slice.checkpoint_dir")?;
     let slice = match (slice_instructions, slice_dir) {
         (Some(instructions), checkpoint_dir) => Some(SliceSpec {
             instructions,
@@ -639,9 +409,9 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         (None, None) => None,
     };
 
-    let surrogate_enabled = opt_bool(&mut s, "surrogate.enabled")?;
-    let surrogate_top_k = opt_u32(&mut s, "surrogate.top_k")?;
-    let surrogate_cal = opt_u32(&mut s, "surrogate.calibration_apps")?;
+    let surrogate_enabled = s.opt_value("surrogate.enabled")?;
+    let surrogate_top_k = s.opt_value("surrogate.top_k")?;
+    let surrogate_cal = s.opt_value("surrogate.calibration_apps")?;
     let surrogate = match surrogate_enabled {
         Some(enabled) => {
             let defaults = SurrogateSpec::default();
@@ -666,13 +436,13 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         }
     };
 
-    let cluster_shards = opt_u32(&mut s, "cluster.shards")?;
-    let cluster_store = opt_token(&mut s, "cluster.store_dir")?;
-    let mut cluster_addrs = Vec::with_capacity(s.cluster_addrs.len());
-    for entry in s.cluster_addrs.drain(..) {
-        entry.expect_len("cluster.addr", 1)?;
-        cluster_addrs.push(entry.values[0].clone());
-    }
+    let cluster_shards = s.opt_value("cluster.shards")?;
+    let cluster_store = s.opt_value("cluster.store_dir")?;
+    let cluster_addrs = s
+        .repeated("cluster.addr")
+        .iter()
+        .map(Line::one)
+        .collect::<Result<Vec<String>, _>>()?;
     let cluster = if cluster_shards.is_none() && cluster_addrs.is_empty() && cluster_store.is_none()
     {
         None
@@ -684,7 +454,6 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         })
     };
 
-    debug_assert!(s.singles.is_empty(), "unknown keys rejected during scan");
     let scenario = Scenario {
         name,
         core,
@@ -694,7 +463,7 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         floorplan,
         failure,
         qualification,
-        workloads: std::mem::take(&mut s.workloads),
+        workloads,
         arch_points,
         eval,
         fleet,

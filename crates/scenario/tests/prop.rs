@@ -2,6 +2,7 @@
 //! seeded-loop harness as `workload/tests/prop.rs`: every valid scenario —
 //! however its knobs are turned — must round-trip through the text format
 //! bit-identically, and corrupted files must fail with line numbers.
+//! Corruptions come from the shared generator of `sim_common::textfmt`.
 
 use drm::{ArchPoint, DvsRange, EvalParams};
 use scenario::{Qualification, Scenario, SliceSpec, SurrogateSpec, WorkloadSpec};
@@ -120,49 +121,23 @@ fn random_scenarios_round_trip_bit_identically() {
     }
 }
 
-/// Corrupting any random content line of a valid file yields an error that
-/// names a line number — never a panic, never silent acceptance of
-/// garbage tokens.
+/// Seeded corruptions of the canonical file (dropped, duplicated or
+/// swapped lines and tokens, hostile numbers, lines cut mid-token) either
+/// parse or fail. None panics, and every error that quotes an offending
+/// token names its line; only whole-document errors — a missing key or
+/// `power.pmax` line, a failed semantic check — have no line to name.
 #[test]
 fn corrupted_files_fail_with_line_numbers() {
-    let mut rng = Xoshiro256pp::seed_from_u64(0x5002);
     let text = Scenario::paper_default().to_text();
-    let content_lines: Vec<usize> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| {
-            let body = l.split('#').next().unwrap_or("").trim();
-            // Skip blanks, comments, and workload/profile lines (app names
-            // are matched case-insensitively, so appending to them can
-            // produce a different but still-valid file).
-            !body.is_empty() && !body.starts_with("workload") && !body.starts_with("profile")
-        })
-        .map(|(i, _)| i)
-        .collect();
-    for _ in 0..32 {
-        let target = content_lines[rng.gen_usize(0..content_lines.len())];
-        let mutated: String = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                if i == target {
-                    format!(
-                        "{} bogus-token\n",
-                        l.split('#').next().unwrap_or("").trim_end()
-                    )
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        let err = Scenario::from_text(&mutated)
-            .expect_err("corrupted scenario must not parse")
-            .to_string();
-        assert!(
-            err.contains("line "),
-            "error for corrupted line {} lacks a line number: {err}",
-            target + 1
-        );
+    for seed in 0..500 {
+        let bad = sim_common::textfmt::corrupt(&text, seed);
+        if let Err(e) = Scenario::from_text(&bad) {
+            let msg = e.to_string();
+            assert!(
+                msg.contains("line ") || msg.contains("missing") || !msg.contains('`'),
+                "seed {seed}: {msg}"
+            );
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! - [`protocol`] — the strict line-oriented `ramp-serve/1` grammar
 //!   (versioned greeting, unknown-key/arity rejection, 1-based error
-//!   positions — the same textfmt discipline as the `.scn` format).
+//!   positions — read with the shared token cursor of `sim_common::textfmt`).
 //! - [`queue`] — the bounded request queue behind admission control.
 //! - [`server`] — accept loop, micro-batching drain workers, scenario
 //!   registry, and drain-then-exit shutdown.

@@ -1,12 +1,12 @@
 //! The `ramp-serve/1` wire protocol: one request line in, one response
 //! line out.
 //!
-//! Follows the repository's text-format idiom (`scenario::textfmt`,
-//! `workload::textfmt`): whitespace-separated tokens, strict validation —
-//! unknown keys, duplicate keys, and wrong arity are rejected, never
-//! ignored — and every error names the 1-based token position it was
-//! detected at, so `err 3: unknown key \`frq\`` points at the third token
-//! of the offending request.
+//! Requests are read with the token cursor of [`sim_common::textfmt`]:
+//! whitespace-separated tokens, strict validation — unknown keys,
+//! duplicate keys, and wrong arity are rejected, never ignored — and every
+//! error names the 1-based token position it was detected at, so
+//! `err 3: unknown key \`frq\`` points at the third token of the offending
+//! request.
 //!
 //! ```text
 //! C: eval gzip freq=4000000000 vdd=1.0
@@ -27,9 +27,10 @@
 //! trace sink), so parsing a response recovers bit-identical values —
 //! which is what makes the socket-vs-direct parity tests exact.
 
-use std::fmt;
-
+use sim_common::textfmt::{Field, KeyValues, TokenError, Tokens};
 use sim_common::SimError;
+
+pub use sim_common::textfmt::Spanned;
 
 /// Protocol name and revision. The first response line of every
 /// connection is [`GREETING`]; bump the revision when the grammar
@@ -66,53 +67,9 @@ pub const DEFAULT_WATCH_INTERVAL_MS: u64 = 1_000;
 pub const WATCH_FRAME_KIND: &str = "watch-frame/1";
 
 /// A protocol-level error: what went wrong and the 1-based position of
-/// the request token it was detected at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtoError {
-    /// 1-based token position (1 = the verb).
-    pub pos: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl ProtoError {
-    /// An error at token `pos`.
-    pub fn new(pos: usize, message: impl Into<String>) -> ProtoError {
-        ProtoError {
-            pos,
-            message: message.into(),
-        }
-    }
-
-    /// The wire form: `err <pos>: <message>`.
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        format!("err {}: {}", self.pos, self.message)
-    }
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_line())
-    }
-}
-
-/// A parsed value plus the 1-based position of the token that carried
-/// it, so semantic errors detected later (unknown application, frequency
-/// out of the DVS range) can still point at the offending token.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned<T> {
-    /// The parsed value.
-    pub value: T,
-    /// 1-based token position in the request line.
-    pub pos: usize,
-}
-
-impl<T> Spanned<T> {
-    fn new(pos: usize, value: T) -> Spanned<T> {
-        Spanned { value, pos }
-    }
-}
+/// the request token it was detected at (1 = the verb). Its wire form is
+/// [`TokenError::to_line`].
+pub type ProtoError = TokenError;
 
 /// Operating-point overrides shared by `eval` and `fit`: absent keys
 /// default to the target scenario's base processor.
@@ -318,63 +275,46 @@ const VERBS: &str =
 /// violation of the grammar: unknown verbs or keys, duplicate keys,
 /// missing operands, unparsable values, trailing tokens.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let tokens: Vec<(usize, &str)> = line
-        .split_whitespace()
-        .enumerate()
-        .map(|(i, t)| (i + 1, t))
-        .collect();
-    let Some(&(_, verb)) = tokens.first() else {
-        return Err(ProtoError::new(1, "empty request"));
-    };
-    match verb {
-        "ping" => {
-            expect_end(&tokens, 1)?;
-            Ok(Request::Ping)
-        }
-        "stats" => {
-            expect_end(&tokens, 1)?;
-            Ok(Request::Stats)
-        }
-        "shutdown" => {
-            expect_end(&tokens, 1)?;
-            Ok(Request::Shutdown)
+    let mut t = Tokens::new(line);
+    let verb = t
+        .next("request")
+        .map_err(|_| ProtoError::new(1, "empty request"))?;
+    let request = match verb.value {
+        "ping" | "stats" | "shutdown" => {
+            t.end()?;
+            match verb.value {
+                "ping" => Request::Ping,
+                "stats" => Request::Stats,
+                _ => Request::Shutdown,
+            }
         }
         "watch" => {
-            let keys = parse_keys(&tokens[1..], &["interval_ms", "frames"])?;
-            let interval = get_u64(&keys, "interval_ms")?;
-            if let Some(i) = &interval {
-                if i.value < MIN_WATCH_INTERVAL_MS || i.value > MAX_WATCH_INTERVAL_MS {
-                    return Err(ProtoError::new(
-                        i.pos,
-                        format!(
-                            "interval_ms must be in \
-                             {MIN_WATCH_INTERVAL_MS}..={MAX_WATCH_INTERVAL_MS}"
-                        ),
-                    ));
-                }
+            let keys = t.key_values(&["interval_ms", "frames"])?;
+            let interval = keys.get::<u64>("interval_ms")?;
+            let range = MIN_WATCH_INTERVAL_MS..=MAX_WATCH_INTERVAL_MS;
+            if let Some(i) = interval.as_ref().filter(|i| !range.contains(&i.value)) {
+                let msg = format!("interval_ms must be in {range:?}");
+                return Err(ProtoError::new(i.pos, msg));
             }
-            Ok(Request::Watch {
+            Request::Watch {
                 interval_ms: interval.map_or(DEFAULT_WATCH_INTERVAL_MS, |i| i.value),
-                frames: get_u64(&keys, "frames")?.map_or(0, |f| f.value),
-            })
+                frames: keys.get("frames")?.map_or(0, |f| f.value),
+            }
         }
         "sleep" => {
-            let keys = parse_keys(&tokens[1..], &["ms"])?;
-            let ms = require_key(&keys, "ms", 1)?;
-            let ms = parse_u64(ms)?;
+            let ms = t.key_values(&["ms"])?.require::<u64>("ms", 1)?;
             if ms.value > MAX_SLEEP_MS {
                 return Err(ProtoError::new(
                     ms.pos,
                     format!("sleep ms must be at most {MAX_SLEEP_MS}"),
                 ));
             }
-            expect_end(&tokens, 2)?;
-            Ok(Request::Sleep { ms: ms.value })
+            Request::Sleep { ms: ms.value }
         }
         "scenario" => {
-            let name = operand(&tokens, 2, "scenario name")?;
-            let count = operand(&tokens, 3, "payload line count")?;
-            expect_end(&tokens, 3)?;
+            let name = t.operand("scenario name")?;
+            let count = t.operand("payload line count")?;
+            t.end()?;
             let lines: usize = count.value.parse().map_err(|_| {
                 ProtoError::new(
                     count.pos,
@@ -387,152 +327,109 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                     format!("line count must be in 1..={MAX_SCENARIO_LINES}"),
                 ));
             }
-            Ok(Request::Scenario {
-                name: Spanned::new(name.pos, name.value.to_owned()),
-                lines,
-            })
+            Request::Scenario { name, lines }
         }
         "eval" => {
-            let app = app_operand(&tokens)?;
-            let keys = parse_keys(
-                &tokens[2..],
-                &["freq", "vdd", "window", "alus", "fpus", "scenario"],
-            )?;
-            Ok(Request::Eval(EvalRequest {
+            let app = t.operand("application name")?;
+            let keys = t.key_values(&["freq", "vdd", "window", "alus", "fpus", "scenario"])?;
+            Request::Eval(EvalRequest {
                 app,
-                scenario: get_str(&keys, "scenario"),
+                scenario: keys.get("scenario")?,
                 point: parse_point(&keys)?,
-            }))
+            })
         }
         "fit" => {
-            let app = app_operand(&tokens)?;
-            let keys = parse_keys(
-                &tokens[2..],
-                &[
-                    "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual", "alpha", "target",
-                ],
-            )?;
-            Ok(Request::Fit(FitRequest {
+            let app = t.operand("application name")?;
+            let keys = t.key_values(&[
+                "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual", "alpha", "target",
+            ])?;
+            Request::Fit(FitRequest {
                 app,
-                scenario: get_str(&keys, "scenario"),
+                scenario: keys.get("scenario")?,
                 point: parse_point(&keys)?,
                 qual: parse_qual(&keys)?,
-            }))
+            })
         }
         "sweep" => {
-            let app = app_operand(&tokens)?;
-            let keys = parse_keys(
-                &tokens[2..],
-                &["strategy", "step", "scenario", "tqual", "alpha", "target"],
-            )?;
-            let step_ghz = get_f64(&keys, "step")?;
-            if let Some(step) = &step_ghz {
-                if !step.value.is_finite() || step.value <= 0.0 {
-                    return Err(ProtoError::new(
-                        step.pos,
-                        "step must be a positive frequency step in GHz",
-                    ));
-                }
-            }
-            Ok(Request::Sweep(SweepRequest {
+            let app = t.operand("application name")?;
+            let keys =
+                t.key_values(&["strategy", "step", "scenario", "tqual", "alpha", "target"])?;
+            Request::Sweep(SweepRequest {
                 app,
-                scenario: get_str(&keys, "scenario"),
-                strategy: get_str(&keys, "strategy"),
-                step_ghz,
+                scenario: keys.get("scenario")?,
+                strategy: keys.get("strategy")?,
+                step_ghz: positive(&keys, "step", "a positive frequency step in GHz")?,
                 qual: parse_qual(&keys)?,
-            }))
+            })
         }
         "fleet" => {
-            let app = app_operand(&tokens)?;
-            let keys = parse_keys(
-                &tokens[2..],
-                &[
-                    "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual", "alpha",
-                    "target", "dies", "seed", "shape",
-                ],
-            )?;
-            let dies = get_u64(&keys, "dies")?;
-            if let Some(d) = &dies {
-                if d.value == 0 {
-                    return Err(ProtoError::new(d.pos, "dies must be positive"));
-                }
-            }
-            Ok(Request::Fleet(FleetRequest {
+            let app = t.operand("application name")?;
+            let keys = t.key_values(&[
+                "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual", "alpha", "target",
+                "dies", "seed", "shape",
+            ])?;
+            let dies = positive_dies(&keys)?;
+            Request::Fleet(FleetRequest {
                 app,
-                scenario: get_str(&keys, "scenario"),
+                scenario: keys.get("scenario")?,
                 point: parse_point(&keys)?,
                 qual: parse_qual(&keys)?,
                 dies,
-                seed: get_u64(&keys, "seed")?,
-                shape: get_f64(&keys, "shape")?,
-            }))
+                seed: keys.get("seed")?,
+                shape: finite(&keys, "shape")?,
+            })
         }
         "unit" => {
-            let form = operand(&tokens, 2, "unit form (sweep or fleet)")?;
-            match form.value {
+            let form = t.operand("unit form (sweep or fleet)")?;
+            match form.value.as_str() {
                 "sweep" => {
-                    let app = operand(&tokens, 3, "application name")?;
-                    let app = Spanned::new(app.pos, app.value.to_owned());
-                    let keys = parse_keys(
-                        &tokens[3..],
-                        &[
-                            "index", "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual",
-                            "alpha", "target",
-                        ],
-                    )?;
-                    let index = require_key(&keys, "index", 1)?;
-                    Ok(Request::UnitSweep(UnitSweepRequest {
+                    let app = t.operand("application name")?;
+                    let keys = t.key_values(&[
+                        "index", "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual",
+                        "alpha", "target",
+                    ])?;
+                    Request::UnitSweep(UnitSweepRequest {
                         app,
-                        scenario: get_str(&keys, "scenario"),
-                        index: parse_u64(index)?,
+                        index: keys.require("index", 1)?,
+                        scenario: keys.get("scenario")?,
                         point: parse_point(&keys)?,
                         qual: parse_qual(&keys)?,
-                    }))
+                    })
                 }
                 "fleet" => {
-                    let app = operand(&tokens, 3, "application name")?;
-                    let app = Spanned::new(app.pos, app.value.to_owned());
-                    let keys = parse_keys(
-                        &tokens[3..],
-                        &[
-                            "batch", "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual",
-                            "alpha", "target", "dies", "seed", "shape",
-                        ],
-                    )?;
-                    let batch = require_key(&keys, "batch", 1)?;
-                    let dies = get_u64(&keys, "dies")?;
-                    if let Some(d) = &dies {
-                        if d.value == 0 {
-                            return Err(ProtoError::new(d.pos, "dies must be positive"));
-                        }
-                    }
-                    Ok(Request::UnitFleet(UnitFleetRequest {
+                    let app = t.operand("application name")?;
+                    let keys = t.key_values(&[
+                        "batch", "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual",
+                        "alpha", "target", "dies", "seed", "shape",
+                    ])?;
+                    let batch = keys.require("batch", 1)?;
+                    let dies = positive_dies(&keys)?;
+                    Request::UnitFleet(UnitFleetRequest {
                         app,
-                        scenario: get_str(&keys, "scenario"),
-                        batch: parse_u64(batch)?,
+                        batch,
+                        scenario: keys.get("scenario")?,
                         point: parse_point(&keys)?,
                         qual: parse_qual(&keys)?,
                         dies,
-                        seed: get_u64(&keys, "seed")?,
-                        shape: get_f64(&keys, "shape")?,
-                    }))
+                        seed: keys.get("seed")?,
+                        shape: finite(&keys, "shape")?,
+                    })
                 }
-                other => Err(ProtoError::new(
-                    form.pos,
-                    format!("unknown unit form `{other}` (known: sweep, fleet)"),
-                )),
+                other => {
+                    return Err(ProtoError::new(
+                        form.pos,
+                        format!("unknown unit form `{other}` (known: sweep, fleet)"),
+                    ))
+                }
             }
         }
-        "merge" => {
-            let keys = parse_keys(&tokens[1..], &["scenario"])?;
-            Ok(Request::Merge {
-                scenario: get_str(&keys, "scenario"),
-            })
-        }
+        "merge" => Request::Merge {
+            scenario: t.key_values(&["scenario"])?.get("scenario")?,
+        },
         "shard" => {
-            let keys = parse_keys(&tokens[1..], &["index", "shards"])?;
-            let index = parse_u64(require_key(&keys, "index", 1)?)?;
-            let shards = parse_u64(require_key(&keys, "shards", 1)?)?;
+            let keys = t.key_values(&["index", "shards"])?;
+            let index = keys.require::<u64>("index", 1)?;
+            let shards = keys.require::<u64>("shards", 1)?;
             if shards.value == 0 {
                 return Err(ProtoError::new(shards.pos, "shards must be positive"));
             }
@@ -545,163 +442,64 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                     ),
                 ));
             }
-            Ok(Request::Shard { index, shards })
+            Request::Shard { index, shards }
         }
-        other => Err(ProtoError::new(
-            1,
-            format!("unknown request `{other}` (known: {VERBS})"),
+        other => {
+            return Err(ProtoError::new(
+                1,
+                format!("unknown request `{other}` (known: {VERBS})"),
+            ))
+        }
+    };
+    Ok(request)
+}
+
+/// A float key that must also be finite (the wire never carries NaN or
+/// infinities).
+fn finite(keys: &KeyValues<'_>, key: &str) -> Result<Option<Spanned<f64>>, ProtoError> {
+    match keys.get::<f64>(key)? {
+        Some(v) if !v.value.is_finite() => Err(ProtoError::new(
+            v.pos,
+            format!("`{key}` must be a finite number, got `{}`", v.value),
         )),
+        v => Ok(v),
     }
 }
 
-/// A parsed `key=value` token.
-type KeyValue<'a> = (usize, &'a str, &'a str);
-
-fn expect_end(tokens: &[(usize, &str)], used: usize) -> Result<(), ProtoError> {
-    match tokens.get(used) {
-        Some(&(pos, t)) => Err(ProtoError::new(pos, format!("unexpected token `{t}`"))),
-        None => Ok(()),
+fn positive_dies(keys: &KeyValues<'_>) -> Result<Option<Spanned<u64>>, ProtoError> {
+    match keys.get::<u64>("dies")? {
+        Some(d) if d.value == 0 => Err(ProtoError::new(d.pos, "dies must be positive")),
+        d => Ok(d),
     }
 }
 
-fn operand<'a>(
-    tokens: &[(usize, &'a str)],
-    pos: usize,
-    what: &str,
-) -> Result<Spanned<&'a str>, ProtoError> {
-    match tokens.get(pos - 1) {
-        Some(&(p, t)) if !t.contains('=') => Ok(Spanned::new(p, t)),
-        _ => Err(ProtoError::new(pos, format!("missing {what}"))),
-    }
-}
-
-fn app_operand(tokens: &[(usize, &str)]) -> Result<Spanned<String>, ProtoError> {
-    let app = operand(tokens, 2, "application name")?;
-    Ok(Spanned::new(app.pos, app.value.to_owned()))
-}
-
-/// Parses the `key=value` tail of a request, rejecting bare tokens,
-/// unknown keys, and duplicates.
-fn parse_keys<'a>(
-    tokens: &[(usize, &'a str)],
-    allowed: &[&str],
-) -> Result<Vec<KeyValue<'a>>, ProtoError> {
-    let mut out: Vec<KeyValue<'a>> = Vec::with_capacity(tokens.len());
-    for &(pos, token) in tokens {
-        let Some((key, value)) = token.split_once('=') else {
-            return Err(ProtoError::new(
-                pos,
-                format!("expected key=value, got `{token}`"),
-            ));
-        };
-        if !allowed.contains(&key) {
-            return Err(ProtoError::new(
-                pos,
-                format!("unknown key `{key}` (allowed: {})", allowed.join(", ")),
-            ));
-        }
-        if out.iter().any(|&(_, k, _)| k == key) {
-            return Err(ProtoError::new(pos, format!("key `{key}` given twice")));
-        }
-        out.push((pos, key, value));
-    }
-    Ok(out)
-}
-
-fn require_key<'a>(
-    keys: &[KeyValue<'a>],
+/// A finite float key that must also be positive: `what` it must be.
+fn positive(
+    keys: &KeyValues<'_>,
     key: &str,
-    verb_pos: usize,
-) -> Result<Spanned<&'a str>, ProtoError> {
-    keys.iter()
-        .find(|&&(_, k, _)| k == key)
-        .map(|&(pos, _, v)| Spanned::new(pos, v))
-        .ok_or_else(|| ProtoError::new(verb_pos, format!("missing required key `{key}`")))
-}
-
-fn get_str(keys: &[KeyValue<'_>], key: &str) -> Option<Spanned<String>> {
-    keys.iter()
-        .find(|&&(_, k, _)| k == key)
-        .map(|&(pos, _, v)| Spanned::new(pos, v.to_owned()))
-}
-
-fn get_f64(keys: &[KeyValue<'_>], key: &str) -> Result<Option<Spanned<f64>>, ProtoError> {
-    match keys.iter().find(|&&(_, k, _)| k == key) {
-        None => Ok(None),
-        Some(&(pos, _, v)) => {
-            let parsed: f64 = v.parse().map_err(|_| {
-                ProtoError::new(pos, format!("key `{key}` expects a number, got `{v}`"))
-            })?;
-            if !parsed.is_finite() {
-                return Err(ProtoError::new(
-                    pos,
-                    format!("key `{key}` expects a finite number, got `{v}`"),
-                ));
-            }
-            Ok(Some(Spanned::new(pos, parsed)))
-        }
+    what: &str,
+) -> Result<Option<Spanned<f64>>, ProtoError> {
+    match finite(keys, key)? {
+        Some(v) if v.value <= 0.0 => Err(ProtoError::new(v.pos, format!("{key} must be {what}"))),
+        v => Ok(v),
     }
 }
 
-fn get_u32(keys: &[KeyValue<'_>], key: &str) -> Result<Option<Spanned<u32>>, ProtoError> {
-    match keys.iter().find(|&&(_, k, _)| k == key) {
-        None => Ok(None),
-        Some(&(pos, _, v)) => {
-            let parsed: u32 = v.parse().map_err(|_| {
-                ProtoError::new(pos, format!("key `{key}` expects an integer, got `{v}`"))
-            })?;
-            Ok(Some(Spanned::new(pos, parsed)))
-        }
-    }
-}
-
-fn get_u64(keys: &[KeyValue<'_>], key: &str) -> Result<Option<Spanned<u64>>, ProtoError> {
-    match keys.iter().find(|&&(_, k, _)| k == key) {
-        None => Ok(None),
-        Some(&(pos, _, v)) => {
-            let parsed: u64 = v.parse().map_err(|_| {
-                ProtoError::new(pos, format!("key `{key}` expects an integer, got `{v}`"))
-            })?;
-            Ok(Some(Spanned::new(pos, parsed)))
-        }
-    }
-}
-
-fn parse_u64(s: Spanned<&str>) -> Result<Spanned<u64>, ProtoError> {
-    let v: u64 = s
-        .value
-        .parse()
-        .map_err(|_| ProtoError::new(s.pos, format!("expected an integer, got `{}`", s.value)))?;
-    Ok(Spanned::new(s.pos, v))
-}
-
-fn parse_point(keys: &[KeyValue<'_>]) -> Result<OpPoint, ProtoError> {
-    let freq_hz = get_f64(keys, "freq")?;
-    if let Some(f) = &freq_hz {
-        if f.value <= 0.0 {
-            return Err(ProtoError::new(f.pos, "freq must be a positive Hz value"));
-        }
-    }
-    let vdd = get_f64(keys, "vdd")?;
-    if let Some(v) = &vdd {
-        if v.value <= 0.0 {
-            return Err(ProtoError::new(v.pos, "vdd must be a positive voltage"));
-        }
-    }
+fn parse_point(keys: &KeyValues<'_>) -> Result<OpPoint, ProtoError> {
     Ok(OpPoint {
-        freq_hz,
-        vdd,
-        window: get_u32(keys, "window")?,
-        alus: get_u32(keys, "alus")?,
-        fpus: get_u32(keys, "fpus")?,
+        freq_hz: positive(keys, "freq", "a positive Hz value")?,
+        vdd: positive(keys, "vdd", "a positive voltage")?,
+        window: keys.get("window")?,
+        alus: keys.get("alus")?,
+        fpus: keys.get("fpus")?,
     })
 }
 
-fn parse_qual(keys: &[KeyValue<'_>]) -> Result<QualOverride, ProtoError> {
+fn parse_qual(keys: &KeyValues<'_>) -> Result<QualOverride, ProtoError> {
     Ok(QualOverride {
-        tqual_k: get_f64(keys, "tqual")?,
-        alpha: get_f64(keys, "alpha")?,
-        target_fit: get_f64(keys, "target")?,
+        tqual_k: finite(keys, "tqual")?,
+        alpha: finite(keys, "alpha")?,
+        target_fit: finite(keys, "target")?,
     })
 }
 
@@ -808,17 +606,10 @@ impl Reply {
                 )))
             }
         };
-        if status == Status::Err {
-            return Ok(Reply {
-                status,
-                kind: String::new(),
-                fields: Vec::new(),
-                raw,
-            });
-        }
         let mut kind = String::new();
         let mut fields = Vec::new();
-        for token in tokens {
+        // An `err` line carries free text, not fields.
+        for token in tokens.filter(|_| status != Status::Err) {
             match token.split_once('=') {
                 Some((k, v)) => fields.push((k.to_owned(), v.to_owned())),
                 None if kind.is_empty() && fields.is_empty() => kind = token.to_owned(),
@@ -852,34 +643,39 @@ impl Reply {
             .map(|(_, v)| v.as_str())
     }
 
-    /// A required float field.
+    /// A required field, decoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when absent or unparsable.
+    pub fn field<T: Field>(&self, key: &str) -> Result<T, SimError> {
+        let value = self.get(key).ok_or_else(|| {
+            SimError::invalid_config(format!("response missing `{key}`: {}", self.raw))
+        })?;
+        value.parse().map_err(|_| {
+            SimError::invalid_config(format!(
+                "response field `{key}` must be {}, got `{value}`",
+                T::WHAT
+            ))
+        })
+    }
+
+    /// A required float field (see [`Reply::field`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when absent or unparsable.
     pub fn f64(&self, key: &str) -> Result<f64, SimError> {
-        self.get(key)
-            .ok_or_else(|| {
-                SimError::invalid_config(format!("response missing `{key}`: {}", self.raw))
-            })?
-            .parse()
-            .map_err(|_| SimError::invalid_config(format!("response field `{key}` is not a float")))
+        self.field(key)
     }
 
-    /// A required integer field.
+    /// A required integer field (see [`Reply::field`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when absent or unparsable.
     pub fn u64(&self, key: &str) -> Result<u64, SimError> {
-        self.get(key)
-            .ok_or_else(|| {
-                SimError::invalid_config(format!("response missing `{key}`: {}", self.raw))
-            })?
-            .parse()
-            .map_err(|_| {
-                SimError::invalid_config(format!("response field `{key}` is not an integer"))
-            })
+        self.field(key)
     }
 }
 
@@ -1106,5 +902,49 @@ mod tests {
         };
         assert_eq!(name.value, "hot");
         assert_eq!(lines, 42);
+    }
+
+    /// Seeded corruptions of one canonical line per verb (and of each
+    /// response shape) parse or fail with an in-range token position;
+    /// none panics.
+    #[test]
+    fn corrupted_lines_never_panic() {
+        let requests = [
+            "ping",
+            "stats",
+            "watch interval_ms=50 frames=10",
+            "sleep ms=5",
+            "scenario hot 42",
+            "eval gzip freq=4000000000 vdd=1 window=128 alus=6 fpus=4 scenario=hot",
+            "fit gzip freq=3.5e9 tqual=394 alpha=0.48 target=4000",
+            "sweep gzip strategy=dvs step=0.5 tqual=370",
+            "fleet gzip dies=50000 seed=7 shape=2.5 freq=3.5e9",
+            "unit sweep gzip index=4 freq=3.5e9 vdd=1.1 window=64 alus=4 fpus=2",
+            "unit fleet twolf batch=2 dies=10000 seed=7 shape=2.2",
+            "merge scenario=hot",
+            "shard index=1 shards=4",
+        ];
+        for (i, line) in requests.iter().enumerate() {
+            for seed in 0..40 {
+                let bad = sim_common::textfmt::corrupt(line, (i as u64) << 32 | seed);
+                if let Err(e) = parse_request(&bad) {
+                    let tokens = bad.split_whitespace().count();
+                    assert!(e.pos >= 1 && e.pos <= tokens + 1, "`{bad}`: {e}");
+                }
+            }
+        }
+        let replies = [
+            "ok eval app=gzip ipc=1.25 bips=5 feasible=true",
+            "busy queue_depth=64",
+            "err 3: unknown key `frq`",
+        ];
+        for (i, line) in replies.iter().enumerate() {
+            for seed in 0..20 {
+                let bad = sim_common::textfmt::corrupt(line, (i as u64) << 32 | seed);
+                if let Ok(reply) = Reply::parse(&bad) {
+                    let _ = (reply.f64("ipc"), reply.u64("queue_depth"));
+                }
+            }
+        }
     }
 }

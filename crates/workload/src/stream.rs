@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use sim_common::{splitmix64, Xoshiro256pp};
+use sim_common::{splitmix64, SimError, Xoshiro256pp};
 
 use crate::op::{ArchReg, MicroOp, OpClass, RegClass, ARCH_REGS_PER_CLASS};
 use crate::profile::AppProfile;
@@ -229,26 +229,36 @@ impl SyntheticStream {
     /// mismatched pair silently produces a different stream (checkpoint
     /// callers guard this with a fingerprint).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the state is inconsistent with the profile (ring or
-    /// cursor counts out of range), or the profile itself is invalid.
-    #[must_use]
-    pub fn restore(profile: AppProfile, seed: u64, state: &StreamState) -> SyntheticStream {
+    /// Returns [`SimError::InvalidConfig`] when the state is inconsistent
+    /// with the profile (ring, cursor or call-stack sizes out of range, a
+    /// register index outside the architectural file).
+    pub fn restore(
+        profile: AppProfile,
+        seed: u64,
+        state: &StreamState,
+    ) -> Result<SyntheticStream, SimError> {
         let mut s = SyntheticStream::new(profile, seed);
-        assert_eq!(
-            state.stream_offsets.len(),
-            s.stream_offsets.len(),
-            "stream cursor count does not match the profile's access_streams"
-        );
-        assert!(
-            state.recent_int.len() <= RING_DEPTH && state.recent_fp.len() <= RING_DEPTH,
-            "destination ring deeper than RING_DEPTH"
-        );
-        assert!(
-            state.call_stack.len() <= MAX_CALL_DEPTH,
-            "call stack deeper than MAX_CALL_DEPTH"
-        );
+        let flat_ok = |ring: &[u16]| {
+            ring.len() <= RING_DEPTH && ring.iter().all(|&i| i < 2 * ARCH_REGS_PER_CLASS)
+        };
+        let problem = if state.stream_offsets.len() != s.stream_offsets.len() {
+            Some("stream cursor count does not match the profile's access_streams")
+        } else if !flat_ok(&state.recent_int) || !flat_ok(&state.recent_fp) {
+            Some("destination ring deeper than RING_DEPTH or naming a register out of range")
+        } else if state.call_stack.len() > MAX_CALL_DEPTH {
+            Some("call stack deeper than MAX_CALL_DEPTH")
+        } else if state.next_int_reg >= ARCH_REGS_PER_CLASS
+            || state.next_fp_reg >= ARCH_REGS_PER_CLASS
+        {
+            Some("next destination register out of range")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            return Err(SimError::invalid_config(format!("stream state: {problem}")));
+        }
         s.rng = Xoshiro256pp::from_state(state.rng);
         let unflat = |flat: &[u16]| {
             flat.iter()
@@ -269,7 +279,7 @@ impl SyntheticStream {
         // (`enter_phase` resets it to the segment length).
         s.enter_phase(state.phase_idx as usize);
         s.phase_remaining = state.phase_remaining;
-        s
+        Ok(s)
     }
 
     fn enter_phase(&mut self, idx: usize) {
@@ -291,7 +301,7 @@ impl SyntheticStream {
         if self.phase_remaining != u64::MAX {
             self.phase_remaining = self.phase_remaining.saturating_sub(1);
             if self.phase_remaining == 0 {
-                self.enter_phase(self.phase_idx + 1);
+                self.enter_phase(self.phase_idx.wrapping_add(1));
             }
         }
     }
@@ -700,7 +710,7 @@ mod tests {
                 original.next_op();
             }
             let state = original.state();
-            let mut resumed = SyntheticStream::restore(app.profile(), 77, &state);
+            let mut resumed = SyntheticStream::restore(app.profile(), 77, &state).unwrap();
             assert_eq!(resumed.emitted(), original.emitted());
             for i in 0..50_000 {
                 assert_eq!(resumed.next_op(), original.next_op(), "{app} op {i}");
@@ -709,12 +719,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "access_streams")]
     fn restore_rejects_mismatched_cursor_count() {
         let s = SyntheticStream::new(App::Twolf.profile(), 1);
         let mut state = s.state();
         state.stream_offsets.push(0);
-        let _ = SyntheticStream::restore(App::Twolf.profile(), 1, &state);
+        let err = SyntheticStream::restore(App::Twolf.profile(), 1, &state).unwrap_err();
+        assert!(err.to_string().contains("access_streams"), "{err}");
+        let mut state = s.state();
+        state.recent_int.push(u16::MAX);
+        assert!(SyntheticStream::restore(App::Twolf.profile(), 1, &state).is_err());
     }
 
     #[test]

@@ -30,154 +30,122 @@
 //! phase instructions=50000 working_set=2097152 spatial=0.97
 //! ```
 //!
-//! Unknown keys are errors (typos fail loudly); the parsed profile is
+//! The grammar is the shared line format of [`sim_common::textfmt`]:
+//! unknown keys and repeated scalars are line-numbered errors, scalars the
+//! file omits take the parser's defaults, and the parsed profile is
 //! validated with [`AppProfile::validate`].
 
 use crate::op::OpClass;
 use crate::profile::{AppProfile, OpMix, PhaseSegment};
+use sim_common::textfmt::{lines, Doc, Line, Schema};
 use sim_common::SimError;
+
+static SCHEMA: Schema = Schema {
+    singles: &[
+        "name",
+        "dep_mean_int",
+        "dep_mean_fp",
+        "fp_load_fraction",
+        "code_footprint",
+        "branch_taken_bias",
+        "branch_noise",
+        "hot_fraction",
+        "hot_bytes",
+        "mid_fraction",
+        "mid_bytes",
+        "data_working_set",
+        "spatial_fraction",
+        "access_streams",
+    ],
+    repeated: &["mix", "phase"],
+    missing: "required key",
+};
 
 /// Parses a profile from the text format.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfig`] for syntax errors, unknown keys,
-/// missing required fields, or a profile failing validation.
+/// Returns [`SimError::InvalidConfig`] for syntax errors, unknown or
+/// duplicate keys, missing required fields, or a profile failing
+/// validation.
 pub fn profile_from_text(text: &str) -> Result<AppProfile, SimError> {
-    let mut name: Option<String> = None;
-    let mut scalars: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
-    let mut mix_weights: Vec<(OpClass, f64)> = Vec::new();
-    let mut phases: Vec<PhaseSegment> = Vec::new();
+    profile_from_lines(lines(text))
+}
 
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let key = parts.next().expect("non-empty line has a first token");
-        let err = |msg: String| SimError::invalid_config(format!("line {}: {msg}", lineno + 1));
-        match key {
-            "name" => {
-                let value = parts
-                    .next()
-                    .ok_or_else(|| err("name needs a value".into()))?;
-                name = Some(value.to_owned());
-            }
-            "mix" => {
-                let class_name = parts
-                    .next()
-                    .ok_or_else(|| err("mix needs a class and a weight".into()))?;
-                let class = OpClass::ALL
-                    .into_iter()
-                    .find(|c| c.to_string() == class_name)
-                    .ok_or_else(|| err(format!("unknown op class `{class_name}`")))?;
-                let weight: f64 = parts
-                    .next()
-                    .ok_or_else(|| err("mix needs a weight".into()))?
-                    .parse()
-                    .map_err(|_| err("mix weight must be a number".into()))?;
-                mix_weights.push((class, weight));
-            }
-            "phase" => {
-                let mut segment = PhaseSegment {
-                    instructions: 0,
-                    mix: None,
-                    working_set: None,
-                    spatial_fraction: None,
-                };
-                for kv in parts.by_ref() {
-                    let (k, v) = kv
-                        .split_once('=')
-                        .ok_or_else(|| err(format!("phase expects key=value, got `{kv}`")))?;
-                    match k {
-                        "instructions" => {
-                            segment.instructions = v
-                                .parse()
-                                .map_err(|_| err("instructions must be an integer".into()))?;
-                        }
-                        "working_set" => {
-                            segment.working_set = Some(
-                                v.parse()
-                                    .map_err(|_| err("working_set must be an integer".into()))?,
-                            );
-                        }
-                        "spatial" => {
-                            segment.spatial_fraction = Some(
-                                v.parse()
-                                    .map_err(|_| err("spatial must be a number".into()))?,
-                            );
-                        }
-                        other => return Err(err(format!("unknown phase key `{other}`"))),
-                    }
-                }
-                phases.push(segment);
-            }
-            "dep_mean_int" | "dep_mean_fp" | "fp_load_fraction" | "code_footprint"
-            | "branch_taken_bias" | "branch_noise" | "hot_fraction" | "hot_bytes"
-            | "mid_fraction" | "mid_bytes" | "data_working_set" | "spatial_fraction"
-            | "access_streams" => {
-                let value: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(format!("{key} needs a value")))?
-                    .parse()
-                    .map_err(|_| err(format!("{key} must be a number")))?;
-                scalars.insert(
-                    match key {
-                        "dep_mean_int" => "dep_mean_int",
-                        "dep_mean_fp" => "dep_mean_fp",
-                        "fp_load_fraction" => "fp_load_fraction",
-                        "code_footprint" => "code_footprint",
-                        "branch_taken_bias" => "branch_taken_bias",
-                        "branch_noise" => "branch_noise",
-                        "hot_fraction" => "hot_fraction",
-                        "hot_bytes" => "hot_bytes",
-                        "mid_fraction" => "mid_fraction",
-                        "mid_bytes" => "mid_bytes",
-                        "data_working_set" => "data_working_set",
-                        "spatial_fraction" => "spatial_fraction",
-                        _ => "access_streams",
-                    },
-                    value,
-                );
-            }
-            other => return Err(err(format!("unknown key `{other}`"))),
-        }
-        if parts.next().is_some() {
-            return Err(SimError::invalid_config(format!(
-                "line {}: trailing tokens",
-                lineno + 1
-            )));
-        }
+/// Parses a profile from already-scanned lines, so a profile embedded in
+/// a larger file reports that file's line numbers.
+///
+/// # Errors
+///
+/// As [`profile_from_text`].
+pub fn profile_from_lines<'a>(
+    lines: impl IntoIterator<Item = Line<'a>>,
+) -> Result<AppProfile, SimError> {
+    let mut doc = Doc::new(&SCHEMA);
+    for line in lines {
+        doc.insert(line)?;
     }
-
-    let name = name.ok_or_else(|| SimError::invalid_config("missing `name`"))?;
+    let name = doc.value("name")?;
+    let mut mix_weights = Vec::new();
+    for line in doc.repeated("mix") {
+        let class = line.expect_len(2)?.values[0];
+        let class = OpClass::from_name(class)
+            .ok_or_else(|| line.err(format!("unknown op class `{class}`")))?;
+        mix_weights.push((class, line.at(1)?));
+    }
     if mix_weights.is_empty() {
         return Err(SimError::invalid_config(
             "at least one `mix` line is required",
         ));
     }
-    let get = |key: &str, default: f64| scalars.get(key).copied().unwrap_or(default);
+    let phases = doc
+        .repeated("phase")
+        .iter()
+        .map(phase_from_line)
+        .collect::<Result<_, _>>()?;
+    let mut get = |key: &str, default: f64| doc.opt_value(key).map(|v| v.unwrap_or(default));
     let profile = AppProfile {
         name,
         mix: OpMix::from_weights(mix_weights)?,
-        dep_mean_int: get("dep_mean_int", 8.0),
-        dep_mean_fp: get("dep_mean_fp", 7.0),
-        fp_load_fraction: get("fp_load_fraction", 0.0),
-        code_footprint: get("code_footprint", 32.0 * 1024.0) as u64,
-        branch_taken_bias: get("branch_taken_bias", 0.6),
-        branch_noise: get("branch_noise", 0.05),
-        hot_fraction: get("hot_fraction", 0.93),
-        hot_bytes: get("hot_bytes", 16.0 * 1024.0) as u64,
-        mid_fraction: get("mid_fraction", 0.04),
-        mid_bytes: get("mid_bytes", 384.0 * 1024.0) as u64,
-        data_working_set: get("data_working_set", 2.0 * 1024.0 * 1024.0) as u64,
-        spatial_fraction: get("spatial_fraction", 0.8),
-        access_streams: get("access_streams", 4.0) as usize,
+        dep_mean_int: get("dep_mean_int", 8.0)?,
+        dep_mean_fp: get("dep_mean_fp", 7.0)?,
+        fp_load_fraction: get("fp_load_fraction", 0.0)?,
+        code_footprint: get("code_footprint", 32.0 * 1024.0)? as u64,
+        branch_taken_bias: get("branch_taken_bias", 0.6)?,
+        branch_noise: get("branch_noise", 0.05)?,
+        hot_fraction: get("hot_fraction", 0.93)?,
+        hot_bytes: get("hot_bytes", 16.0 * 1024.0)? as u64,
+        mid_fraction: get("mid_fraction", 0.04)?,
+        mid_bytes: get("mid_bytes", 384.0 * 1024.0)? as u64,
+        data_working_set: get("data_working_set", 2.0 * 1024.0 * 1024.0)? as u64,
+        spatial_fraction: get("spatial_fraction", 0.8)?,
+        access_streams: get("access_streams", 4.0)? as usize,
         phases,
     };
     profile.validate()?;
     Ok(profile)
+}
+
+/// A `phase key=value...` line.
+fn phase_from_line(line: &Line<'_>) -> Result<PhaseSegment, SimError> {
+    let mut segment = PhaseSegment {
+        instructions: 0,
+        mix: None,
+        working_set: None,
+        spatial_fraction: None,
+    };
+    for kv in &line.values {
+        let (k, v) = kv
+            .split_once('=')
+            .ok_or_else(|| line.err(format!("phase expects key=value, got `{kv}`")))?;
+        match k {
+            "instructions" => segment.instructions = line.parse(v)?,
+            "working_set" => segment.working_set = Some(line.parse(v)?),
+            "spatial" => segment.spatial_fraction = Some(line.parse(v)?),
+            other => return Err(line.err(format!("unknown phase key `{other}`"))),
+        }
+    }
+    Ok(segment)
 }
 
 /// Serializes a profile to the text format (round-trips through
@@ -316,5 +284,23 @@ phase instructions=50000 working_set=2097152 spatial=0.97
     #[test]
     fn rejects_trailing_tokens() {
         assert!(profile_from_text("name x y\nmix int-alu 1").is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_keys() {
+        let err = profile_from_text("name a\nmix int-alu 1\nname b")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("line 3: duplicate key `name` (first at line 1)"),
+            "{err}"
+        );
+        let err = profile_from_text("name a\ndep_mean_int 3\nmix int-alu 1\ndep_mean_int 4")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("line 4: duplicate key `dep_mean_int` (first at line 2)"),
+            "{err}"
+        );
     }
 }

@@ -154,3 +154,23 @@ fn paper_profiles_satisfy_the_same_properties() {
         }
     }
 }
+
+/// Seeded corruptions of every paper profile's canonical text either
+/// parse or fail; none panics, and every error that quotes an offending
+/// token names its line.
+#[test]
+fn corrupted_profiles_never_panic() {
+    for (i, app) in App::ALL.iter().enumerate() {
+        let text = workload::profile_to_text(&app.profile());
+        for seed in 0..60 {
+            let bad = sim_common::textfmt::corrupt(&text, (i as u64) << 32 | seed);
+            if let Err(e) = workload::profile_from_text(&bad) {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("line ") || msg.contains("missing") || !msg.contains('`'),
+                    "{app} seed {seed}: {msg}"
+                );
+            }
+        }
+    }
+}

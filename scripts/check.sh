@@ -14,6 +14,12 @@ cargo build --release --offline
 echo "== tests (RAMP_LOG=debug exercises the logging path) =="
 RAMP_LOG=debug cargo test -q --offline
 
+echo "== benchmark tests: recorded digests pin DRM choices, fleets and the wire codec =="
+# The benchmark is a package of its own; its tests replay every workload
+# at smoke scale and check the recorded digests, including the sorted
+# (request, reply) pairs of the serve workload.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== observability smoke: trace a run, summarize it =="
 trace="$(mktemp -t ramp-check-XXXXXX.jsonl)"
 trap 'rm -f "$trace"' EXIT

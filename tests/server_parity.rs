@@ -13,7 +13,7 @@ use std::time::Duration;
 use drm::{run_fleet, BatchEngine, EvalParams, Evaluator, FleetConfig};
 use ramp::Mechanism;
 use scenario::Scenario;
-use sim_common::Xoshiro256pp;
+use sim_common::textfmt::corrupt;
 use sim_server::{Client, Reply, Server, ServerConfig, Status, WATCH_FRAME_KIND};
 use workload::App;
 
@@ -430,81 +430,41 @@ fn full_queue_sheds_with_busy_and_recovers() {
     server.join();
 }
 
-/// 300 lines of seeded garbage — random tokens, stray `=`, binary-ish
-/// punctuation, oversized keys — each get exactly one `ok`/`err`/`busy`
-/// response and never kill the connection loop.
+/// 300 seeded corruptions of canonical request lines — dropped,
+/// duplicated and cut tokens, hostile numbers — each get exactly one
+/// `ok`/`err`/`busy` response per line and never kill the connection loop.
 #[test]
 fn protocol_fuzz_never_kills_the_connection() {
     let server = start_server(tiny_config());
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let mut rng = Xoshiro256pp::seed_from_u64(0x5eed);
-
-    const VOCAB: &[&str] = &[
-        "eval",
-        "fit",
-        "sweep",
+    // Verbs with effects that would stall or end the fuzz loop
+    // (`shutdown`, `sleep`, `scenario`, streaming `watch`) stay out.
+    const CANONICAL: &[&str] = &[
         "ping",
         "stats",
-        "gzip",
-        "bogus",
-        "freq",
-        "vdd",
-        "window",
-        "alus",
-        "fpus",
-        "tqual",
-        "alpha",
-        "target",
-        "step",
-        "strategy",
-        "=",
-        "==",
-        "=1",
-        "0",
-        "-1",
-        "1e309",
-        "nan",
-        "3.5e9",
-        "0.95",
-        "∞",
-        "\t",
-        "freq=",
-        "=0.9",
-        "vdd=0.9",
-        "freq=4e9",
-        "key=a=b",
-        "scenario=nope",
-        ";",
-        "\"",
-        "\\",
-        "....",
-        "--",
-        "x",
+        "merge",
+        "eval gzip freq=4000000000 vdd=1 window=128 alus=6 fpus=4",
+        "fit gzip tqual=394 alpha=0.48 target=4000",
+        "unit sweep gzip index=1 freq=3.5e9 vdd=0.95",
     ];
-    for i in 0..300 {
-        let n_tokens = (rng.next_u64() % 8) as usize;
-        let mut line = String::new();
-        for t in 0..n_tokens {
-            if t > 0 {
-                line.push(' ');
+    for i in 0..300u64 {
+        let canonical = CANONICAL[i as usize % CANONICAL.len()];
+        let mutated = corrupt(canonical, 0x5eed + i);
+        for line in mutated.lines() {
+            let verb = line.split_whitespace().next().unwrap_or("");
+            if ["shutdown", "sleep", "scenario", "watch"].contains(&verb) {
+                continue;
             }
-            line.push_str(VOCAB[rng.next_u64() as usize % VOCAB.len()]);
+            let raw = client
+                .request_raw(line)
+                .unwrap_or_else(|e| panic!("case {i} `{line}` broke the connection: {e}"));
+            let reply = Reply::parse(&raw)
+                .unwrap_or_else(|e| panic!("case {i} `{line}` got unparsable reply `{raw}`: {e}"));
+            assert!(
+                matches!(reply.status, Status::Ok | Status::Err | Status::Busy),
+                "case {i}: {raw}"
+            );
         }
-        // `shutdown`/`sleep`/`scenario` are real verbs with effects that
-        // would stall or end the fuzz loop; everything else goes through.
-        let verb = line.split_whitespace().next().unwrap_or("");
-        if ["shutdown", "sleep", "scenario"].contains(&verb) {
-            continue;
-        }
-        let raw = client
-            .request_raw(&line)
-            .unwrap_or_else(|e| panic!("line {i} `{line}` broke the connection: {e}"));
-        let reply = Reply::parse(&raw)
-            .unwrap_or_else(|e| panic!("line {i} `{line}` got unparsable reply `{raw}`: {e}"));
-        assert!(
-            matches!(reply.status, Status::Ok | Status::Err | Status::Busy),
-            "line {i}: {raw}"
-        );
     }
     // The connection and the server both survived the abuse.
     client.ping().expect("ping after fuzzing");
