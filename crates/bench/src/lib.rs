@@ -12,10 +12,10 @@
 //! | `fig3`   | Figure 3       | Arch vs DVS vs ArchDVS for bzip2 vs `T_qual` |
 //! | `fig4`   | Figure 4       | DVS frequency chosen by DRM vs DTM per app |
 //!
-//! Std-only micro-benchmarks (`cargo bench`, via the in-tree
-//! [`microbench`] harness) cover the substrate layers (timing simulator,
-//! thermal solver, RAMP evaluation) and the end-to-end pipeline, plus
-//! ablation studies of the design choices called out in DESIGN.md.
+//! Further binaries (`scaling`, `sensitivity`, `extensions`, `ablation`)
+//! print the extension and ablation studies called out in DESIGN.md.
+//! Performance numbers live in the `ramp-bench` package under
+//! `benchmark/`, not here.
 //!
 //! Every figure driver shares one [`Oracle`] whose batch engine fans
 //! evaluations across `RAMP_JOBS` worker threads (0 or unset = all
@@ -35,11 +35,8 @@
 //! | 345 K | the "average application" point | 366 K |
 //! | 325 K | drastic underdesign | 340 K |
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex, Once};
-use std::time::{Duration, Instant};
-
-use sim_obs::json::{parse_object, JsonObject};
 
 use drm::{EvalParams, Oracle};
 use ramp::ReliabilityModel;
@@ -263,170 +260,6 @@ where
     collected.into_iter().map(|(_, app, r)| (app, r)).collect()
 }
 
-/// A minimal wall-clock micro-benchmark harness (std-only stand-in for
-/// an external benchmarking crate, keeping the build hermetic).
-///
-/// Runs `f` until at least `min_time` has elapsed (after one warmup
-/// call), prints mean time per iteration, and returns it in seconds so
-/// drivers can fold the result into a [`BenchReport`].
-pub fn microbench<R>(name: &str, min_time: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let _ = std::hint::black_box(f());
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < min_time {
-        let _ = std::hint::black_box(f());
-        iters += 1;
-    }
-    let per = start.elapsed().as_secs_f64() / iters as f64;
-    let (value, unit) = if per >= 1.0 {
-        (per, "s")
-    } else if per >= 1e-3 {
-        (per * 1e3, "ms")
-    } else if per >= 1e-6 {
-        (per * 1e6, "us")
-    } else {
-        (per * 1e9, "ns")
-    };
-    println!("{name:<40} {value:>10.2} {unit}/iter  ({iters} iters)");
-    per
-}
-
-/// Minimum sampling time per micro-benchmark: 300 ms normally, 40 ms
-/// under `RAMP_FAST` so CI can smoke-test the whole driver quickly.
-#[must_use]
-pub fn bench_min_time() -> Duration {
-    if std::env::var_os("RAMP_FAST").is_some() {
-        Duration::from_millis(40)
-    } else {
-        Duration::from_millis(300)
-    }
-}
-
-/// Version marker every `BENCH_pipeline.json` carries; CI greps for it.
-pub const BENCH_SCHEMA: &str = "ramp-bench-pipeline/1";
-
-/// Version marker the server load-generator report carries.
-pub const BENCH_SERVER_SCHEMA: &str = "ramp-bench-server/1";
-
-/// Version marker the fleet population-throughput report carries.
-pub const BENCH_FLEET_SCHEMA: &str = "ramp-bench-fleet/1";
-
-/// Version marker the telemetry-overhead report carries.
-pub const BENCH_OBS_SCHEMA: &str = "ramp-bench-obs/1";
-
-/// Version marker the sliced-evaluation speedup report carries.
-pub const BENCH_SLICE_SCHEMA: &str = "ramp-bench-slice/1";
-
-/// Version marker the surrogate-search speedup report carries.
-pub const BENCH_SURROGATE_SCHEMA: &str = "ramp-bench-surrogate/1";
-
-/// Version marker the cluster sweep-fabric report carries.
-pub const BENCH_CLUSTER_SCHEMA: &str = "ramp-bench-cluster/1";
-
-/// Where a bench driver writes its machine-readable results:
-/// `RAMP_BENCH_OUT` when set, otherwise `file_name` (e.g.
-/// `BENCH_pipeline.json`) at the repository root. Every driver resolves
-/// its output through this one helper, so the environment override and
-/// the root-relative layout cannot drift between reports.
-#[must_use]
-pub fn bench_report_path_for(file_name: &str) -> PathBuf {
-    match std::env::var_os("RAMP_BENCH_OUT") {
-        Some(p) if !p.is_empty() => PathBuf::from(p),
-        _ => Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{file_name}")),
-    }
-}
-
-/// Where the pipeline bench driver writes its results (see
-/// [`bench_report_path_for`]).
-#[must_use]
-pub fn bench_report_path() -> PathBuf {
-    bench_report_path_for("BENCH_pipeline.json")
-}
-
-/// A machine-readable micro-benchmark report: one flat JSON object
-/// (dotted keys, no nesting) reusing the trace format's in-tree JSON
-/// builder, so the perf-regression harness stays dependency-free.
-///
-/// The object always carries a `schema` marker ([`BENCH_SCHEMA`] by
-/// default); the writer re-parses its own output before touching the
-/// filesystem, so a malformed report fails the producing run, not the
-/// consuming one.
-#[derive(Debug)]
-pub struct BenchReport {
-    obj: JsonObject,
-    schema: String,
-}
-
-impl BenchReport {
-    /// Starts a report carrying the default pipeline schema marker.
-    #[must_use]
-    pub fn new() -> BenchReport {
-        BenchReport::with_schema(BENCH_SCHEMA)
-    }
-
-    /// Starts a report carrying an explicit schema marker (e.g.
-    /// [`BENCH_SERVER_SCHEMA`] for the server load generator).
-    #[must_use]
-    pub fn with_schema(schema: &str) -> BenchReport {
-        let mut obj = JsonObject::new();
-        obj.str("schema", schema);
-        BenchReport {
-            obj,
-            schema: schema.to_owned(),
-        }
-    }
-
-    /// Records a float metric (seconds, rates, ratios).
-    pub fn f64(&mut self, key: &str, value: f64) {
-        self.obj.f64(key, value);
-    }
-
-    /// Records an integer metric (counts).
-    pub fn u64(&mut self, key: &str, value: u64) {
-        self.obj.u64(key, value);
-    }
-
-    /// Serializes, self-validates (the line must parse back as a flat
-    /// object with the right schema marker), and writes to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the serialized report does not round-trip through
-    /// [`parse_object`] or the file cannot be written.
-    pub fn write(self, path: &Path) -> std::io::Result<()> {
-        let line = self.obj.finish();
-        let ok =
-            parse_object(&line).is_some_and(|p| p.get_str("schema") == Some(self.schema.as_str()));
-        if !ok {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bench report failed self-validation",
-            ));
-        }
-        std::fs::write(path, line + "\n")
-    }
-
-    /// Resolves the destination for `file_name` via
-    /// [`bench_report_path_for`], writes the self-validated report, and
-    /// prints where it landed — the shared tail every driver ends with.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BenchReport::write`] errors.
-    pub fn emit(self, file_name: &str) -> std::io::Result<PathBuf> {
-        let path = bench_report_path_for(file_name);
-        self.write(&path)?;
-        println!("wrote {}", path.display());
-        Ok(path)
-    }
-}
-
-impl Default for BenchReport {
-    fn default() -> Self {
-        BenchReport::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,46 +284,6 @@ mod tests {
     fn qualified_model_round_trips_target() {
         let m = qualified_model(T_AVERAGE_APP, 0.4).unwrap();
         assert_eq!(m.target_fit().value(), FIT_TARGET_STANDARD);
-    }
-
-    #[test]
-    fn bench_report_round_trips_and_validates() {
-        let mut r = BenchReport::new();
-        r.f64("sweep.naive_s", 0.25);
-        r.u64("sweep.timing_runs", 2);
-        let dir = std::env::temp_dir().join(format!("ramp-bench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_pipeline.json");
-        r.write(&path).unwrap();
-        let line = std::fs::read_to_string(&path).unwrap();
-        let parsed = parse_object(line.trim()).expect("valid flat JSON");
-        assert_eq!(parsed.get_str("schema"), Some(BENCH_SCHEMA));
-        assert_eq!(parsed.get_f64("sweep.naive_s"), Some(0.25));
-        assert_eq!(parsed.get_u64("sweep.timing_runs"), Some(2));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn server_report_carries_its_own_schema() {
-        let mut r = BenchReport::with_schema(BENCH_SERVER_SCHEMA);
-        r.f64("server.throughput_8c_rps", 1234.5);
-        let dir = std::env::temp_dir().join(format!("ramp-bench-srv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_server.json");
-        r.write(&path).unwrap();
-        let line = std::fs::read_to_string(&path).unwrap();
-        let parsed = parse_object(line.trim()).expect("valid flat JSON");
-        assert_eq!(parsed.get_str("schema"), Some(BENCH_SERVER_SCHEMA));
-        assert_eq!(parsed.get_f64("server.throughput_8c_rps"), Some(1234.5));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_report_path_defaults_to_repo_root() {
-        if std::env::var_os("RAMP_BENCH_OUT").is_none() {
-            let p = bench_report_path();
-            assert!(p.ends_with("BENCH_pipeline.json"), "{}", p.display());
-        }
     }
 
     #[test]

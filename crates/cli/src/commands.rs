@@ -94,12 +94,12 @@ pub fn print_help() {
     println!("              [--addr host:port] [--jobs N] [--queue-depth N]");
     println!("              [--workers N] [--batch-max N] [--linger-ms N]");
     println!("              [--stop-file <path>] [--tick-ms N (0 = no telemetry)]");
-    println!("              [--quick]");
-    println!("  cluster     distributed sweep fabric: shard a sweep across workers");
-    println!("              serve --app <name> [--shards N | --addr a,b,...]");
-    println!("              [--store-dir <dir>] [--strategy arch|dvs|archdvs]");
-    println!("              [--step GHz] [--jobs N] [--quick]");
-    println!("              | fleet --app <name> [shard opts] [--dies N] [--seed N]");
+    println!("              [--store-dir <dir>] [--quick]");
+    println!("  cluster     distributed sweep fabric: shard a sweep across running");
+    println!("              `ramp serve` workers (or the scenario's cluster.addr)");
+    println!("              serve --app <name> [--addr a,b,...]");
+    println!("              [--strategy arch|dvs|archdvs] [--step GHz]");
+    println!("              | fleet --app <name> [--addr a,b,...] [--dies N] [--seed N]");
     println!("                [--shape B]");
     println!("              | status [--addr host:port,...]");
     println!("  client      talk to a running server; prints the raw response");
@@ -901,6 +901,7 @@ fn serve_cmd(args: &Args) -> Result<(), SimError> {
         "linger-ms",
         "stop-file",
         "tick-ms",
+        "store-dir",
         "quick",
     ])?;
     let scn = scenario_from(args)?;
@@ -919,6 +920,7 @@ fn serve_cmd(args: &Args) -> Result<(), SimError> {
         linger: Duration::from_millis(args.u64_or("linger-ms", 2)?),
         stop_file: args.get("stop-file").map(PathBuf::from),
         eval: args.flag("quick").then(EvalParams::quick),
+        store_dir: args.get("store-dir").map(PathBuf::from),
         telemetry_tick,
         ..defaults
     };
@@ -949,10 +951,10 @@ fn serve_cmd(args: &Args) -> Result<(), SimError> {
 
 /// `ramp cluster serve|fleet|status`: the distributed sweep fabric.
 fn cluster_cmd(args: &Args) -> Result<(), SimError> {
-    let usage = "usage: ramp cluster serve --app <name> [--shards N | --addr a,b,...] \
-                 [--store-dir <dir>] [--strategy arch|dvs|archdvs] [--step GHz] \
-                 [--jobs N] [--quick] | fleet --app <name> [shard opts] [--dies N] \
-                 [--seed N] [--shape B] | status [--addr host:port,...]";
+    let usage = "usage: ramp cluster serve --app <name> [--addr a,b,...] \
+                 [--strategy arch|dvs|archdvs] [--step GHz] | fleet --app <name> \
+                 [--addr a,b,...] [--dies N] [--seed N] [--shape B] \
+                 | status [--addr host:port,...]";
     match args.positional(0) {
         Some("serve") => cluster_serve(args),
         Some("fleet") => cluster_fleet(args),
@@ -964,29 +966,39 @@ fn cluster_cmd(args: &Args) -> Result<(), SimError> {
     }
 }
 
-/// Installs the fabric shape the command line asks for into the
-/// scenario's `[cluster]` section: `--addr a,b,...` addresses external
-/// shards, `--shards N` spawns local ones (overriding the scenario's own
-/// section either way), and without any of them two local shards make a
-/// sensible demonstration fabric.
-fn apply_cluster_args(args: &Args, scn: &mut Scenario) -> Result<(), SimError> {
-    let mut spec = scn.cluster.clone().unwrap_or(scenario::ClusterSpec {
-        shards: 2,
-        shard_addrs: Vec::new(),
-        store_dir: None,
+/// The worker addresses `--addr a,b,...` names, or else the scenario's
+/// own `cluster.addr` entries.
+fn shard_addrs(args: &Args, scn: &Scenario) -> Result<Vec<String>, SimError> {
+    let addrs: Vec<String> = match args.get("addr") {
+        Some(list) => list.split(',').map(str::to_owned).collect(),
+        None => scn
+            .cluster
+            .as_ref()
+            .map(|c| c.shard_addrs.clone())
+            .unwrap_or_default(),
+    };
+    if addrs.is_empty() {
+        return Err(SimError::invalid_config(
+            "no shard addresses: give --addr host:port[,host:port...] or a scenario \
+             with cluster.addr entries",
+        ));
+    }
+    Ok(addrs)
+}
+
+/// Starts a coordinator over the [`shard_addrs`] workers.
+fn coordinator_from(args: &Args, mut scn: Scenario) -> Result<sim_cluster::Coordinator, SimError> {
+    scn.cluster = Some(scenario::ClusterSpec {
+        shard_addrs: shard_addrs(args, &scn)?,
     });
-    if let Some(list) = args.get("addr") {
-        spec.shard_addrs = list.split(',').map(str::to_owned).collect();
-        spec.shards = 0;
-    } else if args.get("shards").is_some() {
-        spec.shards = args.positive_u64_or("shards", 2)? as u32;
-        spec.shard_addrs.clear();
+    scn.validate()?;
+    let cluster = sim_cluster::Coordinator::start(scn)?;
+    println!("cluster: {} shard(s)", cluster.shard_count());
+    for (i, addr) in cluster.addrs().iter().enumerate() {
+        println!("  shard {i}  {addr}");
     }
-    if let Some(dir) = args.get("store-dir") {
-        spec.store_dir = Some(dir.to_owned());
-    }
-    scn.cluster = Some(spec);
-    scn.validate()
+    let _ = std::io::stdout().flush();
+    Ok(cluster)
 }
 
 /// Prints the per-shard accounting lines after a distributed run.
@@ -1004,38 +1016,17 @@ fn print_shard_status(cluster: &sim_cluster::Coordinator) {
     }
 }
 
-/// `ramp cluster serve`: run one distributed sweep — spawn the worker
-/// shards (or address external ones), route the candidate grid, fold
-/// the partials, print the choice and the per-shard accounting, drain.
+/// `ramp cluster serve`: run one distributed sweep — route the
+/// candidate grid across the worker shards, fold the partials, print the
+/// choice and the per-shard accounting.
 fn cluster_serve(args: &Args) -> Result<(), SimError> {
-    args.expect_options(&[
-        "app",
-        "shards",
-        "addr",
-        "store-dir",
-        "strategy",
-        "step",
-        "jobs",
-        "quick",
-    ])?;
+    args.expect_options(&["app", "addr", "strategy", "step"])?;
     args.expect_positionals(1)?;
-    let mut scn = scenario_from(args)?;
+    let scn = scenario_from(args)?;
     let app = args.app()?;
     let strategy = parse_strategy(args)?;
     let step = step_from(args)?;
-    apply_cluster_args(args, &mut scn)?;
-
-    let config = ServerConfig {
-        jobs: args.jobs()?,
-        eval: args.flag("quick").then(EvalParams::quick),
-        ..ServerConfig::default()
-    };
-    let cluster = sim_cluster::Coordinator::start(scn, &config)?;
-    println!("cluster: {} shard(s)", cluster.shard_count());
-    for (i, addr) in cluster.addrs().iter().enumerate() {
-        println!("  shard {i}  {addr}");
-    }
-    let _ = std::io::stdout().flush();
+    let cluster = coordinator_from(args, scn)?;
 
     let swept = cluster.sweep(app, strategy, step)?;
     println!("{app}: best {strategy} configuration across the cluster");
@@ -1057,9 +1048,6 @@ fn cluster_serve(args: &Args) -> Result<(), SimError> {
     );
     println!("{}", swept.summary);
     print_shard_status(&cluster);
-    let shards = cluster.shard_count();
-    cluster.shutdown();
-    println!("cluster: drained {shards} shard(s)");
     Ok(())
 }
 
@@ -1067,39 +1055,17 @@ fn cluster_serve(args: &Args) -> Result<(), SimError> {
 /// batch — every shard samples its batches from the same per-die seed
 /// derivation, so the folded summary equals the single-process run.
 fn cluster_fleet(args: &Args) -> Result<(), SimError> {
-    args.expect_options(&[
-        "app",
-        "shards",
-        "addr",
-        "store-dir",
-        "dies",
-        "seed",
-        "shape",
-        "jobs",
-        "quick",
-    ])?;
+    args.expect_options(&["app", "addr", "dies", "seed", "shape"])?;
     args.expect_positionals(1)?;
-    let mut scn = scenario_from(args)?;
+    let scn = scenario_from(args)?;
     let app = args.app()?;
-    apply_cluster_args(args, &mut scn)?;
     let config = FleetConfig {
         dies: args.u64_or("dies", scn.fleet.dies)?,
         seed: args.u64_or("seed", scn.fleet.seed)?,
         shape: args.f64_or("shape", scn.fleet.shape)?,
         variation: scn.fleet.variation,
     };
-
-    let server_config = ServerConfig {
-        jobs: args.jobs()?,
-        eval: args.flag("quick").then(EvalParams::quick),
-        ..ServerConfig::default()
-    };
-    let cluster = sim_cluster::Coordinator::start(scn, &server_config)?;
-    println!("cluster: {} shard(s)", cluster.shard_count());
-    for (i, addr) in cluster.addrs().iter().enumerate() {
-        println!("  shard {i}  {addr}");
-    }
-    let _ = std::io::stdout().flush();
+    let cluster = coordinator_from(args, scn)?;
 
     let run = cluster.fleet(app, &config)?;
     let summary = &run.summary;
@@ -1130,9 +1096,6 @@ fn cluster_fleet(args: &Args) -> Result<(), SimError> {
         summary.timing_runs
     );
     print_shard_status(&cluster);
-    let shards = cluster.shard_count();
-    cluster.shutdown();
-    println!("cluster: drained {shards} shard(s)");
     Ok(())
 }
 
@@ -1142,21 +1105,7 @@ fn cluster_fleet(args: &Args) -> Result<(), SimError> {
 fn cluster_status(args: &Args) -> Result<(), SimError> {
     args.expect_options(&["addr"])?;
     args.expect_positionals(1)?;
-    let scn = scenario_from(args)?;
-    let addrs: Vec<String> = match args.get("addr") {
-        Some(list) => list.split(',').map(str::to_owned).collect(),
-        None => scn
-            .cluster
-            .as_ref()
-            .map(|c| c.shard_addrs.clone())
-            .unwrap_or_default(),
-    };
-    if addrs.is_empty() {
-        return Err(SimError::invalid_config(
-            "no shard addresses: give --addr host:port[,host:port...] or a scenario \
-             with cluster.addr entries",
-        ));
-    }
+    let addrs = shard_addrs(args, &scenario_from(args)?)?;
     for (i, addr) in addrs.iter().enumerate() {
         let merged = Client::connect_timeout(addr.as_str(), Duration::from_secs(5))
             .and_then(|mut c| c.request("merge"));

@@ -3,8 +3,8 @@
 //!
 //! A [`Coordinator`] shards the oracular-DRM candidate grid (§5) and the
 //! fleet Monte Carlo population across N `ramp-serve/1` worker shards —
-//! in-process [`Server`]s it spawns itself, or external processes it
-//! addresses — and folds the partial results back together exactly:
+//! `ramp serve` processes named by the scenario's `cluster.addr` lines —
+//! and folds the partial results back together exactly:
 //!
 //! - **Work units.** A sweep becomes one `unit sweep` request per unique
 //!   operating point (candidate grid + base point, deduplicated the way
@@ -28,11 +28,11 @@
 //!   counter parity survives the failover). Connection and `busy` retry
 //!   use the client's bounded jittered backoff.
 //!
-//! When the scenario's `[cluster]` section names a `store_dir`, every
-//! spawned shard opens the shared append-only evaluation store there:
-//! timing caches pre-warm from all existing segments and each engine
-//! appends to its own, so a restarted shard answers already-seen points
-//! without re-running timing.
+//! A worker started with a store directory (`ramp serve --store-dir`,
+//! `ServerConfig::store_dir`) opens the shared append-only evaluation
+//! store there: its timing cache pre-warms from all existing segments and
+//! it appends to its own, so a restarted shard answers already-seen
+//! points without re-running timing.
 
 #![warn(missing_docs)]
 
@@ -49,7 +49,7 @@ use drm::{
 use ramp::Fit;
 use scenario::Scenario;
 use sim_common::{fnv1a64, QuantileSketch, SimError};
-use sim_server::{Client, Reply, RetryPolicy, Server, ServerConfig, ServerState, Status};
+use sim_server::{Client, Reply, RetryPolicy, Status};
 use workload::App;
 
 /// Progress notifications a [`Coordinator`] emits while dispatching.
@@ -148,8 +148,6 @@ struct Unit {
 
 struct ShardSlot {
     addr: SocketAddr,
-    /// The in-process worker, when this coordinator spawned it.
-    server: Option<Server>,
     alive: AtomicBool,
 }
 
@@ -171,54 +169,35 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Starts a coordinator for `scenario`'s `[cluster]` section: spawns
-    /// `cluster.shards` in-process workers on ephemeral loopback ports,
-    /// or resolves the explicit `cluster.addr` list (external shards
-    /// must already run the same scenario). Spawned workers inherit
-    /// `worker_config` (evaluation overrides, queue tuning).
+    /// Starts a coordinator for `scenario`'s `[cluster]` section by
+    /// resolving its `cluster.addr` list. The shards must already run
+    /// the same scenario.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the scenario has no
-    /// `[cluster]` section, the section is invalid, a worker fails to
-    /// start, or an address does not resolve.
-    pub fn start(
-        scenario: Scenario,
-        worker_config: &ServerConfig,
-    ) -> Result<Coordinator, SimError> {
+    /// `[cluster]` section, the section is invalid, or an address does
+    /// not resolve.
+    pub fn start(scenario: Scenario) -> Result<Coordinator, SimError> {
         let spec = scenario.cluster.clone().ok_or_else(|| {
-            SimError::invalid_config(
-                "scenario has no [cluster] section (set cluster.shards or cluster.addr)",
-            )
+            SimError::invalid_config("scenario has no [cluster] section (set cluster.addr)")
         })?;
         spec.validate()?;
-        let mut shards = Vec::with_capacity(spec.shard_count());
-        if spec.shard_addrs.is_empty() {
-            for _ in 0..spec.shards {
-                let server = Server::start(scenario.clone(), worker_config.clone(), "127.0.0.1:0")?;
-                shards.push(ShardSlot {
-                    addr: server.local_addr(),
-                    server: Some(server),
-                    alive: AtomicBool::new(true),
-                });
-            }
-        } else {
-            for addr in &spec.shard_addrs {
-                let resolved = addr
-                    .to_socket_addrs()
-                    .map_err(|e| {
-                        SimError::invalid_config(format!("cannot resolve shard `{addr}`: {e}"))
-                    })?
-                    .next()
-                    .ok_or_else(|| {
-                        SimError::invalid_config(format!("shard `{addr}` resolves to no address"))
-                    })?;
-                shards.push(ShardSlot {
-                    addr: resolved,
-                    server: None,
-                    alive: AtomicBool::new(true),
-                });
-            }
+        let mut shards = Vec::with_capacity(spec.shard_addrs.len());
+        for addr in &spec.shard_addrs {
+            let resolved = addr
+                .to_socket_addrs()
+                .map_err(|e| {
+                    SimError::invalid_config(format!("cannot resolve shard `{addr}`: {e}"))
+                })?
+                .next()
+                .ok_or_else(|| {
+                    SimError::invalid_config(format!("shard `{addr}` resolves to no address"))
+                })?;
+            shards.push(ShardSlot {
+                addr: resolved,
+                alive: AtomicBool::new(true),
+            });
         }
         sim_obs::gauge!("cluster.shards_live", shards.len() as f64);
         Ok(Coordinator {
@@ -271,14 +250,6 @@ impl Coordinator {
     #[must_use]
     pub fn addrs(&self) -> Vec<SocketAddr> {
         self.shards.iter().map(|s| s.addr).collect()
-    }
-
-    /// A spawned shard's server state — lets tests and supervisors act
-    /// on a worker directly (e.g. chaos-kill it via shutdown). `None`
-    /// for external shards.
-    #[must_use]
-    pub fn shard_server_state(&self, shard: usize) -> Option<&Arc<ServerState>> {
-        self.shards.get(shard)?.server.as_ref().map(Server::state)
     }
 
     /// Distributed oracular sweep: `strategy`'s candidate grid for `app`
@@ -500,21 +471,6 @@ impl Coordinator {
                 }
             })
             .collect()
-    }
-
-    /// Shuts down every spawned shard and waits for them to drain.
-    /// External shards are left running.
-    pub fn shutdown(mut self) {
-        for slot in &self.shards {
-            if let Some(server) = &slot.server {
-                server.shutdown();
-            }
-        }
-        for slot in self.shards.drain(..) {
-            if let Some(server) = slot.server {
-                server.join();
-            }
-        }
     }
 
     fn live_shards(&self) -> Vec<usize> {
@@ -813,7 +769,7 @@ mod tests {
 
     #[test]
     fn coordinator_requires_a_cluster_section() {
-        let err = match Coordinator::start(Scenario::paper_default(), &ServerConfig::default()) {
+        let err = match Coordinator::start(Scenario::paper_default()) {
             Ok(_) => panic!("paper default has no [cluster] section"),
             Err(e) => e,
         };

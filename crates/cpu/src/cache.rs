@@ -218,9 +218,13 @@ impl Cache {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the line count does not
-    /// match this cache's geometry, a line index is out of range, or an
-    /// LRU timestamp is ahead of the restored clock.
+    /// match this cache's geometry, a line index is out of range, an LRU
+    /// timestamp is ahead of the restored clock, or the clock is above
+    /// `u64::MAX >> 1`.
     pub fn restore_state(&mut self, state: &CacheState) -> Result<(), SimError> {
+        if state.clock > crate::pipeline::COUNTER_LIMIT {
+            return Err(SimError::invalid_config("cache clock out of range"));
+        }
         if state.line_count != self.lines.len() as u64 {
             return Err(SimError::invalid_config(format!(
                 "cache line count mismatch: state has {}, cache has {}",
@@ -490,11 +494,14 @@ impl MemHierarchy {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when a cache's state does not
-    /// fit (see [`Cache::restore_state`]) or more MSHRs are recorded than
-    /// this hierarchy has.
+    /// fit (see [`Cache::restore_state`]), more MSHRs are recorded than
+    /// this hierarchy has, or a reference counter is above `u64::MAX >> 1`.
     pub fn restore_state(&mut self, state: &MemHierarchyState) -> Result<(), SimError> {
         if state.mshrs.len() > self.mshr_capacity {
             return Err(SimError::invalid_config("more MSHRs than capacity"));
+        }
+        if state.l2_inst_refs.max(state.prefetches) > crate::pipeline::COUNTER_LIMIT {
+            return Err(SimError::invalid_config("memory counter out of range"));
         }
         self.l1i.restore_state(&state.l1i)?;
         self.l1d.restore_state(&state.l1d)?;

@@ -982,10 +982,12 @@ mod tests {
     }
 
     /// Parses `text` and restores it into a fresh small processor.
-    fn parse_and_restore(text: &str) -> Result<(), SimError> {
+    fn parse_and_restore(text: &str) -> Result<Processor<SyntheticStream>, SimError> {
         let chk = checkpoint_from_text(text)?;
         let stream = SyntheticStream::restore(App::Gzip.profile(), chk.seed, &chk.stream)?;
-        Processor::new(small_config(), stream)?.restore_state(&chk.pipeline)
+        let mut cpu = Processor::new(small_config(), stream)?;
+        cpu.restore_state(&chk.pipeline)?;
+        Ok(cpu)
     }
 
     #[test]
@@ -1039,22 +1041,94 @@ mod tests {
         );
     }
 
-    /// Seeded corruptions of a canonical checkpoint either parse and
-    /// restore or fail with an error naming a line (or the missing key);
-    /// none panics.
+    /// Seeded corruptions of a canonical checkpoint either fail with an
+    /// error naming a line (or the missing key), or restore into a
+    /// processor that then simulates on without panicking.
     #[test]
     fn corrupted_checkpoints_never_panic() {
         let text = checkpoint_to_text(&small_capture());
         for seed in 0..500 {
             let bad = sim_common::textfmt::corrupt(&text, seed);
-            if let Err(e) = parse_and_restore(&bad) {
-                let msg = e.to_string();
-                let restore_error = checkpoint_from_text(&bad).is_ok();
-                assert!(
-                    restore_error || msg.contains("line ") || msg.contains("missing key"),
-                    "seed {seed}: {msg}"
-                );
+            match parse_and_restore(&bad) {
+                Ok(mut cpu) => {
+                    cpu.run_instructions(3_000);
+                }
+                Err(e) => {
+                    let msg = e.to_string();
+                    let restore_error = checkpoint_from_text(&bad).is_ok();
+                    assert!(
+                        restore_error || msg.contains("line ") || msg.contains("missing key"),
+                        "seed {seed}: {msg}"
+                    );
+                }
             }
+        }
+    }
+
+    /// A checkpoint that parses but breaks causality is refused at
+    /// restore: simulated, each of these would overflow a counter,
+    /// underflow the cycles-since-commit check, or trip the livelock
+    /// backstop.
+    #[test]
+    fn causality_violations_are_refused_at_restore() {
+        let text = checkpoint_to_text(&small_capture());
+        let max = u64::MAX.to_string();
+        let value = |key: &str| {
+            text.lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("`{key}` in the capture"))
+                .to_owned()
+        };
+        let last_commit: u64 = value("pipe.last_commit_cycle").parse().unwrap();
+        let mshr = value("mshr");
+        let mshr_line = mshr.split_whitespace().next().unwrap();
+        for (key, replacement, expect) in [
+            (
+                "pipe.now",
+                (last_commit - 1).to_string(),
+                "last commit is after the current cycle",
+            ),
+            (
+                "pipe.fetch_resume_at",
+                max.clone(),
+                "event scheduled beyond the livelock limit",
+            ),
+            (
+                "mshr",
+                format!("{mshr_line} {max}"),
+                "event scheduled beyond the livelock limit",
+            ),
+            (
+                "mem.counts",
+                format!("{max} 0"),
+                "memory counter out of range",
+            ),
+            ("cache.l2.clock", max.clone(), "cache clock out of range"),
+            (
+                "pipe.committed",
+                max.clone(),
+                "pipeline counter out of range",
+            ),
+        ] {
+            let prefix = format!("{key} ");
+            let mut edited = false;
+            let bad: String = text
+                .lines()
+                .map(|l| {
+                    if !edited && l.starts_with(&prefix) {
+                        edited = true;
+                        format!("{key} {replacement}\n")
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            checkpoint_from_text(&bad).unwrap_or_else(|e| panic!("{key}: {e}"));
+            let err = parse_and_restore(&bad).err().map(|e| e.to_string());
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains(expect)),
+                "{key} {replacement}: {err:?}"
+            );
         }
     }
 }

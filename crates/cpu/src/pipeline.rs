@@ -147,6 +147,11 @@ pub struct PipelineState {
 /// never goes near this).
 const LIVELOCK_LIMIT: u64 = 500_000;
 
+/// Largest counter or clock value a restored checkpoint may carry: half
+/// the `u64` range, so no cycle, sequence or reference count can overflow
+/// in any run a checkpoint resumes.
+pub(crate) const COUNTER_LIMIT: u64 = u64::MAX >> 1;
+
 /// The out-of-order processor: configuration + instruction source +
 /// microarchitectural state.
 ///
@@ -813,9 +818,19 @@ impl<S: InstructionSource> Processor<S> {
     /// Returns [`sim_common::SimError::InvalidConfig`] when the state does
     /// not fit this processor's configuration (structure sizes,
     /// functional-unit counts) — checkpoints are only valid for the exact
-    /// timing configuration that produced them. A failed restore leaves
-    /// the processor unusable.
+    /// timing configuration that produced them — or when it breaks
+    /// causality: a commit after `now`, an event scheduled more than the
+    /// livelock limit past `now`, or a counter above `u64::MAX >> 1`.
+    /// A failed restore leaves the processor unusable.
     pub fn restore_state(&mut self, state: &PipelineState) -> Result<(), sim_common::SimError> {
+        let horizon = state.now.saturating_add(LIVELOCK_LIMIT);
+        let mut events = (state.window.iter().map(|s| s.ready_cycle))
+            .chain(state.fetch_queue.iter().map(|f| f.dispatch_at))
+            .chain(state.mem.mshrs.iter().map(|m| m.ready))
+            .chain([state.fetch_resume_at])
+            .chain(state.int_free.iter().copied())
+            .chain(state.fp_free.iter().copied())
+            .chain(state.agen_free.iter().copied());
         let problem = if state.window.len() > self.config.window_size as usize {
             Some("window larger than configured")
         } else if state.int_free.len() != self.int_free.len() {
@@ -824,6 +839,15 @@ impl<S: InstructionSource> Processor<S> {
             Some("FP unit count mismatch")
         } else if state.agen_free.len() != self.agen_free.len() {
             Some("address-generation unit count mismatch")
+        } else if [state.now, state.seq_next, state.committed]
+            .iter()
+            .any(|&c| c > COUNTER_LIMIT)
+        {
+            Some("pipeline counter out of range")
+        } else if state.last_commit_cycle > state.now {
+            Some("last commit is after the current cycle")
+        } else if events.any(|at| at > horizon) {
+            Some("event scheduled beyond the livelock limit")
         } else {
             None
         };

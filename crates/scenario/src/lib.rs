@@ -273,69 +273,34 @@ impl SurrogateSpec {
 }
 
 /// Distributed-sweep settings of a scenario's optional `[cluster]`
-/// section: how many worker shards a coordinator (`ramp cluster serve`)
-/// spawns or addresses, and the shared evaluation-store directory shard
-/// caches persist to (see `drm::store`). Absent in the paper default — a
-/// scenario without the section serializes without `cluster.` lines,
-/// bit-identically to before the section existed, and everything runs
-/// single-process.
+/// section: the addresses of the `ramp serve` worker shards a
+/// coordinator (`ramp cluster serve`) routes work to. Absent in the paper
+/// default — a scenario without the section serializes without
+/// `cluster.` lines, and everything runs single-process.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterSpec {
-    /// Local worker shards the coordinator spawns (`cluster.shards`).
-    /// `0` is allowed only when explicit addresses are given.
-    pub shards: u32,
-    /// External shard addresses (`cluster.addr`, repeatable, in shard
-    /// order). When present these replace spawned shards.
+    /// Worker shard addresses (`cluster.addr`, repeatable, in shard
+    /// order).
     pub shard_addrs: Vec<String>,
-    /// Shared append-only evaluation-store directory
-    /// (`cluster.store_dir`): shards pre-warm their timing caches from
-    /// every segment in it and append their own.
-    pub store_dir: Option<String>,
 }
 
 impl ClusterSpec {
-    /// The effective shard count: explicit addresses win over spawned
-    /// shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        if self.shard_addrs.is_empty() {
-            self.shards as usize
-        } else {
-            self.shard_addrs.len()
-        }
-    }
-
     /// Validates the cluster shape.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when neither shards nor
-    /// addresses yield at least one worker, when both are given, or when
-    /// an address or the store directory would not survive the
-    /// whitespace-separated text format.
+    /// Returns [`SimError::InvalidConfig`] when no address is given or an
+    /// address would not survive the whitespace-separated text format.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.shards > 0 && !self.shard_addrs.is_empty() {
+        if self.shard_addrs.is_empty() {
             return Err(SimError::invalid_config(
-                "cluster.shards and cluster.addr are mutually exclusive \
-                 (spawned shards or external addresses, not both)",
-            ));
-        }
-        if self.shard_count() == 0 {
-            return Err(SimError::invalid_config(
-                "cluster section declares no workers (add `cluster.shards` or `cluster.addr`)",
+                "cluster section declares no workers (add `cluster.addr`)",
             ));
         }
         for addr in &self.shard_addrs {
             if addr.is_empty() || addr.split_whitespace().count() != 1 {
                 return Err(SimError::invalid_config(
                     "cluster.addr must be a single non-empty token",
-                ));
-            }
-        }
-        if let Some(dir) = &self.store_dir {
-            if dir.is_empty() || dir.split_whitespace().count() != 1 {
-                return Err(SimError::invalid_config(
-                    "cluster.store_dir must be a single non-empty token",
                 ));
             }
         }
@@ -887,33 +852,18 @@ mod tests {
         s.surrogate = Some(SurrogateSpec::default());
         s.validate().unwrap();
 
-        // A cluster section needs at least one worker, exactly one way
-        // of naming them, and token-safe paths/addresses.
+        // A cluster section needs at least one token-safe address.
         let mut s = Scenario::paper_default();
         s.cluster = Some(ClusterSpec::default());
         assert!(s.validate().is_err(), "no workers");
-        let mut s = Scenario::paper_default();
         s.cluster = Some(ClusterSpec {
-            shards: 2,
+            shard_addrs: vec!["two tokens".to_owned()],
+        });
+        assert!(s.validate().is_err(), "an address must be one token");
+        s.cluster = Some(ClusterSpec {
             shard_addrs: vec!["127.0.0.1:7777".to_owned()],
-            store_dir: None,
-        });
-        assert!(s.validate().is_err(), "shards and addrs are exclusive");
-        let mut s = Scenario::paper_default();
-        s.cluster = Some(ClusterSpec {
-            shards: 2,
-            shard_addrs: Vec::new(),
-            store_dir: Some("two tokens".to_owned()),
-        });
-        assert!(s.validate().is_err(), "store_dir must be one token");
-        let mut s = Scenario::paper_default();
-        s.cluster = Some(ClusterSpec {
-            shards: 4,
-            shard_addrs: Vec::new(),
-            store_dir: Some("evalstore".to_owned()),
         });
         s.validate().unwrap();
-        assert_eq!(s.cluster.as_ref().unwrap().shard_count(), 4);
     }
 
     #[test]

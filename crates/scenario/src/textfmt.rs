@@ -139,8 +139,6 @@ static SCHEMA: Schema = Schema {
         "surrogate.enabled",
         "surrogate.top_k",
         "surrogate.calibration_apps",
-        "cluster.shards",
-        "cluster.store_dir",
     ],
     repeated: &[
         "power.pmax",
@@ -436,23 +434,12 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         }
     };
 
-    let cluster_shards = s.opt_value("cluster.shards")?;
-    let cluster_store = s.opt_value("cluster.store_dir")?;
-    let cluster_addrs = s
+    let shard_addrs = s
         .repeated("cluster.addr")
         .iter()
         .map(Line::one)
         .collect::<Result<Vec<String>, _>>()?;
-    let cluster = if cluster_shards.is_none() && cluster_addrs.is_empty() && cluster_store.is_none()
-    {
-        None
-    } else {
-        Some(ClusterSpec {
-            shards: cluster_shards.unwrap_or(0),
-            shard_addrs: cluster_addrs,
-            store_dir: cluster_store,
-        })
-    };
+    let cluster = (!shard_addrs.is_empty()).then_some(ClusterSpec { shard_addrs });
 
     let scenario = Scenario {
         name,
@@ -617,14 +604,8 @@ pub fn scenario_to_text(scenario: &Scenario) -> String {
 
     if let Some(cluster) = &scenario.cluster {
         let _ = writeln!(w, "\n# Distributed sweep fabric");
-        if cluster.shards > 0 {
-            let _ = writeln!(w, "cluster.shards {}", cluster.shards);
-        }
         for addr in &cluster.shard_addrs {
             let _ = writeln!(w, "cluster.addr {addr}");
-        }
-        if let Some(dir) = &cluster.store_dir {
-            let _ = writeln!(w, "cluster.store_dir {dir}");
         }
     }
 
@@ -853,41 +834,26 @@ mod tests {
     fn cluster_section_round_trips_and_validates() {
         let mut s = Scenario::paper_default();
         s.cluster = Some(ClusterSpec {
-            shards: 4,
-            shard_addrs: Vec::new(),
-            store_dir: Some("evalstore/paper".to_owned()),
+            shard_addrs: vec!["127.0.0.1:7101".to_owned(), "127.0.0.1:7102".to_owned()],
         });
         let text = scenario_to_text(&s);
-        assert!(text.contains("cluster.shards 4"), "{text}");
-        assert!(text.contains("cluster.store_dir evalstore/paper"), "{text}");
+        assert!(text.contains("cluster.addr 127.0.0.1:7101"), "{text}");
         let reparsed = scenario_from_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(reparsed, s);
         assert_eq!(scenario_to_text(&reparsed), text);
 
-        // External addresses instead of spawned shards.
-        s.cluster = Some(ClusterSpec {
-            shards: 0,
-            shard_addrs: vec!["127.0.0.1:7101".to_owned(), "127.0.0.1:7102".to_owned()],
-            store_dir: None,
-        });
-        let text = scenario_to_text(&s);
-        assert!(text.contains("cluster.addr 127.0.0.1:7101"), "{text}");
-        assert!(!text.contains("cluster.shards"), "{text}");
-        let reparsed = scenario_from_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        assert_eq!(reparsed, s);
-        assert_eq!(reparsed.cluster.as_ref().unwrap().shard_count(), 2);
-
-        // Shards and addresses together fail scenario validation.
-        let mut text = scenario_to_text(&Scenario::paper_default());
-        text.push_str("cluster.shards 2\ncluster.addr 127.0.0.1:7101\n");
-        let err = scenario_from_text(&text).unwrap_err().to_string();
-        assert!(err.contains("mutually exclusive"), "{err}");
-
-        // A store directory alone declares no workers.
-        let mut text = scenario_to_text(&Scenario::paper_default());
-        text.push_str("cluster.store_dir lonely\n");
-        let err = scenario_from_text(&text).unwrap_err().to_string();
-        assert!(err.contains("declares no workers"), "{err}");
+        // Shard counts and store directories are not scenario settings
+        // (workers are addressed; the store is `ramp serve --store-dir`):
+        // both keys are unknown, reported with their line.
+        for key in ["cluster.shards 2", "cluster.store_dir evalstore"] {
+            let mut text = scenario_to_text(&Scenario::paper_default());
+            let line = text.lines().count() + 1;
+            text.push_str(key);
+            text.push('\n');
+            let err = scenario_from_text(&text).unwrap_err().to_string();
+            assert!(err.contains("unknown key"), "{err}");
+            assert!(err.contains(&format!("line {line}")), "{err}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -90,6 +90,11 @@ pub struct ServerConfig {
     /// Overrides every scenario's own [`EvalParams`] (e.g. the CLI's
     /// `--quick`).
     pub eval: Option<EvalParams>,
+    /// Append-only evaluation-store directory (`drm::store`) for the
+    /// startup scenario's engine: its timing cache pre-warms from every
+    /// segment there and appends its own. Uploaded scenarios never
+    /// attach it.
+    pub store_dir: Option<PathBuf>,
     /// Telemetry tick: how often the window ring snapshots the metric
     /// registry and the scenario's SLOs are re-evaluated. `None`
     /// disables live telemetry (no ring, no ticker thread, no `slo.*`
@@ -110,6 +115,7 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(300),
             stop_file: None,
             eval: None,
+            store_dir: None,
             telemetry_tick: Some(Duration::from_secs(1)),
         }
     }
@@ -217,13 +223,14 @@ impl EngineSlot {
         text: String,
         eval: Option<EvalParams>,
         jobs: usize,
+        store_dir: Option<&Path>,
     ) -> Result<EngineSlot, SimError> {
         scenario.validate()?;
         let params = eval.unwrap_or(scenario.eval);
         let mut engine = BatchEngine::with_workers(scenario.evaluator_with(params)?, jobs)
             .with_base_config(scenario.core.clone());
-        if let Some(dir) = scenario.cluster.as_ref().and_then(|c| c.store_dir.as_ref()) {
-            // Each engine appends to its own segment — shards sharing a
+        if let Some(dir) = store_dir {
+            // Each server appends to its own segment — workers sharing a
             // store directory (even in one process) must never interleave
             // writes — while `open_dir` pre-warms from every segment.
             static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -233,7 +240,7 @@ impl EngineSlot {
                 std::process::id(),
                 STORE_SEQ.fetch_add(1, Ordering::Relaxed)
             );
-            engine = engine.with_store(EvalStore::open_dir(std::path::Path::new(dir), &label)?);
+            engine = engine.with_store(EvalStore::open_dir(dir, &label)?);
         }
         let surrogate = match &scenario.surrogate {
             Some(spec) if spec.enabled => Some(Arc::new(Surrogate::new(spec.params())?)),
@@ -429,9 +436,19 @@ impl ServerState {
 
     /// Installs an uploaded scenario under `name`. Re-uploading the
     /// same text is idempotent; a different scenario under a taken name
-    /// is refused.
+    /// is refused, and so is any scenario naming a path on this host
+    /// (a network client must not choose where the server writes).
     fn install(&self, name: &str, text: &str) -> Result<Arc<EngineSlot>, SimError> {
         let scenario = Scenario::from_text(text)?;
+        if scenario
+            .slice
+            .as_ref()
+            .is_some_and(|s| s.checkpoint_dir.is_some())
+        {
+            return Err(SimError::invalid_config(
+                "uploaded scenarios may not set slice.checkpoint_dir",
+            ));
+        }
         let mut registry = self.registry.lock().expect("registry lock poisoned");
         if let Some(existing) = registry.get(name) {
             if existing.text == text {
@@ -446,6 +463,7 @@ impl ServerState {
             text.to_owned(),
             self.config.eval,
             self.config.jobs,
+            None,
         )?);
         registry.insert(name.to_owned(), Arc::clone(&slot));
         Ok(slot)
@@ -477,6 +495,7 @@ impl Server {
             scenario.to_text(),
             config.eval,
             config.jobs,
+            config.store_dir.as_deref(),
         )?);
         let mut registry = HashMap::new();
         registry.insert(scenario.name.clone(), Arc::clone(&slot));

@@ -79,27 +79,15 @@ echo "$server_report" | grep -q 'requests (lines received)' \
 echo "$server_report" | grep -q 'service-level objectives' \
   || { echo "error: server trace lacks the report's SLO section" >&2; exit 1; }
 
-echo "== cluster smoke: coordinator + 2 shards, parity vs direct, shard-kill recovery, clean drain =="
-# A spawned 2-shard fabric on ephemeral ports: the folded choice must be
-# byte-identical to the direct single-process sweep of the same grid.
-cluster_out="$(./target/release/ramp cluster serve --app gzip --strategy dvs --quick --shards 2)"
-echo "$cluster_out" | grep -q '^cluster: 2 shard(s)' \
-  || { echo "error: cluster serve did not spawn 2 shards" >&2; exit 1; }
-echo "$cluster_out" | grep -q '11 unique point(s), 0 re-dispatched' \
-  || { echo "error: cluster serve routed an unexpected grid" >&2; exit 1; }
-echo "$cluster_out" | grep -q '^cluster: drained 2 shard(s)' \
-  || { echo "error: cluster serve did not drain cleanly" >&2; exit 1; }
-cluster_choice="$(echo "$cluster_out" | sed -n 's/^  configuration  //p')"
-direct_choice="$(./target/release/ramp drm --app gzip --strategy dvs --quick \
-  | sed -n 's/^  configuration  //p')"
-[ -n "$cluster_choice" ] && [ "$cluster_choice" = "$direct_choice" ] \
-  || { echo "error: cluster choice '$cluster_choice' != direct '$direct_choice'" >&2; exit 1; }
-# External-shard path + status: serve two workers, sweep across them by
-# address, poll their merge counters, then shut them down.
+echo "== cluster smoke: coordinator + 2 ramp serve workers, parity vs direct, store, status =="
+# Two workers on ephemeral ports; worker A persists its timing runs to a
+# scratch evaluation store. The folded sweep choice and fleet summary
+# must be byte-identical to the direct single-process runs.
 shard_a_log="$(mktemp -t ramp-check-shard-a-XXXXXX.log)"
 shard_b_log="$(mktemp -t ramp-check-shard-b-XXXXXX.log)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$shard_a_log" "$shard_b_log"' EXIT
-./target/release/ramp serve --addr 127.0.0.1:0 --quick >"$shard_a_log" &
+store_dir="$(mktemp -d -t ramp-check-store-XXXXXX)"
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$shard_a_log" "$shard_b_log"; rm -rf "$store_dir"' EXIT
+./target/release/ramp serve --addr 127.0.0.1:0 --quick --store-dir "$store_dir" >"$shard_a_log" &
 shard_a_pid=$!
 ./target/release/ramp serve --addr 127.0.0.1:0 --quick >"$shard_b_log" &
 shard_b_pid=$!
@@ -112,30 +100,38 @@ for _ in $(seq 1 100); do
 done
 [ -n "$shard_a" ] && [ -n "$shard_b" ] \
   || { echo "error: worker shards never reported their addresses" >&2; exit 1; }
-ext_out="$(./target/release/ramp cluster serve --app gzip --strategy dvs --quick --addr "$shard_a,$shard_b")"
-ext_choice="$(echo "$ext_out" | sed -n 's/^  configuration  //p')"
-[ "$ext_choice" = "$direct_choice" ] \
-  || { echo "error: external-shard choice '$ext_choice' != direct '$direct_choice'" >&2; exit 1; }
+cluster_out="$(./target/release/ramp cluster serve --app gzip --strategy dvs --addr "$shard_a,$shard_b")"
+echo "$cluster_out" | grep -q '^cluster: 2 shard(s)' \
+  || { echo "error: cluster serve did not address 2 shards" >&2; exit 1; }
+echo "$cluster_out" | grep -q '11 unique point(s), 0 re-dispatched' \
+  || { echo "error: cluster serve routed an unexpected grid" >&2; exit 1; }
+cluster_choice="$(echo "$cluster_out" | sed -n 's/^  configuration  //p')"
+direct_choice="$(./target/release/ramp drm --app gzip --strategy dvs --quick \
+  | sed -n 's/^  configuration  //p')"
+[ -n "$cluster_choice" ] && [ "$cluster_choice" = "$direct_choice" ] \
+  || { echo "error: cluster choice '$cluster_choice' != direct '$direct_choice'" >&2; exit 1; }
 ./target/release/ramp cluster status --addr "$shard_a,$shard_b" | grep -c 'evaluations' | grep -q '^2$' \
   || { echo "error: cluster status did not report both shards" >&2; exit 1; }
-./target/release/ramp client --addr "$shard_a" shutdown >/dev/null
-./target/release/ramp client --addr "$shard_b" shutdown >/dev/null
-wait "$shard_a_pid" "$shard_b_pid"
+stored="$(./target/release/ramp cluster status --addr "$shard_a" | sed -n 's/.* \([0-9][0-9]*\) stored .*/\1/p')"
+[ -n "$stored" ] && [ "$stored" -gt 0 ] \
+  || { echo "error: the --store-dir worker stored no timing runs ('$stored')" >&2; exit 1; }
 # The sharded fleet folds the same percentiles the direct run prints.
-cluster_fleet="$(./target/release/ramp cluster fleet --app twolf --dies 20000 --quick --shards 2 \
+cluster_fleet="$(./target/release/ramp cluster fleet --app twolf --dies 20000 --addr "$shard_a,$shard_b" \
   | grep -E '^  (FIT|lifetime|violations)')"
 direct_fleet="$(./target/release/ramp fleet --app twolf --dies 20000 --quick \
   | grep -E '^  (FIT|lifetime|violations)')"
 [ -n "$cluster_fleet" ] && [ "$cluster_fleet" = "$direct_fleet" ] \
   || { echo "error: sharded fleet summary differs from direct" >&2; exit 1; }
+./target/release/ramp client --addr "$shard_a" shutdown >/dev/null
+./target/release/ramp client --addr "$shard_b" shutdown >/dev/null
+wait "$shard_a_pid" "$shard_b_pid"
 # Shard-death recovery and bit-level parity (including mid-sweep kill and
-# store pre-warm) are pinned deterministically by the cargo test suite.
-cargo test -q --offline -p sim-cluster --test cluster_parity
+# store pre-warm) are pinned by tests/cluster_parity.rs in the test step.
 
 echo "== checkpoint smoke: cut checkpoints, inspect them, run a sliced fit =="
 ckpt_dir="$(mktemp -d -t ramp-check-ckpt-XXXXXX)"
 slice_scn="$(mktemp -t ramp-check-slice-XXXXXX.scn)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$shard_a_log" "$shard_b_log" "$slice_scn"; rm -rf "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$shard_a_log" "$shard_b_log" "$slice_scn"; rm -rf "$store_dir" "$ckpt_dir"' EXIT
 # A slice-enabled scenario: the paper default plus a [slice] section
 # pointing at a scratch checkpoint directory.
 ./target/release/ramp scenario print > "$slice_scn"
@@ -163,76 +159,8 @@ plain_drm="$(./target/release/ramp drm --app gzip --strategy dvs --quick)"
 [ "$surr_drm" = "$plain_drm" ] \
   || { echo "error: surrogate-enabled drm differs from exhaustive" >&2; exit 1; }
 
-echo "== microbench smoke: pipeline bench emits a valid BENCH_pipeline.json =="
-rm -f BENCH_pipeline.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench pipeline_end_to_end
-[ -s BENCH_pipeline.json ] || { echo "error: BENCH_pipeline.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-pipeline/1"' BENCH_pipeline.json \
-  || { echo "error: BENCH_pipeline.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"sweep.reuse_speedup":' BENCH_pipeline.json \
-  || { echo "error: BENCH_pipeline.json missing sweep metrics" >&2; exit 1; }
-
-echo "== load-generator smoke: server bench emits a valid BENCH_server.json =="
-rm -f BENCH_server.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench server_load
-[ -s BENCH_server.json ] || { echo "error: BENCH_server.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-server/1"' BENCH_server.json \
-  || { echo "error: BENCH_server.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"server.throughput_8c_rps":' BENCH_server.json \
-  || { echo "error: BENCH_server.json missing throughput metrics" >&2; exit 1; }
-
-echo "== fleet bench smoke: population bench emits a valid BENCH_fleet.json =="
-rm -f BENCH_fleet.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench fleet
-[ -s BENCH_fleet.json ] || { echo "error: BENCH_fleet.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-fleet/1"' BENCH_fleet.json \
-  || { echo "error: BENCH_fleet.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"fleet.dies_per_sec_1w":' BENCH_fleet.json \
-  || { echo "error: BENCH_fleet.json missing throughput metrics" >&2; exit 1; }
-
-echo "== telemetry bench smoke: obs bench emits a valid BENCH_obs.json =="
-rm -f BENCH_obs.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench obs_telemetry
-[ -s BENCH_obs.json ] || { echo "error: BENCH_obs.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-obs/1"' BENCH_obs.json \
-  || { echo "error: BENCH_obs.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"obs.telemetry_overhead_pct":' BENCH_obs.json \
-  || { echo "error: BENCH_obs.json missing overhead metrics" >&2; exit 1; }
-
-echo "== slice bench smoke: sliced-evaluation bench emits a valid BENCH_slice.json =="
-rm -f BENCH_slice.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench slice
-[ -s BENCH_slice.json ] || { echo "error: BENCH_slice.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-slice/1"' BENCH_slice.json \
-  || { echo "error: BENCH_slice.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"slice.speedup_4w":' BENCH_slice.json \
-  || { echo "error: BENCH_slice.json missing speedup metrics" >&2; exit 1; }
-
-echo "== surrogate bench smoke: two-phase search bench emits a valid BENCH_surrogate.json =="
-# The bench itself asserts the two claims (bit-identical choices, ≥ 10×
-# speedup); the gates below pin the report format.
-rm -f BENCH_surrogate.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench surrogate
-[ -s BENCH_surrogate.json ] || { echo "error: BENCH_surrogate.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-surrogate/1"' BENCH_surrogate.json \
-  || { echo "error: BENCH_surrogate.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"surrogate.speedup":' BENCH_surrogate.json \
-  || { echo "error: BENCH_surrogate.json missing speedup metrics" >&2; exit 1; }
-grep -q '"surrogate.identical_choices":1' BENCH_surrogate.json \
-  || { echo "error: BENCH_surrogate.json does not attest identical choices" >&2; exit 1; }
-
-echo "== cluster bench smoke: fabric scaling bench emits a valid BENCH_cluster.json =="
-# Parity is asserted unconditionally inside the bench; the >1.5x 4-shard
-# scaling claim is asserted there only on hosts with >= 4 cores.
-rm -f BENCH_cluster.json
-RAMP_FAST=1 cargo bench --offline -p bench-suite --bench cluster
-[ -s BENCH_cluster.json ] || { echo "error: BENCH_cluster.json missing or empty" >&2; exit 1; }
-grep -q '"schema":"ramp-bench-cluster/1"' BENCH_cluster.json \
-  || { echo "error: BENCH_cluster.json malformed (schema marker absent)" >&2; exit 1; }
-grep -q '"cluster.scaling_4_shards":' BENCH_cluster.json \
-  || { echo "error: BENCH_cluster.json missing scaling metrics" >&2; exit 1; }
-grep -q '"cluster.parity":1' BENCH_cluster.json \
-  || { echo "error: BENCH_cluster.json does not attest fold parity" >&2; exit 1; }
+echo "== paper driver smoke: the bench-suite library still runs a table =="
+RAMP_FAST=1 ./target/release/table1 >/dev/null
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings

@@ -4,6 +4,9 @@
 //! be bit-identical to a single in-process engine — and a shard
 //! restarted against a populated evaluation store must answer stored
 //! points without re-running timing.
+//!
+//! The shards are real `Server`s on ephemeral loopback ports, addressed
+//! through `cluster.addr` exactly as external `ramp serve` workers are.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -16,7 +19,7 @@ use drm::{
 };
 use scenario::{ClusterSpec, Scenario};
 use sim_cluster::{ClusterEvent, ClusterSweep, Coordinator};
-use sim_server::{Client, ServerConfig};
+use sim_server::{Server, ServerConfig};
 use workload::App;
 
 /// Evaluation lengths small enough that a full parity pass stays in CI
@@ -43,16 +46,31 @@ fn direct_evaluator() -> Evaluator {
         .expect("evaluator")
 }
 
-/// A paper-default scenario with a `[cluster]` section bolted on.
-fn cluster_scenario(shards: u32, store_dir: Option<&std::path::Path>) -> Scenario {
+/// Starts `n` paper-default worker shards on ephemeral ports and a
+/// coordinator addressing them through the scenario's `[cluster]`
+/// section.
+fn start_cluster(n: usize, config: &ServerConfig) -> (Vec<Server>, Coordinator) {
+    let servers: Vec<Server> = (0..n)
+        .map(|_| {
+            Server::start(Scenario::paper_default(), config.clone(), "127.0.0.1:0")
+                .expect("shard start")
+        })
+        .collect();
     let mut scn = Scenario::paper_default();
     scn.cluster = Some(ClusterSpec {
-        shards,
-        shard_addrs: Vec::new(),
-        store_dir: store_dir.map(|d| d.to_string_lossy().into_owned()),
+        shard_addrs: servers.iter().map(|s| s.local_addr().to_string()).collect(),
     });
-    scn.validate().expect("cluster scenario validates");
-    scn
+    (servers, Coordinator::start(scn).expect("coordinator start"))
+}
+
+/// Shuts every shard down and waits for them to drain.
+fn stop(servers: Vec<Server>) {
+    for server in &servers {
+        server.shutdown();
+    }
+    for server in servers {
+        server.join();
+    }
 }
 
 /// The direct single-process reference: one 1-worker engine evaluates
@@ -138,16 +156,15 @@ fn assert_parity(label: &str, cluster: &ClusterSweep, direct: &(DrmChoice, Sweep
 #[test]
 fn sharded_sweep_matches_direct_at_any_shard_count() {
     let direct = direct_reference(App::Gzip, Strategy::Dvs);
-    for shards in [2u32, 4] {
-        let cluster = Coordinator::start(cluster_scenario(shards, None), &tiny_config())
-            .expect("coordinator start");
+    for shards in [2, 4] {
+        let (servers, cluster) = start_cluster(shards, &tiny_config());
         let swept = cluster
             .sweep(App::Gzip, Strategy::Dvs, None)
             .expect("cluster sweep");
         assert_eq!(swept.redispatched, 0, "{shards} shards: healthy run");
-        assert_eq!(swept.summary.workers, shards as usize);
+        assert_eq!(swept.summary.workers, shards);
         assert_parity(&format!("{shards} shards"), &swept, &direct);
-        cluster.shutdown();
+        stop(servers);
     }
 }
 
@@ -164,23 +181,21 @@ fn killing_a_shard_mid_sweep_preserves_parity() {
         read_timeout: POLL,
         ..tiny_config()
     };
-    let mut cluster =
-        Coordinator::start(cluster_scenario(2, None), &config).expect("coordinator start");
-    let addrs = cluster.addrs();
+    let (servers, mut cluster) = start_cluster(2, &config);
+    let servers = Arc::new(servers);
 
     let killed = Arc::new(AtomicBool::new(false));
     let deaths = Arc::new(AtomicUsize::new(0));
     {
         let killed = Arc::clone(&killed);
         let deaths = Arc::clone(&deaths);
+        let servers = Arc::clone(&servers);
         cluster.set_observer(move |event| match *event {
             ClusterEvent::UnitDone { shard, .. } => {
                 // Assassinate whichever shard answers first, right after
                 // its first unit — mid-queue, results already produced.
                 if !killed.swap(true, Ordering::SeqCst) {
-                    let mut assassin = Client::connect(addrs[shard]).expect("assassin connect");
-                    let reply = assassin.request("shutdown").expect("shutdown request");
-                    assert!(reply.is_ok(), "{}", reply.raw);
+                    servers[shard].shutdown();
                     std::thread::sleep(3 * POLL);
                 }
             }
@@ -202,11 +217,13 @@ fn killing_a_shard_mid_sweep_preserves_parity() {
         &swept,
         &direct_reference(App::Gzip, Strategy::Dvs),
     );
-    cluster.shutdown();
+    drop(cluster);
+    stop(Arc::into_inner(servers).expect("the observer released the shards"));
 }
 
 /// A populated evaluation store makes restarts cheap: a fresh cluster
-/// (at a different shard count) pre-warms from the shared directory and
+/// (at a different shard count) whose workers open the same
+/// `ServerConfig::store_dir` pre-warms from the shared directory and
 /// answers its first sweep with zero new timing runs — and still the
 /// exact direct bits.
 #[test]
@@ -215,10 +232,13 @@ fn restarted_cluster_prewarms_from_the_shared_store() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("store dir");
     let direct = direct_reference(App::Gzip, Strategy::Dvs);
+    let config = ServerConfig {
+        store_dir: Some(dir.clone()),
+        ..tiny_config()
+    };
 
     // Cold 2-shard run: every timing run lands in the shared store.
-    let cold = Coordinator::start(cluster_scenario(2, Some(&dir)), &tiny_config())
-        .expect("cold coordinator");
+    let (servers, cold) = start_cluster(2, &config);
     let first = cold
         .sweep(App::Gzip, Strategy::Dvs, None)
         .expect("cold sweep");
@@ -234,12 +254,11 @@ fn restarted_cluster_prewarms_from_the_shared_store() {
         stored, first.summary.timing_runs,
         "every timing run must be persisted"
     );
-    cold.shutdown();
+    stop(servers);
 
     // Restart at a different shard count against the same directory:
     // pre-warmed timing caches answer everything without simulating.
-    let warm = Coordinator::start(cluster_scenario(4, Some(&dir)), &tiny_config())
-        .expect("warm coordinator");
+    let (servers, warm) = start_cluster(4, &config);
     let second = warm
         .sweep(App::Gzip, Strategy::Dvs, None)
         .expect("warm sweep");
@@ -256,6 +275,7 @@ fn restarted_cluster_prewarms_from_the_shared_store() {
         "the evaluation cache is per-process: points re-evaluate (cheaply)"
     );
     assert_eq!(second.choice, first.choice, "the decision must not move");
+    stop(servers);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -285,8 +305,7 @@ fn sharded_fleet_matches_direct_population() {
     )
     .expect("direct fleet");
 
-    let cluster =
-        Coordinator::start(cluster_scenario(2, None), &tiny_config()).expect("coordinator start");
+    let (servers, cluster) = start_cluster(2, &tiny_config());
     let fleet = cluster.fleet(App::Twolf, &config).expect("cluster fleet");
     assert_eq!(fleet.batches, 3, "10k dies split into three 4096-die units");
     assert_eq!(fleet.redispatched, 0);
@@ -303,5 +322,5 @@ fn sharded_fleet_matches_direct_population() {
         Err(e) => e,
     };
     assert!(err.to_string().contains("variation"), "{err}");
-    cluster.shutdown();
+    stop(servers);
 }

@@ -501,6 +501,38 @@ fn scenario_upload_round_trips() {
     assert_eq!(missing.status, Status::Err, "{}", missing.raw);
 }
 
+/// A network client cannot choose where the server writes: an uploaded
+/// scenario naming a checkpoint directory is refused with one `err`
+/// line, nothing is created, and the connection keeps serving.
+#[test]
+fn upload_naming_a_path_is_refused() {
+    let dir = std::env::temp_dir().join(format!("ramp-upload-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = start_server(tiny_config());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut evil = Scenario::paper_default();
+    evil.slice = Some(scenario::SliceSpec {
+        instructions: 2 * evil.eval.interval_instructions,
+        checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
+    });
+
+    let upload = client
+        .upload_scenario("evil", &evil.to_text())
+        .expect("upload");
+    assert_eq!(upload.status, Status::Err, "{}", upload.raw);
+    assert!(
+        upload.raw.contains("slice.checkpoint_dir"),
+        "{}",
+        upload.raw
+    );
+    let eval = client
+        .request("eval gzip scenario=evil")
+        .expect("eval through the refused scenario");
+    assert_eq!(eval.status, Status::Err, "{}", eval.raw);
+    assert!(!dir.exists(), "a refused upload must not touch the disk");
+    client.ping().expect("ping after the refused upload");
+}
+
 /// `stats` reports wall-clock uptime (monotonically advancing) and the
 /// instantaneous queue depth alongside the traffic counters.
 #[test]

@@ -164,3 +164,41 @@ fn shared_surrogate_across_oracles_is_bit_identical() {
     // One calibration serves both rounds.
     assert_eq!(shared.calibrated_apps(), 1);
 }
+
+/// The surrogate earns its keep in timing runs, the deterministic half of
+/// its speedup: over the full 198-candidate ArchDVS grid at one worker it
+/// promotes only a handful of candidates into the cycle-level simulator,
+/// under a quarter of what the exhaustive search simulates. Measured
+/// before this test existed, at these settings: exhaustive 198 timing
+/// runs, surrogate 14.
+#[test]
+fn surrogate_pays_under_a_quarter_of_the_timing_runs() {
+    // Shorter runs than `quick()`: the counts, not the bits, are checked.
+    const TINY: EvalParams = EvalParams {
+        warmup_instructions: 5_000,
+        measure_instructions: 20_000,
+        interval_instructions: 5_000,
+        seed: 3,
+        leakage_iterations: 2,
+        prewarm_bytes: 1 << 20,
+    };
+    let m = model(370.0);
+    let timing_runs = |surrogate: bool| {
+        let o = Oracle::with_workers(Evaluator::ibm_65nm(TINY).expect("evaluator"), 1);
+        let o = if surrogate {
+            o.with_surrogate(SurrogateParams::default())
+                .expect("surrogate params")
+        } else {
+            o
+        };
+        o.best(App::Gzip, Strategy::ArchDvs, &m, 0.25)
+            .expect("ArchDVS search");
+        o.summary().timing_runs
+    };
+    let (exhaustive, two_phase) = (timing_runs(false), timing_runs(true));
+    assert_eq!(exhaustive, 198, "one timing run per ArchDVS candidate");
+    assert!(
+        4 * two_phase < exhaustive,
+        "surrogate paid {two_phase} timing runs, exhaustive {exhaustive}"
+    );
+}
