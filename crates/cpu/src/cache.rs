@@ -43,12 +43,46 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One way of a set in 16 bytes: `tag == INVALID_TAG` marks an empty
+/// way, and `stamp` holds the LRU timestamp with the dirty flag in bit 63
+/// (clocks stay below `u64::MAX >> 1`, so a timestamp never reaches it).
+#[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
+    stamp: u64,
+}
+
+/// The tag of an empty way. No address maps to it: `Cache::new` refuses
+/// the one geometry (1-byte lines in a single set) whose tags span the
+/// whole `u64` range.
+const INVALID_TAG: u64 = u64::MAX;
+const DIRTY: u64 = 1 << 63;
+const _: () = assert!(std::mem::size_of::<Line>() == 16);
+
+impl Line {
+    const EMPTY: Line = Line {
+        tag: INVALID_TAG,
+        stamp: 0,
+    };
+
+    fn new(tag: u64, dirty: bool, lru: u64) -> Line {
+        Line {
+            tag,
+            stamp: (lru & !DIRTY) | if dirty { DIRTY } else { 0 },
+        }
+    }
+
+    fn valid(&self) -> bool {
+        self.tag != INVALID_TAG
+    }
+
+    fn dirty(&self) -> bool {
+        self.stamp & DIRTY != 0
+    }
+
+    fn lru(&self) -> u64 {
+        self.stamp & !DIRTY
+    }
 }
 
 /// One valid cache line's warm state, captured at a slice boundary.
@@ -111,11 +145,17 @@ impl Cache {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the geometry
-    /// fails [`CacheConfig::validate`].
+    /// fails [`CacheConfig::validate`], or is a single set of 1-byte
+    /// lines.
     pub fn new(config: CacheConfig) -> Result<Cache, SimError> {
         let sets = config.sets()?;
+        if sets == 1 && config.line_bytes == 1 {
+            return Err(SimError::invalid_config(
+                "cache: a single set needs lines of at least 2 bytes",
+            ));
+        }
         Ok(Cache {
-            lines: vec![Line::default(); (sets * config.assoc as u64) as usize],
+            lines: vec![Line::EMPTY; (sets * config.assoc as u64) as usize],
             assoc: config.assoc as usize,
             set_count: sets,
             line_shift: config.line_bytes.trailing_zeros(),
@@ -147,9 +187,8 @@ impl Cache {
         let base = set * self.assoc;
         let ways = &mut self.lines[base..base + self.assoc];
 
-        if let Some(way) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            way.lru = self.clock;
-            way.dirty |= write;
+        if let Some(way) = ways.iter_mut().find(|l| l.tag == tag) {
+            *way = Line::new(tag, way.dirty() || write, self.clock);
             self.stats.hits += 1;
             return Lookup::Hit;
         }
@@ -158,18 +197,13 @@ impl Cache {
         // Victim: an invalid way, else true LRU.
         let victim = ways
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .min_by_key(|l| if l.valid() { l.lru() + 1 } else { 0 })
             .expect("associativity is non-zero");
-        let writeback = victim.valid && victim.dirty;
+        let writeback = victim.valid() && victim.dirty();
         if writeback {
             self.stats.writebacks += 1;
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.clock,
-        };
+        *victim = Line::new(tag, write, self.clock);
         Lookup::Miss { writeback }
     }
 
@@ -181,7 +215,7 @@ impl Cache {
         let base = set * self.assoc;
         self.lines[base..base + self.assoc]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.tag == tag)
     }
 
     /// Accumulated statistics.
@@ -201,12 +235,12 @@ impl Cache {
             line_count: self.lines.len() as u64,
             lines: (0..)
                 .zip(&self.lines)
-                .filter(|(_, l)| l.valid)
+                .filter(|(_, l)| l.valid())
                 .map(|(index, l)| CacheLineState {
                     index,
                     tag: l.tag,
-                    dirty: l.dirty,
-                    lru: l.lru,
+                    dirty: l.dirty(),
+                    lru: l.lru(),
                 })
                 .collect(),
             clock: self.clock,
@@ -218,9 +252,9 @@ impl Cache {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the line count does not
-    /// match this cache's geometry, a line index is out of range, an LRU
-    /// timestamp is ahead of the restored clock, or the clock is above
-    /// `u64::MAX >> 1`.
+    /// match this cache's geometry, a line index is out of range, a tag is
+    /// `u64::MAX` (the empty-way marker), an LRU timestamp is ahead of the
+    /// restored clock, or the clock is above `u64::MAX >> 1`.
     pub fn restore_state(&mut self, state: &CacheState) -> Result<(), SimError> {
         if state.clock > crate::pipeline::COUNTER_LIMIT {
             return Err(SimError::invalid_config("cache clock out of range"));
@@ -239,20 +273,18 @@ impl Cache {
                     l.index
                 )));
             }
+            if l.tag == INVALID_TAG {
+                return Err(SimError::invalid_config("cache line tag out of range"));
+            }
             if l.lru > state.clock {
                 return Err(SimError::invalid_config(
                     "LRU timestamp ahead of the cache clock",
                 ));
             }
         }
-        self.lines.fill(Line::default());
+        self.lines.fill(Line::EMPTY);
         for l in &state.lines {
-            self.lines[l.index as usize] = Line {
-                tag: l.tag,
-                valid: true,
-                dirty: l.dirty,
-                lru: l.lru,
-            };
+            self.lines[l.index as usize] = Line::new(l.tag, l.dirty, l.lru);
         }
         self.clock = state.clock;
         Ok(())
@@ -721,6 +753,19 @@ mod tests {
     }
 
     #[test]
+    fn single_set_of_byte_lines_is_refused() {
+        // Its tags would span the whole `u64` range, empty-way marker
+        // included.
+        let config = CacheConfig {
+            size_bytes: 2,
+            assoc: 2,
+            line_bytes: 1,
+        };
+        let err = Cache::new(config).unwrap_err().to_string();
+        assert!(err.contains("at least 2 bytes"), "{err}");
+    }
+
+    #[test]
     fn restore_rejects_wrong_geometry() {
         let state = Cache::new(small()).unwrap().state();
         let mut other = Cache::new(CacheConfig {
@@ -745,6 +790,10 @@ mod tests {
         bad.clock = 0;
         let err = cache.restore_state(&bad).unwrap_err().to_string();
         assert!(err.contains("LRU timestamp ahead"), "{err}");
+        let mut bad = good.clone();
+        bad.lines[0].tag = u64::MAX;
+        let err = cache.restore_state(&bad).unwrap_err().to_string();
+        assert!(err.contains("tag out of range"), "{err}");
         cache.restore_state(&good).unwrap();
         assert_eq!(cache.state(), good);
     }

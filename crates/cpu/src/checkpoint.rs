@@ -1067,8 +1067,9 @@ mod tests {
 
     /// A checkpoint that parses but breaks causality is refused at
     /// restore: simulated, each of these would overflow a counter,
-    /// underflow the cycles-since-commit check, or trip the livelock
-    /// backstop.
+    /// underflow the cycles-since-commit check, trip the livelock
+    /// backstop, index a register file out of range, or misplace a window
+    /// entry.
     #[test]
     fn causality_violations_are_refused_at_restore() {
         let text = checkpoint_to_text(&small_capture());
@@ -1082,7 +1083,40 @@ mod tests {
         let last_commit: u64 = value("pipe.last_commit_cycle").parse().unwrap();
         let mshr = value("mshr");
         let mshr_line = mshr.split_whitespace().next().unwrap();
+        // The first window entry with value `k` replaced.
+        let window = |k: usize, token: &str| {
+            let first = value("window");
+            let mut tokens: Vec<&str> = first.split_whitespace().collect();
+            tokens[k] = token;
+            tokens.join(" ")
+        };
+        let seq: u64 = value("window")
+            .split_whitespace()
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
         for (key, replacement, expect) in [
+            (
+                "window",
+                window(3, "i9999"),
+                "physical register out of range",
+            ),
+            (
+                "window",
+                window(4, "i9999"),
+                "physical register out of range",
+            ),
+            (
+                "window",
+                window(5, "f9999"),
+                "physical register out of range",
+            ),
+            (
+                "window",
+                window(0, &(seq + 1_000).to_string()),
+                "sequence numbers are not consecutive",
+            ),
             (
                 "pipe.now",
                 (last_commit - 1).to_string(),

@@ -11,10 +11,20 @@
 //! correct path, so a branch misprediction is modeled as a fetch stall from
 //! the mispredicted branch's fetch until it resolves plus a redirect
 //! penalty, rather than by executing wrong-path work.
+//!
+//! Issue and completion are event driven rather than window scans. Issued
+//! slots wait in a completion queue keyed by `(ready_cycle, seq)`. A
+//! dispatched slot counts its sources that are not yet ready and links
+//! itself onto each such physical register's wakeup list; writeback walks
+//! the list, and a slot whose count reaches zero joins the ready set,
+//! which issue drains in sequence order. Both orders match a full scan of
+//! the window, so predictor training, register writes and issue priority
+//! stay in program order.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use workload::{InstructionSource, MicroOp, OpClass};
+use workload::{InstructionSource, MicroOp, OpClass, RegClass};
 
 use crate::bpred::{Bpred, BpredState};
 use crate::cache::{DataAccess, MemHierarchy, MemHierarchyState, MemLatencies};
@@ -29,6 +39,9 @@ enum SlotState {
     Done,
 }
 
+/// End of a wakeup list (sequence numbers stay below `COUNTER_LIMIT`).
+const NO_SLOT: u64 = u64::MAX;
+
 #[derive(Debug, Clone)]
 struct Slot {
     seq: u64,
@@ -38,6 +51,10 @@ struct Slot {
     srcs: [Option<PhysReg>; 2],
     state: SlotState,
     ready_cycle: u64,
+    /// Distinct sources still waiting for their producer.
+    unready_srcs: u8,
+    /// Next waiter (by sequence number) on the wakeup list of `srcs[k]`.
+    next_waiter: [u64; 2],
 }
 
 #[derive(Debug, Clone)]
@@ -199,6 +216,16 @@ pub struct Processor<S> {
     mem_in_window: u32,
     store_addrs: HashMap<u64, u32>,
 
+    /// Issued slots as `(ready_cycle, seq)`, earliest first.
+    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Scratch: the sequence numbers completing this cycle.
+    due: Vec<u64>,
+    /// Waiting slots whose sources are all ready, ascending by `seq`.
+    ready: Vec<u64>,
+    /// Head of each physical register's wakeup list (integer file, then
+    /// FP), or `NO_SLOT`.
+    wakeup_heads: Vec<u64>,
+
     counters: ActivityCounters,
     interval_start_cycle: u64,
     interval_start_committed: u64,
@@ -246,7 +273,11 @@ impl<S: InstructionSource> Processor<S> {
             fp_free: vec![0; config.fpus as usize],
             agen_free: vec![0; config.addr_gens as usize],
             mem_in_window: 0,
-            store_addrs: HashMap::new(),
+            store_addrs: HashMap::with_capacity(config.mem_queue as usize),
+            completions: BinaryHeap::with_capacity(config.window_size as usize),
+            due: Vec::with_capacity(config.window_size as usize),
+            ready: Vec::with_capacity(config.window_size as usize),
+            wakeup_heads: vec![NO_SLOT; (config.int_regs + config.fp_regs) as usize],
             counters: ActivityCounters::default(),
             interval_start_cycle: 0,
             interval_start_committed: 0,
@@ -387,28 +418,98 @@ impl<S: InstructionSource> Processor<S> {
 
     fn complete(&mut self) {
         let now = self.now;
+        while let Some(&Reverse((at, seq))) = self.completions.peek() {
+            if at > now {
+                break;
+            }
+            self.completions.pop();
+            self.due.push(seq);
+        }
+        // Program order, also for restored slots already past due.
+        self.due.sort_unstable();
         let mut resolved_blocker = false;
-        for slot in self.window.iter_mut() {
-            if slot.state == SlotState::Issued && slot.ready_cycle <= now {
-                slot.state = SlotState::Done;
-                if let Some(dest) = slot.dest {
-                    self.rename.set_ready(dest);
-                    self.counters.window_wakeups += 1;
-                }
-                if slot.op.class == OpClass::Branch {
-                    self.bpred.update(slot.op.pc, slot.op.taken);
-                }
-                if self.blocking_branch == Some(slot.seq) {
-                    resolved_blocker = true;
-                }
+        for k in 0..self.due.len() {
+            let seq = self.due[k];
+            let i = self.position(seq);
+            let slot = &mut self.window[i];
+            slot.state = SlotState::Done;
+            let (dest, op) = (slot.dest, slot.op);
+            if let Some(dest) = dest {
+                self.rename.set_ready(dest);
+                self.counters.window_wakeups += 1;
+                self.wake(dest);
+            }
+            if op.class == OpClass::Branch {
+                self.bpred.update(op.pc, op.taken);
+            }
+            if self.blocking_branch == Some(seq) {
+                resolved_blocker = true;
             }
         }
+        self.due.clear();
         if resolved_blocker {
             self.blocking_branch = None;
             self.fetch_resume_at = self
                 .fetch_resume_at
                 .max(now + self.config.mispredict_redirect as u64);
         }
+    }
+
+    /// Window position of the in-flight sequence number `seq` (window
+    /// sequence numbers are consecutive).
+    fn position(&self, seq: u64) -> usize {
+        (seq - self.window[0].seq) as usize
+    }
+
+    fn wakeup_head(&mut self, reg: PhysReg) -> &mut u64 {
+        let base = match reg.class {
+            RegClass::Int => 0,
+            RegClass::Fp => self.config.int_regs as usize,
+        };
+        &mut self.wakeup_heads[base + reg.index as usize]
+    }
+
+    /// Writeback of `reg`: every slot on its wakeup list has one fewer
+    /// source to wait for, and joins the ready set at zero.
+    fn wake(&mut self, reg: PhysReg) {
+        let mut seq = std::mem::replace(self.wakeup_head(reg), NO_SLOT);
+        while seq != NO_SLOT {
+            let i = self.position(seq);
+            let slot = &mut self.window[i];
+            let k = usize::from(slot.srcs[0] != Some(reg));
+            let next = slot.next_waiter[k];
+            slot.unready_srcs -= 1;
+            if slot.unready_srcs == 0 {
+                let at = self.ready.partition_point(|&s| s < seq);
+                self.ready.insert(at, seq);
+            }
+            seq = next;
+        }
+    }
+
+    /// Appends `slot` to the window. A waiting slot links onto the wakeup
+    /// list of each distinct source that is not ready, or joins the ready
+    /// set (as the youngest slot, at its end) when there is none.
+    fn push_slot(&mut self, mut slot: Slot) {
+        match slot.state {
+            SlotState::Waiting => {
+                for k in 0..2 {
+                    let Some(src) = slot.srcs[k] else { continue };
+                    if (k == 1 && slot.srcs[0] == Some(src)) || self.rename.is_ready(src) {
+                        continue;
+                    }
+                    let head = self.wakeup_head(src);
+                    slot.next_waiter[k] = std::mem::replace(head, slot.seq);
+                    slot.unready_srcs += 1;
+                }
+                if slot.unready_srcs == 0 {
+                    self.ready.push(slot.seq);
+                }
+            }
+            SlotState::Issued => self.completions.push(Reverse((slot.ready_cycle, slot.seq))),
+            SlotState::Done => {}
+        }
+        self.window.push_back(slot);
     }
 
     fn commit(&mut self) {
@@ -466,103 +567,97 @@ impl<S: InstructionSource> Processor<S> {
     }
 
     fn issue(&mut self) {
-        let now = self.now;
         let mut dcache_used = 0u32;
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.retain(|&seq| !self.try_issue(seq, &mut dcache_used));
+        self.ready = ready;
+    }
+
+    /// Issues the ready slot `seq` when its functional unit (and, for
+    /// memory ops, a cache port and an MSHR) is free this cycle.
+    fn try_issue(&mut self, seq: u64, dcache_used: &mut u32) -> bool {
+        let now = self.now;
         let l1_hit = self.config.l1_hit_cycles as u64;
-
-        for i in 0..self.window.len() {
-            let (class, state) = {
-                let s = &self.window[i];
-                (s.op.class, s.state)
-            };
-            if state != SlotState::Waiting {
-                continue;
+        let i = self.position(seq);
+        let class = self.window[i].op.class;
+        match class {
+            OpClass::IntAlu
+            | OpClass::IntMul
+            | OpClass::IntDiv
+            | OpClass::Branch
+            | OpClass::Call
+            | OpClass::Return => {
+                let latency = class.latency() as u64;
+                let occupancy = if class.is_unpipelined() { latency } else { 1 };
+                if !Self::take_unit(&mut self.int_free, now, now + occupancy) {
+                    return false;
+                }
+                self.start_execution(i, now + latency);
+                self.counters.int_busy += occupancy;
             }
-
-            let srcs_ready = {
-                let s = &self.window[i];
-                s.srcs.iter().flatten().all(|&p| self.rename.is_ready(p))
-            };
-            if !srcs_ready {
-                continue;
+            OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => {
+                let latency = class.latency() as u64;
+                let occupancy = if class.is_unpipelined() { latency } else { 1 };
+                if !Self::take_unit(&mut self.fp_free, now, now + occupancy) {
+                    return false;
+                }
+                self.start_execution(i, now + latency);
+                self.counters.fp_busy += occupancy;
             }
-
-            match class {
-                OpClass::IntAlu
-                | OpClass::IntMul
-                | OpClass::IntDiv
-                | OpClass::Branch
-                | OpClass::Call
-                | OpClass::Return => {
-                    let latency = class.latency() as u64;
-                    let occupancy = if class.is_unpipelined() { latency } else { 1 };
-                    if Self::take_unit(&mut self.int_free, now, now + occupancy) {
-                        self.start_execution(i, now + latency);
-                        self.counters.int_busy += occupancy;
-                    }
+            OpClass::Load => {
+                // Store addresses are published at dispatch (perfect
+                // disambiguation — the trace knows every address), so a
+                // load is never conservatively blocked; it either
+                // forwards from the memory queue or accesses the cache.
+                if *dcache_used >= self.config.l1d_ports
+                    || !self.agen_free.iter().any(|&u| u <= now)
+                {
+                    return false;
                 }
-                OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => {
-                    let latency = class.latency() as u64;
-                    let occupancy = if class.is_unpipelined() { latency } else { 1 };
-                    if Self::take_unit(&mut self.fp_free, now, now + occupancy) {
-                        self.start_execution(i, now + latency);
-                        self.counters.fp_busy += occupancy;
-                    }
-                }
-                OpClass::Load => {
-                    // Store addresses are published at dispatch (perfect
-                    // disambiguation — the trace knows every address), so a
-                    // load is never conservatively blocked; it either
-                    // forwards from the memory queue or accesses the cache.
-                    if dcache_used >= self.config.l1d_ports
-                        || !self.agen_free.iter().any(|&u| u <= now)
-                    {
-                        continue;
-                    }
-                    let addr = self.window[i].op.addr.expect("loads carry addresses");
-                    self.counters.lsq_searches += 1;
-                    if self.store_addr_is_older(i, addr) {
-                        // Store-to-load forwarding: value comes from the
-                        // memory queue, no cache access.
-                        Self::take_unit(&mut self.agen_free, now, now + 1);
-                        self.counters.agen_busy += 1;
-                        self.counters.forwards += 1;
-                        self.start_execution(i, now + 1 + l1_hit);
-                    } else {
-                        match self.mem.access_data(now + 1, addr, false) {
-                            DataAccess::Ready { ready } => {
-                                Self::take_unit(&mut self.agen_free, now, now + 1);
-                                self.counters.agen_busy += 1;
-                                dcache_used += 1;
-                                self.start_execution(i, ready);
-                            }
-                            DataAccess::Retry => {} // all MSHRs busy; retry next cycle
-                        }
-                    }
-                }
-                OpClass::Store => {
-                    if dcache_used >= self.config.l1d_ports
-                        || !self.agen_free.iter().any(|&u| u <= now)
-                    {
-                        continue;
-                    }
-                    let addr = self.window[i].op.addr.expect("stores carry addresses");
-                    match self.mem.access_data(now + 1, addr, true) {
-                        DataAccess::Ready { .. } => {
+                let addr = self.window[i].op.addr.expect("loads carry addresses");
+                self.counters.lsq_searches += 1;
+                if self.store_addr_is_older(i, addr) {
+                    // Store-to-load forwarding: value comes from the
+                    // memory queue, no cache access.
+                    Self::take_unit(&mut self.agen_free, now, now + 1);
+                    self.counters.agen_busy += 1;
+                    self.counters.forwards += 1;
+                    self.start_execution(i, now + 1 + l1_hit);
+                } else {
+                    match self.mem.access_data(now + 1, addr, false) {
+                        DataAccess::Ready { ready } => {
                             Self::take_unit(&mut self.agen_free, now, now + 1);
                             self.counters.agen_busy += 1;
-                            dcache_used += 1;
-                            self.counters.lsq_searches += 1;
-                            // The store retires from the pipeline's point of
-                            // view once its address and data are delivered to
-                            // the memory queue.
-                            self.start_execution(i, now + 1);
+                            *dcache_used += 1;
+                            self.start_execution(i, ready);
                         }
-                        DataAccess::Retry => {}
+                        DataAccess::Retry => return false, // all MSHRs busy
                     }
+                }
+            }
+            OpClass::Store => {
+                if *dcache_used >= self.config.l1d_ports
+                    || !self.agen_free.iter().any(|&u| u <= now)
+                {
+                    return false;
+                }
+                let addr = self.window[i].op.addr.expect("stores carry addresses");
+                match self.mem.access_data(now + 1, addr, true) {
+                    DataAccess::Ready { .. } => {
+                        Self::take_unit(&mut self.agen_free, now, now + 1);
+                        self.counters.agen_busy += 1;
+                        *dcache_used += 1;
+                        self.counters.lsq_searches += 1;
+                        // The store retires from the pipeline's point of
+                        // view once its address and data are delivered to
+                        // the memory queue.
+                        self.start_execution(i, now + 1);
+                    }
+                    DataAccess::Retry => return false,
                 }
             }
         }
+        true
     }
 
     /// True when a store older than the load in window slot `load_idx`
@@ -580,15 +675,14 @@ impl<S: InstructionSource> Processor<S> {
     }
 
     fn start_execution(&mut self, slot_idx: usize, ready_cycle: u64) {
-        let reads: Vec<_> = {
-            let slot = &mut self.window[slot_idx];
-            slot.state = SlotState::Issued;
-            slot.ready_cycle = ready_cycle;
-            slot.srcs.iter().flatten().map(|p| p.class).collect()
-        };
-        for class in reads {
-            self.rename.count_read(class);
+        let slot = &mut self.window[slot_idx];
+        slot.state = SlotState::Issued;
+        slot.ready_cycle = ready_cycle;
+        let (seq, srcs) = (slot.seq, slot.srcs);
+        for src in srcs.iter().flatten() {
+            self.rename.count_read(src.class);
         }
+        self.completions.push(Reverse((ready_cycle, seq)));
         self.counters.window_issues += 1;
     }
 
@@ -639,7 +733,7 @@ impl<S: InstructionSource> Processor<S> {
                     }
                 }
             }
-            self.window.push_back(Slot {
+            self.push_slot(Slot {
                 seq: f.seq,
                 op: f.op,
                 dest,
@@ -647,6 +741,8 @@ impl<S: InstructionSource> Processor<S> {
                 srcs,
                 state: SlotState::Waiting,
                 ready_cycle: 0,
+                unready_srcs: 0,
+                next_waiter: [NO_SLOT; 2],
             });
             self.counters.window_writes += 1;
             budget -= 1;
@@ -820,8 +916,11 @@ impl<S: InstructionSource> Processor<S> {
     /// functional-unit counts) — checkpoints are only valid for the exact
     /// timing configuration that produced them — or when it breaks
     /// causality: a commit after `now`, an event scheduled more than the
-    /// livelock limit past `now`, or a counter above `u64::MAX >> 1`.
-    /// A failed restore leaves the processor unusable.
+    /// livelock limit past `now`, or a counter above `u64::MAX >> 1` —
+    /// or when a window entry names a physical register outside its file,
+    /// or the window and fetch-queue sequence numbers do not count up
+    /// consecutively to `seq_next`. A failed restore leaves the processor
+    /// unusable.
     pub fn restore_state(&mut self, state: &PipelineState) -> Result<(), sim_common::SimError> {
         let horizon = state.now.saturating_add(LIVELOCK_LIMIT);
         let mut events = (state.window.iter().map(|s| s.ready_cycle))
@@ -831,6 +930,21 @@ impl<S: InstructionSource> Processor<S> {
             .chain(state.int_free.iter().copied())
             .chain(state.fp_free.iter().copied())
             .chain(state.agen_free.iter().copied());
+        let phys_in_range = |p: &PhysReg| match p.class {
+            RegClass::Int => u32::from(p.index) < self.config.int_regs,
+            RegClass::Fp => u32::from(p.index) < self.config.fp_regs,
+        };
+        // Window and fetch queue hold consecutive sequence numbers that
+        // end just below `seq_next`; the window is indexed by them.
+        let mut seqs = (state.window.iter().map(|s| s.seq))
+            .chain(state.fetch_queue.iter().map(|f| f.seq))
+            .chain([state.seq_next]);
+        let first = seqs.next().unwrap_or(0);
+        let consecutive = seqs
+            .try_fold(first, |prev, seq| {
+                (prev.checked_add(1) == Some(seq)).then_some(seq)
+            })
+            .is_some();
         let problem = if state.window.len() > self.config.window_size as usize {
             Some("window larger than configured")
         } else if state.int_free.len() != self.int_free.len() {
@@ -848,6 +962,14 @@ impl<S: InstructionSource> Processor<S> {
             Some("last commit is after the current cycle")
         } else if events.any(|at| at > horizon) {
             Some("event scheduled beyond the livelock limit")
+        } else if !(state.window.iter())
+            .flat_map(|s| [s.dest, s.old_dest, s.srcs[0], s.srcs[1]])
+            .flatten()
+            .all(|p| phys_in_range(&p))
+        {
+            Some("physical register out of range")
+        } else if !consecutive {
+            Some("in-flight sequence numbers are not consecutive")
         } else {
             None
         };
@@ -857,20 +979,29 @@ impl<S: InstructionSource> Processor<S> {
         self.rename.restore_state(&state.rename)?;
         self.bpred.restore_state(&state.bpred)?;
         self.mem.restore_state(&state.mem)?;
+        // The completion queue, wakeup lists and ready set are a function
+        // of the window and the restored ready bits.
         self.window.clear();
-        self.window.extend(state.window.iter().map(|s| Slot {
-            seq: s.seq,
-            op: s.op,
-            dest: s.dest,
-            old_dest: s.old_dest,
-            srcs: s.srcs,
-            state: match s.phase {
-                ExecPhase::Waiting => SlotState::Waiting,
-                ExecPhase::Issued => SlotState::Issued,
-                ExecPhase::Done => SlotState::Done,
-            },
-            ready_cycle: s.ready_cycle,
-        }));
+        self.completions.clear();
+        self.ready.clear();
+        self.wakeup_heads.fill(NO_SLOT);
+        for s in &state.window {
+            self.push_slot(Slot {
+                seq: s.seq,
+                op: s.op,
+                dest: s.dest,
+                old_dest: s.old_dest,
+                srcs: s.srcs,
+                state: match s.phase {
+                    ExecPhase::Waiting => SlotState::Waiting,
+                    ExecPhase::Issued => SlotState::Issued,
+                    ExecPhase::Done => SlotState::Done,
+                },
+                ready_cycle: s.ready_cycle,
+                unready_srcs: 0,
+                next_waiter: [NO_SLOT; 2],
+            });
+        }
         self.fetch_queue.clear();
         self.fetch_queue
             .extend(state.fetch_queue.iter().map(|f| Fetched {
@@ -1100,24 +1231,29 @@ mod tests {
         assert_eq!(sa.l1d, sb.l1d);
     }
 
+    /// Every app's cut holds waiting slots with unready sources, so the
+    /// restore-time rebuild of the completion queue, wakeup lists and
+    /// ready set is exercised on each.
     #[test]
     fn state_round_trip_resumes_bit_for_bit() {
-        let mut cpu = processor(App::Twolf, CoreConfig::base());
-        cpu.prewarm(0x1000_0000, 512 * 1024, 0, 24 * 1024);
-        cpu.run_instructions(20_000);
-        let cut = cpu.state();
-        let stream =
-            SyntheticStream::restore(App::Twolf.profile(), 12345, &cpu.source().state()).unwrap();
-        let mut resumed = Processor::new(CoreConfig::base(), stream).unwrap();
-        resumed.restore_state(&cut).unwrap();
-        assert_eq!(resumed.state(), cut, "capture is idempotent");
-        for _ in 0..3 {
-            let a = cpu.run_instructions(10_000);
-            let b = resumed.run_instructions(10_000);
-            assert_eq!(a, b, "restored pipeline must replay identically");
+        for app in App::ALL {
+            let mut cpu = processor(app, CoreConfig::base());
+            cpu.prewarm(0x1000_0000, 512 * 1024, 0, 24 * 1024);
+            cpu.run_instructions(20_000);
+            let cut = cpu.state();
+            let stream =
+                SyntheticStream::restore(app.profile(), 12345, &cpu.source().state()).unwrap();
+            let mut resumed = Processor::new(CoreConfig::base(), stream).unwrap();
+            resumed.restore_state(&cut).unwrap();
+            assert_eq!(resumed.state(), cut, "{app:?}: capture is idempotent");
+            for _ in 0..3 {
+                let a = cpu.run_instructions(10_000);
+                let b = resumed.run_instructions(10_000);
+                assert_eq!(a, b, "{app:?}: restored pipeline must replay identically");
+            }
+            assert_eq!(resumed.now(), cpu.now());
+            assert_eq!(resumed.committed(), cpu.committed());
         }
-        assert_eq!(resumed.now(), cpu.now());
-        assert_eq!(resumed.committed(), cpu.committed());
     }
 
     #[test]

@@ -14,11 +14,21 @@ cargo build --release --offline
 echo "== tests (RAMP_LOG=debug exercises the logging path) =="
 RAMP_LOG=debug cargo test -q --offline
 
-echo "== benchmark tests: recorded digests pin DRM choices, fleets and the wire codec =="
+echo "== benchmark tests: every workload at smoke scale, traced digest equals untraced =="
 # The benchmark is a package of its own; its tests replay every workload
-# at smoke scale and check the recorded digests, including the sorted
-# (request, reply) pairs of the serve workload.
+# at smoke scale (seed 2004) and check that the traced run's output
+# digest, including the sorted (request, reply) pairs of the serve
+# workload, equals the untraced one. They do not check recorded digests.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark digests: one full-scale round of each DRM workload =="
+# At seed 12345, full scale and 2 threads, ramp-bench exits non-zero when
+# the round's output digest (DRM choices, simulated cycles, IPC) differs
+# from the one recorded in benchmark/src/spec.rs.
+for workload in drm-exhaustive drm-surrogate; do
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 12345 --threads 2 --seconds 0 --trace 0 >/dev/null
+done
 
 echo "== observability smoke: trace a run, summarize it =="
 trace="$(mktemp -t ramp-check-XXXXXX.jsonl)"
