@@ -136,7 +136,8 @@ pub fn init_observability() {
 }
 
 /// Prints the driver's one-line sweep summary (jobs, evals, cache hits,
-/// evals/s, wall time, realized speedup).
+/// evals/s, wall time, realized speedup) to stderr: its timings differ
+/// run to run, and a driver's stdout must not.
 ///
 /// With metrics enabled (`RAMP_METRICS`/`RAMP_TRACE`), the line is
 /// rebuilt from the sim-obs aggregator — the same `drm.batch.*` counters
@@ -163,7 +164,7 @@ pub fn print_sweep_summary(oracle: &Oracle) {
             // a cycle-level timing simulation (the rest reused one).
             let runs = counter("drm.batch.timing_runs").unwrap_or(evals);
             let wall_s = wall_ns as f64 / 1e9;
-            println!(
+            eprintln!(
                 "sweep: {} jobs | {evals} evals, {hits} cache hits | timing {runs} runs, {} reused | {:.1} evals/s | wall {:.2} s | speedup {:.2}x",
                 oracle.workers(),
                 evals.saturating_sub(runs),
@@ -174,7 +175,7 @@ pub fn print_sweep_summary(oracle: &Oracle) {
             return;
         }
     }
-    println!("{}", oracle.summary());
+    eprintln!("{}", oracle.summary());
 }
 
 /// The scenario every figure driver builds from: `RAMP_SCENARIO=<file>`

@@ -95,13 +95,6 @@ pub fn print_help() {
     println!("              [--workers N] [--batch-max N] [--linger-ms N]");
     println!("              [--stop-file <path>] [--tick-ms N (0 = no telemetry)]");
     println!("              [--store-dir <dir>] [--quick]");
-    println!("  cluster     distributed sweep fabric: shard a sweep across running");
-    println!("              `ramp serve` workers (or the scenario's cluster.addr)");
-    println!("              serve --app <name> [--addr a,b,...]");
-    println!("              [--strategy arch|dvs|archdvs] [--step GHz]");
-    println!("              | fleet --app <name> [--addr a,b,...] [--dies N] [--seed N]");
-    println!("                [--shape B]");
-    println!("              | status [--addr host:port,...]");
     println!("  client      talk to a running server; prints the raw response");
     println!("              [--addr host:port] ping | stats | shutdown");
     println!("              | eval <app> [--ghz G] [--vdd V] [--window N] [--alus N]");
@@ -160,7 +153,6 @@ pub fn dispatch(args: &Args) -> Result<(), SimError> {
         "scenario" => scenario_cmd(args),
         "checkpoint" => checkpoint_cmd(args),
         "serve" => serve_cmd(args),
-        "cluster" => cluster_cmd(args),
         "client" => client_cmd(args),
         "top" => top_cmd(args),
         "report" => report_cmd(args),
@@ -946,183 +938,6 @@ fn serve_cmd(args: &Args) -> Result<(), SimError> {
         stats.batch_occupancy(),
     );
     println!("{}", state.sweep_summary());
-    Ok(())
-}
-
-/// `ramp cluster serve|fleet|status`: the distributed sweep fabric.
-fn cluster_cmd(args: &Args) -> Result<(), SimError> {
-    let usage = "usage: ramp cluster serve --app <name> [--addr a,b,...] \
-                 [--strategy arch|dvs|archdvs] [--step GHz] | fleet --app <name> \
-                 [--addr a,b,...] [--dies N] [--seed N] [--shape B] \
-                 | status [--addr host:port,...]";
-    match args.positional(0) {
-        Some("serve") => cluster_serve(args),
-        Some("fleet") => cluster_fleet(args),
-        Some("status") => cluster_status(args),
-        Some(other) => Err(SimError::invalid_config(format!(
-            "unknown cluster action `{other}`; {usage}"
-        ))),
-        None => Err(SimError::invalid_config(usage)),
-    }
-}
-
-/// The worker addresses `--addr a,b,...` names, or else the scenario's
-/// own `cluster.addr` entries.
-fn shard_addrs(args: &Args, scn: &Scenario) -> Result<Vec<String>, SimError> {
-    let addrs: Vec<String> = match args.get("addr") {
-        Some(list) => list.split(',').map(str::to_owned).collect(),
-        None => scn
-            .cluster
-            .as_ref()
-            .map(|c| c.shard_addrs.clone())
-            .unwrap_or_default(),
-    };
-    if addrs.is_empty() {
-        return Err(SimError::invalid_config(
-            "no shard addresses: give --addr host:port[,host:port...] or a scenario \
-             with cluster.addr entries",
-        ));
-    }
-    Ok(addrs)
-}
-
-/// Starts a coordinator over the [`shard_addrs`] workers.
-fn coordinator_from(args: &Args, mut scn: Scenario) -> Result<sim_cluster::Coordinator, SimError> {
-    scn.cluster = Some(scenario::ClusterSpec {
-        shard_addrs: shard_addrs(args, &scn)?,
-    });
-    scn.validate()?;
-    let cluster = sim_cluster::Coordinator::start(scn)?;
-    println!("cluster: {} shard(s)", cluster.shard_count());
-    for (i, addr) in cluster.addrs().iter().enumerate() {
-        println!("  shard {i}  {addr}");
-    }
-    let _ = std::io::stdout().flush();
-    Ok(cluster)
-}
-
-/// Prints the per-shard accounting lines after a distributed run.
-fn print_shard_status(cluster: &sim_cluster::Coordinator) {
-    for s in cluster.status() {
-        if s.alive {
-            println!(
-                "shard {} {}: {} evaluations | {} cache hits | timing {} run(s), {} reused | {} stored",
-                s.shard, s.addr, s.evaluations, s.cache_hits, s.timing_runs, s.timing_reuses,
-                s.store_records
-            );
-        } else {
-            println!("shard {} {}: dead", s.shard, s.addr);
-        }
-    }
-}
-
-/// `ramp cluster serve`: run one distributed sweep — route the
-/// candidate grid across the worker shards, fold the partials, print the
-/// choice and the per-shard accounting.
-fn cluster_serve(args: &Args) -> Result<(), SimError> {
-    args.expect_options(&["app", "addr", "strategy", "step"])?;
-    args.expect_positionals(1)?;
-    let scn = scenario_from(args)?;
-    let app = args.app()?;
-    let strategy = parse_strategy(args)?;
-    let step = step_from(args)?;
-    let cluster = coordinator_from(args, scn)?;
-
-    let swept = cluster.sweep(app, strategy, step)?;
-    println!("{app}: best {strategy} configuration across the cluster");
-    println!(
-        "  configuration  {} @ {:.2} GHz / {:.3} V",
-        swept.choice.arch,
-        swept.choice.dvs.frequency.to_ghz(),
-        swept.choice.dvs.vdd.0
-    );
-    println!(
-        "  performance    {:.3}x base",
-        swept.choice.relative_performance
-    );
-    println!("  FIT            {:.0}", swept.choice.fit.value());
-    println!("  feasible       {}", swept.choice.feasible);
-    println!(
-        "  grid           {} unique point(s), {} re-dispatched",
-        swept.unique_points, swept.redispatched
-    );
-    println!("{}", swept.summary);
-    print_shard_status(&cluster);
-    Ok(())
-}
-
-/// `ramp cluster fleet`: run one population Monte Carlo sharded by die
-/// batch — every shard samples its batches from the same per-die seed
-/// derivation, so the folded summary equals the single-process run.
-fn cluster_fleet(args: &Args) -> Result<(), SimError> {
-    args.expect_options(&["app", "addr", "dies", "seed", "shape"])?;
-    args.expect_positionals(1)?;
-    let scn = scenario_from(args)?;
-    let app = args.app()?;
-    let config = FleetConfig {
-        dies: args.u64_or("dies", scn.fleet.dies)?,
-        seed: args.u64_or("seed", scn.fleet.seed)?,
-        shape: args.f64_or("shape", scn.fleet.shape)?,
-        variation: scn.fleet.variation,
-    };
-    let cluster = coordinator_from(args, scn)?;
-
-    let run = cluster.fleet(app, &config)?;
-    let summary = &run.summary;
-    println!(
-        "{app} fleet across the cluster: {} dies in {} batch(es), {} re-dispatched",
-        summary.dies, run.batches, run.redispatched
-    );
-    let f = &summary.fit;
-    println!(
-        "  FIT            mean {:.0} | p5 {:.0} | p50 {:.0} | p95 {:.0} | max {:.0}",
-        f.mean, f.p5, f.p50, f.p95, f.max
-    );
-    let l = &summary.lifetime_years;
-    println!(
-        "  lifetime (y)   p1 {:.1} | p5 {:.1} | p50 {:.1} | p95 {:.1}",
-        l.p1, l.p5, l.p50, l.p95
-    );
-    println!(
-        "  violations     {} dies ({:.2}% over the {:.0} FIT budget)",
-        summary.violations,
-        100.0 * summary.violation_fraction(),
-        summary.target_fit
-    );
-    println!(
-        "  throughput     {:.0}k dies/s on {} shard(s); {} cycle-level timing run(s)",
-        summary.dies_per_second() / 1e3,
-        summary.workers,
-        summary.timing_runs
-    );
-    print_shard_status(&cluster);
-    Ok(())
-}
-
-/// `ramp cluster status`: poll each shard's cumulative `merge` counters
-/// without disturbing it. Addresses come from `--addr` (comma-separated)
-/// or the scenario's `cluster.addr` entries.
-fn cluster_status(args: &Args) -> Result<(), SimError> {
-    args.expect_options(&["addr"])?;
-    args.expect_positionals(1)?;
-    let addrs = shard_addrs(args, &scenario_from(args)?)?;
-    for (i, addr) in addrs.iter().enumerate() {
-        let merged = Client::connect_timeout(addr.as_str(), Duration::from_secs(5))
-            .and_then(|mut c| c.request("merge"));
-        match merged {
-            Ok(reply) if reply.is_ok() => println!(
-                "shard {i} {addr}: {} evaluations | {} cache hits | timing {} run(s), {} reused | {} stored | {} worker(s)",
-                reply.u64("evaluations").unwrap_or(0),
-                reply.u64("cache_hits").unwrap_or(0),
-                reply.u64("timing_runs").unwrap_or(0),
-                reply.u64("timing_reuses").unwrap_or(0),
-                reply.u64("store_records").unwrap_or(0),
-                reply.u64("workers").unwrap_or(0),
-            ),
-            Ok(reply) => println!("shard {i} {addr}: unexpected reply `{}`", reply.raw),
-            Err(e) => println!("shard {i} {addr}: unreachable ({e})"),
-        }
-    }
     Ok(())
 }
 

@@ -24,8 +24,6 @@
 //! per-batch sketches in batch order and gets bit-identical results at
 //! any worker count.
 
-use crate::textfmt::Hex64;
-
 /// Exact `q`-quantile of an ascending-sorted sample, linearly
 /// interpolating between the two nearest ranks (`h = (n−1)·q`).
 ///
@@ -238,117 +236,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Serializes the sketch as one whitespace-free token, suitable for
-    /// a `key=value` field in the `ramp-serve/1` protocol. Values are
-    /// written as raw IEEE-754 bit patterns in hex, so
-    /// [`Self::from_compact_string`] reconstructs the sketch
-    /// bit-identically: `merge`/`quantile` on the round-tripped sketch
-    /// answer exactly as on the original.
-    #[must_use]
-    pub fn to_compact_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "v1:{}:{}:{}:{}:",
-            self.k,
-            self.count,
-            Hex64::of(self.min),
-            Hex64::of(self.max)
-        );
-        for &p in &self.parity {
-            out.push(if p { '1' } else { '0' });
-        }
-        out.push(':');
-        for (h, level) in self.levels.iter().enumerate() {
-            if h > 0 {
-                out.push('|');
-            }
-            for (i, v) in level.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", Hex64::of(*v));
-            }
-        }
-        out
-    }
-
-    /// Parses a token produced by [`Self::to_compact_string`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field: wrong
-    /// version, non-hex value, NaN payload, or a parity string whose
-    /// length disagrees with the level count.
-    pub fn from_compact_string(s: &str) -> Result<QuantileSketch, String> {
-        let mut fields = s.splitn(6, ':');
-        let mut next = |what: &str| fields.next().ok_or_else(|| format!("missing {what} field"));
-        let version = next("version")?;
-        if version != "v1" {
-            return Err(format!("unsupported sketch version `{version}`"));
-        }
-        let k: usize = next("k")?
-            .parse()
-            .map_err(|_| "k must be an integer".to_owned())?;
-        if k < 8 {
-            return Err(format!("k must be at least 8, got {k}"));
-        }
-        let count: u64 = next("count")?
-            .parse()
-            .map_err(|_| "count must be an integer".to_owned())?;
-        let bits = |tok: &str, what: &str| -> Result<f64, String> {
-            tok.parse::<Hex64>()
-                .map(Hex64::to_f64)
-                .map_err(|()| format!("{what} must be 16 hex digits, got `{tok}`"))
-        };
-        let min = bits(next("min")?, "min")?;
-        let max = bits(next("max")?, "max")?;
-        let mut tail = next("parity+levels")?.splitn(2, ':');
-        let parity_str = tail.next().unwrap_or("");
-        let levels_str = tail
-            .next()
-            .ok_or_else(|| "missing levels field".to_owned())?;
-        let mut parity = Vec::with_capacity(parity_str.len());
-        for c in parity_str.chars() {
-            match c {
-                '0' => parity.push(false),
-                '1' => parity.push(true),
-                _ => return Err(format!("parity must be 0/1 digits, got `{c}`")),
-            }
-        }
-        let mut levels = Vec::new();
-        for (h, level_str) in levels_str.split('|').enumerate() {
-            let mut level = Vec::new();
-            if !level_str.is_empty() {
-                for tok in level_str.split(',') {
-                    let v = bits(tok, "level value")?;
-                    if v.is_nan() {
-                        return Err(format!("level {h} holds a NaN value"));
-                    }
-                    level.push(v);
-                }
-            }
-            levels.push(level);
-        }
-        if levels.is_empty() {
-            levels.push(Vec::new());
-        }
-        if parity.len() != levels.len() {
-            return Err(format!(
-                "parity length {} does not match level count {}",
-                parity.len(),
-                levels.len()
-            ));
-        }
-        Ok(QuantileSketch {
-            levels,
-            parity,
-            k,
-            count,
-            min,
-            max,
-        })
-    }
-
     /// The sketch's `q`-quantile: the smallest retained value whose
     /// cumulative weight exceeds rank `(n−1)·q` (weighted nearest-rank;
     /// exact min/max at the extremes).
@@ -529,53 +416,6 @@ mod tests {
         assert_eq!(sk.quantile(1.0), 9999.0);
         assert_eq!(sk.min(), 0.0);
         assert_eq!(sk.max(), 9999.0);
-    }
-
-    #[test]
-    fn compact_string_round_trips_bit_identically() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let mut sk = QuantileSketch::with_capacity(64);
-        for _ in 0..5_000 {
-            sk.insert(rng.next_f64() * 1e6);
-        }
-        let token = sk.to_compact_string();
-        assert_eq!(token.split_whitespace().count(), 1, "{token}");
-        let back = QuantileSketch::from_compact_string(&token).unwrap();
-        assert_eq!(back, sk);
-        for q in [0.01, 0.5, 0.99] {
-            assert_eq!(back.quantile(q).to_bits(), sk.quantile(q).to_bits());
-        }
-        // An empty sketch round-trips too (infinite min/max survive the
-        // bit-pattern encoding).
-        let empty = QuantileSketch::new();
-        let back = QuantileSketch::from_compact_string(&empty.to_compact_string()).unwrap();
-        assert_eq!(back, empty);
-        // A round-tripped sketch merges identically to the original
-        // (capacities must match for merge, so start from k=64).
-        let mut direct = QuantileSketch::with_capacity(64);
-        let mut via_wire =
-            QuantileSketch::from_compact_string(&direct.to_compact_string()).unwrap();
-        direct.merge(&sk);
-        via_wire.merge(&QuantileSketch::from_compact_string(&sk.to_compact_string()).unwrap());
-        assert_eq!(direct, via_wire);
-    }
-
-    #[test]
-    fn compact_string_rejects_malformed_tokens() {
-        for (token, needle) in [
-            ("", "unsupported sketch version"),
-            ("v2:64:0:0:0::", "unsupported sketch version"),
-            ("v1:4:0:0:0::", "at least 8"),
-            ("v1:64:x:0:0::", "count must be an integer"),
-            ("v1:64:0:zz:0::", "min must be 16 hex digits"),
-            ("v1:64:0:0:0:2:", "parity must be 0/1"),
-            ("v1:64:0:0:0:00:", "does not match level count"),
-            ("v1:64:0:0:0:0", "missing levels"),
-            ("v1:64:1:0:0:0:7ff8000000000000", "NaN"),
-        ] {
-            let err = QuantileSketch::from_compact_string(token).unwrap_err();
-            assert!(err.contains(needle), "token `{token}`: {err}");
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sim_common::SimError;
@@ -200,9 +200,11 @@ pub struct EvalCache {
     /// Summed single-evaluation wall time of every insert (the
     /// sequential-equivalent cost of the work done so far).
     busy_ns: AtomicU64,
-    /// Elapsed wall time spent inside batch passes and cache-miss
-    /// evaluations.
+    /// Elapsed wall time while at least one batch pass or cache-miss
+    /// evaluation was in flight.
     wall_ns: AtomicU64,
+    /// Passes and misses in flight, and when the count last left zero.
+    in_flight: Mutex<(usize, Option<Instant>)>,
 }
 
 impl EvalCache {
@@ -285,15 +287,46 @@ impl EvalCache {
         Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed))
     }
 
-    /// Elapsed wall time recorded by batch passes and cache-miss
-    /// evaluations.
+    /// Elapsed wall time during which at least one batch pass or
+    /// cache-miss evaluation was in flight: the union of their intervals,
+    /// so work that overlaps is counted once.
     pub fn wall(&self) -> Duration {
         Duration::from_nanos(self.wall_ns.load(Ordering::Relaxed))
     }
 
-    fn add_wall(&self, d: Duration) {
-        self.wall_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    /// Marks evaluation work in flight until the returned guard drops.
+    fn busy_span(&self) -> BusySpan<'_> {
+        let mut open = self
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if open.0 == 0 {
+            open.1 = Some(Instant::now());
+        }
+        open.0 += 1;
+        BusySpan(self)
+    }
+}
+
+/// An open [`EvalCache::busy_span`]; the last one to close adds the
+/// interval since the first opened to the cache's wall time.
+struct BusySpan<'a>(&'a EvalCache);
+
+impl Drop for BusySpan<'_> {
+    fn drop(&mut self) {
+        let mut open = self
+            .0
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        open.0 -= 1;
+        if open.0 == 0 {
+            if let Some(since) = open.1.take() {
+                self.0
+                    .wall_ns
+                    .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -323,11 +356,9 @@ impl SweepSummary {
     /// Folds another pass's summary into this one: counters add, wall
     /// and busy times add, and the worker count takes the maximum.
     ///
-    /// Folding per-unit summaries in a deterministic order (candidate
-    /// index, shard index) is how the cluster coordinator reassembles a
-    /// sweep bit-identical to the single-process pass: every counter is
-    /// an exact sum, so the fold order only matters for reproducibility
-    /// of the (diagnostic, nondeterministic) wall/busy durations.
+    /// This is how a caller that runs several passes (a benchmark
+    /// accumulating rounds, say) reports one total: every counter is an
+    /// exact sum, so the fold order does not change the counters.
     pub fn merge(&mut self, other: &SweepSummary) {
         self.workers = self.workers.max(other.workers);
         self.evaluations += other.evaluations;
@@ -517,10 +548,9 @@ impl BatchEngine {
         if let Some(ev) = self.cache.get(&key) {
             return Ok(ev);
         }
-        let start = Instant::now();
+        let _busy = self.cache.busy_span();
         let config = self.config_for(arch, dvs)?;
         let ev = self.evaluate_cold(&self.evaluator, key, &config)?;
-        self.cache.add_wall(start.elapsed());
         Ok(self.cache.insert(key, ev))
     }
 
@@ -582,6 +612,7 @@ impl BatchEngine {
         jobs: &[(App, ArchPoint, DvsPoint)],
     ) -> Result<SweepSummary, SimError> {
         let _batch_span = sim_obs::span!("drm.batch");
+        let _busy = self.cache.busy_span();
         let start = Instant::now();
 
         // Dedup: one work item per distinct cold key.
@@ -711,7 +742,6 @@ impl BatchEngine {
             return Err(e);
         }
         let wall = start.elapsed();
-        self.cache.add_wall(wall);
         let busy = Duration::from_nanos(busy_ns.load(Ordering::Relaxed));
         let timing_runs = timing_runs.load(Ordering::Relaxed);
         if sim_obs::enabled() {

@@ -52,9 +52,8 @@ use crate::dvs::DvsPoint;
 use crate::evaluator::{Evaluation, Evaluator};
 use crate::space::ArchPoint;
 
-/// Dies per work batch. Fixed (never derived from the worker count — or
-/// the shard count) so partial aggregates fold in the same order at any
-/// parallelism, in-process or across a cluster.
+/// Dies per work batch. Fixed (never derived from the worker count) so
+/// partial aggregates fold in the same order at any parallelism.
 pub const DIE_BATCH: u64 = 4096;
 
 /// Iterations of the per-die leakage/temperature fixed point. The
@@ -585,10 +584,7 @@ impl<'a> FleetBaseline<'a> {
 ///
 /// Partials fold associatively with [`FleetPartial::merge`]; folding
 /// every batch of a run *in batch-index order* reproduces the
-/// single-process [`run_fleet`] aggregate bit-identically, which is the
-/// cluster layer's merge-determinism invariant. The accessors and
-/// [`FleetPartial::from_parts`] exist so a partial can cross a process
-/// boundary (sketches travel as their compact wire strings).
+/// [`run_fleet`] aggregate bit-identically at any worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetPartial {
     fit: QuantileSketch,
@@ -617,58 +613,10 @@ impl FleetPartial {
         }
     }
 
-    /// Reassembles a partial from its transported parts.
-    #[must_use]
-    pub fn from_parts(
-        fit: QuantileSketch,
-        life_years: QuantileSketch,
-        fit_sum: f64,
-        life_sum: f64,
-        violations: u64,
-    ) -> FleetPartial {
-        FleetPartial {
-            fit,
-            life_years,
-            fit_sum,
-            life_sum,
-            violations,
-        }
-    }
-
     /// Dies aggregated so far.
     #[must_use]
     pub fn dies(&self) -> u64 {
         self.fit.count()
-    }
-
-    /// The per-die total-FIT sketch.
-    #[must_use]
-    pub fn fit_sketch(&self) -> &QuantileSketch {
-        &self.fit
-    }
-
-    /// The per-die lifetime sketch, in years.
-    #[must_use]
-    pub fn life_sketch(&self) -> &QuantileSketch {
-        &self.life_years
-    }
-
-    /// Sum of per-die total FITs.
-    #[must_use]
-    pub fn fit_sum(&self) -> f64 {
-        self.fit_sum
-    }
-
-    /// Sum of per-die lifetimes, in years.
-    #[must_use]
-    pub fn life_sum(&self) -> f64 {
-        self.life_sum
-    }
-
-    /// Dies whose total FIT exceeds the budget.
-    #[must_use]
-    pub fn violations(&self) -> u64 {
-        self.violations
     }
 
     fn record(&mut self, outcome: &DieOutcome, target_fit: f64) {
@@ -684,7 +632,7 @@ impl FleetPartial {
     }
 
     /// Folds `other` into this aggregate. Associative and deterministic;
-    /// fold in batch-index order to match the single-process run.
+    /// fold in batch-index order to match [`run_fleet`].
     pub fn merge(&mut self, other: &FleetPartial) {
         self.fit.merge(&other.fit);
         self.life_years.merge(&other.life_years);
@@ -694,11 +642,23 @@ impl FleetPartial {
     }
 }
 
-/// Computes one fleet work unit: batch `batch` (dies
-/// `batch·DIE_BATCH .. min((batch+1)·DIE_BATCH, dies)`) of the run
-/// described by `config`, exactly as a [`run_fleet`] worker would.
-/// Each die carries its own RNG substream, so the outcome depends only
-/// on (`config`, `batch`) — never on which process computes it.
+/// Aggregates batch `batch` of a `dies`-die run: dies
+/// `batch·DIE_BATCH .. min((batch+1)·DIE_BATCH, dies)`.
+fn batch_partial(baseline: &FleetBaseline, target_fit: f64, dies: u64, batch: u64) -> FleetPartial {
+    let lo = batch * DIE_BATCH;
+    let hi = (lo + DIE_BATCH).min(dies);
+    let mut part = FleetPartial::new();
+    for die in lo..hi {
+        part.record(&baseline.die(die), target_fit);
+    }
+    part
+}
+
+/// Computes batch `batch` of the run described by `config` on its own,
+/// exactly as a [`run_fleet`] worker would. Each die carries its own RNG
+/// substream, so the outcome depends only on (`config`, `batch`); folding
+/// every batch in order through [`fleet_summarize`] reproduces
+/// [`run_fleet`].
 ///
 /// # Errors
 ///
@@ -724,21 +684,19 @@ pub fn fleet_partial(
     }
     let ev = engine.evaluation(app, arch, dvs)?;
     let baseline = FleetBaseline::new(engine.evaluator(), &ev, model, config)?;
-    let target_fit = model.target_fit().value();
-    let lo = batch * DIE_BATCH;
-    let hi = (lo + DIE_BATCH).min(config.dies);
-    let mut part = FleetPartial::new();
-    for die in lo..hi {
-        part.record(&baseline.die(die), target_fit);
-    }
-    Ok(part)
+    Ok(batch_partial(
+        &baseline,
+        model.target_fit().value(),
+        config.dies,
+        batch,
+    ))
 }
 
 /// Finishes a fleet run from its folded aggregate: the summary math of
 /// [`run_fleet`] (rank-error bound, sketch statistics, violation count)
 /// applied to `acc`, with the diagnostic fields supplied by the caller.
 /// Folding every batch in order and summarizing here is bit-identical
-/// to the single-process run.
+/// to [`run_fleet`].
 ///
 /// # Panics
 ///
@@ -833,12 +791,7 @@ pub fn run_fleet(
                         if b >= batches {
                             return;
                         }
-                        let lo = b * DIE_BATCH;
-                        let hi = (lo + DIE_BATCH).min(dies);
-                        let mut part = FleetPartial::new();
-                        for die in lo..hi {
-                            part.record(&baseline.die(die), target_fit);
-                        }
+                        let part = batch_partial(baseline, target_fit, dies, b);
                         // Each batch index is claimed by exactly one worker.
                         assert!(slots[b as usize].set(part).is_ok());
                     }
@@ -1015,24 +968,13 @@ mod tests {
         let point = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
         let direct = run_fleet(&engine(2), point.0, point.1, point.2, &m, &cfg).unwrap();
 
-        // Recompute batch by batch — the cluster path — and fold in
-        // batch-index order.
+        // Recompute batch by batch and fold in batch-index order.
         let e = engine(2);
         let batches = cfg.dies.div_ceil(DIE_BATCH);
         assert_eq!(batches, 3);
         let mut acc = FleetPartial::new();
         for b in 0..batches {
-            let part = fleet_partial(&e, point.0, point.1, point.2, &m, &cfg, b).unwrap();
-            // A partial survives a trip through its transported parts.
-            let rebuilt = FleetPartial::from_parts(
-                part.fit_sketch().clone(),
-                part.life_sketch().clone(),
-                part.fit_sum(),
-                part.life_sum(),
-                part.violations(),
-            );
-            assert_eq!(rebuilt, part);
-            acc.merge(&part);
+            acc.merge(&fleet_partial(&e, point.0, point.1, point.2, &m, &cfg, b).unwrap());
         }
         let merged = fleet_summarize(
             &acc,

@@ -619,6 +619,28 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_misses_count_wall_time_once() {
+        // Two threads miss on distinct cold points at once: the summary's
+        // wall time is the union of the miss intervals, not their sum.
+        let o = oracle();
+        let barrier = std::sync::Barrier::new(2);
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for app in [App::Gzip, App::Twolf] {
+                let (o, barrier) = (&o, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    o.base_evaluation(app).unwrap();
+                });
+            }
+        });
+        let elapsed = start.elapsed();
+        let wall = o.summary().wall;
+        assert!(!wall.is_zero());
+        assert!(wall <= elapsed, "wall {wall:?} > elapsed {elapsed:?}");
+    }
+
+    #[test]
     fn summary_accumulates_across_searches() {
         let o = oracle();
         o.best(App::Gzip, Strategy::Dvs, &model(370.0), 0.5)

@@ -493,31 +493,6 @@ pub fn render(trace: &Trace, top_n: usize) -> String {
         }
     }
 
-    // The cluster fabric's view, present when a coordinator dispatched
-    // work units to shards. Per-shard evaluation work still lands in
-    // "caches and reuse" above; this section adds the fabric view:
-    // units routed, shard deaths, re-dispatches, retries.
-    if let Some(units) = trace.counter("cluster.units") {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "cluster");
-        let _ = writeln!(out, "  {:<28} {units:>10}", "work units completed");
-        let counters = [
-            ("sweeps folded", "cluster.sweeps"),
-            ("fleets folded", "cluster.fleets"),
-            ("shard deaths", "cluster.shard_deaths"),
-            ("units re-dispatched", "cluster.redispatched"),
-            ("client retries", "client.retry"),
-        ];
-        for (label, name) in counters {
-            if let Some(v) = trace.counter(name) {
-                let _ = writeln!(out, "  {label:<28} {v:>10}");
-            }
-        }
-        if let Some(live) = trace.gauge("cluster.shards_live") {
-            let _ = writeln!(out, "  {:<28} {live:>10.0}", "shards live at last check");
-        }
-    }
-
     // Service-level objectives, present when a telemetry-enabled run
     // published `slo.*` gauges (the server's SLO ticker, or any direct
     // `SloSet::evaluate` caller). One row per objective; `slo.fit` is
@@ -834,32 +809,6 @@ mod tests {
         // A trace without fleet.dies gets no fleet section.
         let plain = render(&parse_trace(""), 5);
         assert!(!plain.contains("fleet population"), "{plain}");
-    }
-
-    #[test]
-    fn render_includes_cluster_section_when_present() {
-        let text = concat!(
-            "{\"type\":\"counter\",\"name\":\"cluster.units\",\"value\":22}\n",
-            "{\"type\":\"counter\",\"name\":\"cluster.sweeps\",\"value\":2}\n",
-            "{\"type\":\"counter\",\"name\":\"cluster.shard_deaths\",\"value\":1}\n",
-            "{\"type\":\"counter\",\"name\":\"cluster.redispatched\",\"value\":6}\n",
-            "{\"type\":\"counter\",\"name\":\"client.retry\",\"value\":3}\n",
-            "{\"type\":\"gauge\",\"name\":\"cluster.shards_live\",\"value\":3.0}\n",
-        );
-        let trace = parse_trace(text);
-        let out = render(&trace, 5);
-        assert!(out.contains("cluster"), "{out}");
-        assert!(out.contains("work units completed"), "{out}");
-        assert!(out.contains("22"), "{out}");
-        assert!(out.contains("shard deaths"), "{out}");
-        assert!(out.contains("units re-dispatched"), "{out}");
-        assert!(out.contains("client retries"), "{out}");
-        assert!(out.contains("shards live at last check"), "{out}");
-        // No fleets counter in the trace, no row for it.
-        assert!(!out.contains("fleets folded"), "{out}");
-        // A trace without cluster.units gets no cluster section.
-        let plain = render(&parse_trace(""), 5);
-        assert!(!plain.contains("work units completed"), "{plain}");
     }
 
     #[test]

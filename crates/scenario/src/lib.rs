@@ -272,42 +272,6 @@ impl SurrogateSpec {
     }
 }
 
-/// Distributed-sweep settings of a scenario's optional `[cluster]`
-/// section: the addresses of the `ramp serve` worker shards a
-/// coordinator (`ramp cluster serve`) routes work to. Absent in the paper
-/// default — a scenario without the section serializes without
-/// `cluster.` lines, and everything runs single-process.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterSpec {
-    /// Worker shard addresses (`cluster.addr`, repeatable, in shard
-    /// order).
-    pub shard_addrs: Vec<String>,
-}
-
-impl ClusterSpec {
-    /// Validates the cluster shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when no address is given or an
-    /// address would not survive the whitespace-separated text format.
-    pub fn validate(&self) -> Result<(), SimError> {
-        if self.shard_addrs.is_empty() {
-            return Err(SimError::invalid_config(
-                "cluster section declares no workers (add `cluster.addr`)",
-            ));
-        }
-        for addr in &self.shard_addrs {
-            if addr.is_empty() || addr.split_whitespace().count() != 1 {
-                return Err(SimError::invalid_config(
-                    "cluster.addr must be a single non-empty token",
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One entry of a scenario's workload suite.
 // Inline profiles are ~240 bytes vs the Builtin discriminant, but a suite
 // holds at most a handful of config-time entries; boxing would only add
@@ -383,8 +347,6 @@ pub struct Scenario {
     pub slice: Option<SliceSpec>,
     /// Optional two-phase surrogate search for DRM verbs.
     pub surrogate: Option<SurrogateSpec>,
-    /// Optional distributed-sweep fabric (coordinator/worker shards).
-    pub cluster: Option<ClusterSpec>,
 }
 
 impl Scenario {
@@ -414,7 +376,6 @@ impl Scenario {
             slo: None,
             slice: None,
             surrogate: None,
-            cluster: None,
         }
     }
 
@@ -479,9 +440,6 @@ impl Scenario {
         }
         if let Some(surrogate) = &self.surrogate {
             surrogate.validate()?;
-        }
-        if let Some(cluster) = &self.cluster {
-            cluster.validate()?;
         }
         Ok(())
     }
@@ -850,19 +808,6 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = Scenario::paper_default();
         s.surrogate = Some(SurrogateSpec::default());
-        s.validate().unwrap();
-
-        // A cluster section needs at least one token-safe address.
-        let mut s = Scenario::paper_default();
-        s.cluster = Some(ClusterSpec::default());
-        assert!(s.validate().is_err(), "no workers");
-        s.cluster = Some(ClusterSpec {
-            shard_addrs: vec!["two tokens".to_owned()],
-        });
-        assert!(s.validate().is_err(), "an address must be one token");
-        s.cluster = Some(ClusterSpec {
-            shard_addrs: vec!["127.0.0.1:7777".to_owned()],
-        });
         s.validate().unwrap();
     }
 

@@ -46,14 +46,11 @@ use sim_thermal::ThermalParams;
 use workload::textfmt::{profile_from_lines, profile_to_text};
 use workload::App;
 
-use crate::{
-    ClusterSpec, Qualification, Scenario, SliceSpec, SloPolicy, SloVerb, SurrogateSpec,
-    WorkloadSpec,
-};
+use crate::{Qualification, Scenario, SliceSpec, SloPolicy, SloVerb, SurrogateSpec, WorkloadSpec};
 
 /// The format's keys. Singletons are required — a scenario file is a
 /// complete experiment record, not a patch — except those of the opt-in
-/// `[slo]`, `[slice]`, `[surrogate]` and `[cluster]` sections. `workload`
+/// `[slo]`, `[slice]` and `[surrogate]` sections. `workload`
 /// lines and inline `profile` blocks are order-sensitive and read before
 /// the document is filed (see [`scan`]).
 static SCHEMA: Schema = Schema {
@@ -140,13 +137,7 @@ static SCHEMA: Schema = Schema {
         "surrogate.top_k",
         "surrogate.calibration_apps",
     ],
-    repeated: &[
-        "power.pmax",
-        "floorplan.block",
-        "arch",
-        "slo.verb",
-        "cluster.addr",
-    ],
+    repeated: &["power.pmax", "floorplan.block", "arch", "slo.verb"],
     missing: "required key",
 };
 
@@ -434,13 +425,6 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         }
     };
 
-    let shard_addrs = s
-        .repeated("cluster.addr")
-        .iter()
-        .map(Line::one)
-        .collect::<Result<Vec<String>, _>>()?;
-    let cluster = (!shard_addrs.is_empty()).then_some(ClusterSpec { shard_addrs });
-
     let scenario = Scenario {
         name,
         core,
@@ -457,7 +441,6 @@ pub fn scenario_from_text(text: &str) -> Result<Scenario, SimError> {
         slo,
         slice,
         surrogate,
-        cluster,
     };
     scenario.validate()?;
     Ok(scenario)
@@ -600,13 +583,6 @@ pub fn scenario_to_text(scenario: &Scenario) -> String {
             "surrogate.calibration_apps {}",
             surrogate.calibration_apps
         );
-    }
-
-    if let Some(cluster) = &scenario.cluster {
-        let _ = writeln!(w, "\n# Distributed sweep fabric");
-        for addr in &cluster.shard_addrs {
-            let _ = writeln!(w, "cluster.addr {addr}");
-        }
     }
 
     let fl = &scenario.fleet;
@@ -831,21 +807,17 @@ mod tests {
     }
 
     #[test]
-    fn cluster_section_round_trips_and_validates() {
-        let mut s = Scenario::paper_default();
-        s.cluster = Some(ClusterSpec {
-            shard_addrs: vec!["127.0.0.1:7101".to_owned(), "127.0.0.1:7102".to_owned()],
-        });
-        let text = scenario_to_text(&s);
-        assert!(text.contains("cluster.addr 127.0.0.1:7101"), "{text}");
-        let reparsed = scenario_from_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        assert_eq!(reparsed, s);
-        assert_eq!(scenario_to_text(&reparsed), text);
-
-        // Shard counts and store directories are not scenario settings
-        // (workers are addressed; the store is `ramp serve --store-dir`):
-        // both keys are unknown, reported with their line.
-        for key in ["cluster.shards 2", "cluster.store_dir evalstore"] {
+    fn cluster_keys_are_rejected_as_unknown() {
+        // Scenarios carry no cluster settings: every run is one process
+        // and the evaluation store is `ramp serve --store-dir`. The
+        // printer emits no `cluster.` line, and each such key is unknown,
+        // reported with its line.
+        assert!(!scenario_to_text(&Scenario::paper_default()).contains("cluster."));
+        for key in [
+            "cluster.addr 127.0.0.1:7101",
+            "cluster.shards 2",
+            "cluster.store_dir evalstore",
+        ] {
             let mut text = scenario_to_text(&Scenario::paper_default());
             let line = text.lines().count() + 1;
             text.push_str(key);
@@ -854,13 +826,6 @@ mod tests {
             assert!(err.contains("unknown key"), "{err}");
             assert!(err.contains(&format!("line {line}")), "{err}");
         }
-    }
-
-    #[test]
-    fn scenarios_without_cluster_lines_have_no_cluster_section() {
-        let text = scenario_to_text(&Scenario::paper_default());
-        assert!(!text.contains("cluster."), "{text}");
-        assert_eq!(scenario_from_text(&text).unwrap().cluster, None);
     }
 
     #[test]

@@ -5,53 +5,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use sim_common::{splitmix64, SimError, Xoshiro256pp};
+use sim_common::SimError;
 
-use crate::protocol::{Reply, Status, PROTOCOL_VERSION};
-
-/// Bounded exponential backoff with deterministic jitter, for retrying
-/// `busy` sheds and refused connections. The jitter stream is seeded, so
-/// a given (policy, attempt) always sleeps the same span — retry timing
-/// is reproducible in tests and spreads herd retries in production (each
-/// client seeds with something unique, e.g. its shard index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts (≥ 1); the first attempt is not a retry.
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles each retry after.
-    pub base: Duration,
-    /// Ceiling on any single backoff.
-    pub cap: Duration,
-    /// Seed of the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 6,
-            base: Duration::from_millis(10),
-            cap: Duration::from_secs(1),
-            seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The sleep before retry `attempt` (0-based): `base * 2^attempt`
-    /// clamped to `cap`, scaled by a deterministic jitter factor in
-    /// `[0.5, 1.0)` drawn from the policy's seed and the attempt number.
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(2u32.saturating_pow(attempt))
-            .min(self.cap);
-        let mut rng =
-            Xoshiro256pp::seed_from_u64(splitmix64(self.seed ^ splitmix64(u64::from(attempt) + 1)));
-        exp.mul_f64(0.5 + 0.5 * rng.next_f64())
-    }
-}
+use crate::protocol::{Reply, PROTOCOL_VERSION};
 
 /// A connected client. One request/response exchange per
 /// [`Client::request`]; the connection persists across requests.
@@ -107,62 +63,6 @@ impl Client {
             )));
         }
         Ok(client)
-    }
-
-    /// Like [`Client::connect_timeout`], retrying refused or failed
-    /// connections under `policy` (a worker shard that is still binding
-    /// its port, or briefly restarting, answers on a later attempt).
-    ///
-    /// # Errors
-    ///
-    /// Returns the last connection error once the attempt budget is
-    /// exhausted.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs + Copy,
-        timeout: Duration,
-        policy: &RetryPolicy,
-    ) -> Result<Client, SimError> {
-        let attempts = policy.attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            match Client::connect_timeout(addr, timeout) {
-                Ok(client) => return Ok(client),
-                Err(e) => last = Some(e),
-            }
-            if attempt + 1 < attempts {
-                sim_obs::counter!("client.retry", 1);
-                std::thread::sleep(policy.backoff(attempt));
-            }
-        }
-        Err(last.expect("at least one attempt"))
-    }
-
-    /// Sends one request line, retrying `busy` sheds under `policy` with
-    /// jittered exponential backoff. Transport failures and protocol
-    /// `err` responses are returned immediately — only admission-control
-    /// sheds are worth waiting out. When the attempt budget is exhausted
-    /// the last `busy` reply is returned, so the caller can decide
-    /// whether to re-route or give up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] on transport failure or an
-    /// unparsable response line.
-    pub fn request_with_retry(
-        &mut self,
-        line: &str,
-        policy: &RetryPolicy,
-    ) -> Result<Reply, SimError> {
-        let attempts = policy.attempts.max(1);
-        for attempt in 0..attempts {
-            let reply = self.request(line)?;
-            if reply.status != Status::Busy || attempt + 1 == attempts {
-                return Ok(reply);
-            }
-            sim_obs::counter!("client.retry", 1);
-            std::thread::sleep(policy.backoff(attempt));
-        }
-        unreachable!("loop always returns within the attempt budget")
     }
 
     fn read_line(&mut self) -> Result<String, SimError> {
@@ -270,72 +170,5 @@ impl Client {
                 reply.raw
             )))
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_per_policy_and_attempt() {
-        let policy = RetryPolicy::default();
-        for attempt in 0..8 {
-            assert_eq!(policy.backoff(attempt), policy.backoff(attempt));
-        }
-        let reseeded = RetryPolicy {
-            seed: 1,
-            ..RetryPolicy::default()
-        };
-        assert_ne!(policy.backoff(0), reseeded.backoff(0));
-    }
-
-    #[test]
-    fn backoff_jitter_stays_within_half_to_full_exponential() {
-        let policy = RetryPolicy::default();
-        for attempt in 0..10 {
-            let exp = policy
-                .base
-                .saturating_mul(2u32.saturating_pow(attempt))
-                .min(policy.cap);
-            let slept = policy.backoff(attempt);
-            assert!(
-                slept >= exp.mul_f64(0.5),
-                "attempt {attempt}: {slept:?} < half"
-            );
-            assert!(slept <= exp, "attempt {attempt}: {slept:?} > {exp:?}");
-        }
-    }
-
-    #[test]
-    fn backoff_clamps_to_cap() {
-        let policy = RetryPolicy {
-            attempts: 4,
-            base: Duration::from_millis(100),
-            cap: Duration::from_millis(150),
-            seed: 9,
-        };
-        // 100ms * 2^30 saturates far past the cap; jitter keeps the
-        // sleep within [cap/2, cap].
-        let slept = policy.backoff(30);
-        assert!(slept <= Duration::from_millis(150));
-        assert!(slept >= Duration::from_millis(75));
-    }
-
-    #[test]
-    fn connect_with_retry_gives_up_after_budget() {
-        // Port 1 on localhost refuses; the policy allows two quick tries.
-        let policy = RetryPolicy {
-            attempts: 2,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(2),
-            seed: 0,
-        };
-        let result = Client::connect_with_retry("127.0.0.1:1", Duration::from_millis(200), &policy);
-        let err = match result {
-            Ok(_) => panic!("nothing listens on port 1"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("cannot connect"), "{err}");
     }
 }

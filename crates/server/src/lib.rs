@@ -44,7 +44,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use client::{Client, RetryPolicy};
+pub use client::Client;
 pub use protocol::{
     parse_request, ProtoError, Reply, Request, Status, PROTOCOL_VERSION, WATCH_FRAME_KIND,
 };

@@ -157,48 +157,6 @@ pub struct FleetRequest {
     pub shape: Option<Spanned<f64>>,
 }
 
-/// `unit sweep <app> index=<i> [...eval keys...] [tqual=] [alpha=] [target=]`:
-/// one sweep work unit — a single fully specified candidate operating
-/// point, evaluated and fit-scored on this shard. The coordinator folds
-/// the per-unit results in candidate-index order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnitSweepRequest {
-    /// Workload name.
-    pub app: Spanned<String>,
-    /// Uploaded scenario to evaluate against.
-    pub scenario: Option<Spanned<String>>,
-    /// Candidate index, echoed back for deterministic reassembly.
-    pub index: Spanned<u64>,
-    /// The candidate operating point (absent keys default to the
-    /// scenario's base processor).
-    pub point: OpPoint,
-    /// Qualification overrides.
-    pub qual: QualOverride,
-}
-
-/// `unit fleet <app> batch=<b> [...fleet keys...]`: one fleet work unit —
-/// a single fixed die batch, returned as a transportable partial
-/// aggregate (compact sketches + sums).
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnitFleetRequest {
-    /// Workload name.
-    pub app: Spanned<String>,
-    /// Uploaded scenario to evaluate against.
-    pub scenario: Option<Spanned<String>>,
-    /// Batch index, echoed back for deterministic reassembly.
-    pub batch: Spanned<u64>,
-    /// Operating-point overrides.
-    pub point: OpPoint,
-    /// Qualification overrides.
-    pub qual: QualOverride,
-    /// Die-count override.
-    pub dies: Option<Spanned<u64>>,
-    /// Fleet seed override.
-    pub seed: Option<Spanned<u64>>,
-    /// Weibull wear-out shape override.
-    pub shape: Option<Spanned<f64>>,
-}
-
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -241,31 +199,10 @@ pub enum Request {
     Sweep(SweepRequest),
     /// Population Monte Carlo over virtual dies at one operating point.
     Fleet(FleetRequest),
-    /// One sweep work unit (cluster shard role).
-    UnitSweep(UnitSweepRequest),
-    /// One fleet die batch (cluster shard role).
-    UnitFleet(UnitFleetRequest),
-    /// `merge [scenario=<name>]` — this shard's cumulative evaluation
-    /// summary (cache sizes and hit/run counters), for coordinator-side
-    /// folding and `cluster status`.
-    Merge {
-        /// Uploaded scenario whose engine to summarize.
-        scenario: Option<Spanned<String>>,
-    },
-    /// `shard index=<i> shards=<n>` — the cluster-role handshake: the
-    /// coordinator announces which shard of how many this server is, so
-    /// stats and telemetry can attribute work.
-    Shard {
-        /// This shard's index, `< shards`.
-        index: Spanned<u64>,
-        /// Total shard count.
-        shards: Spanned<u64>,
-    },
 }
 
 /// The request verbs, for error messages.
-const VERBS: &str =
-    "ping, stats, watch, shutdown, sleep, scenario, eval, fit, sweep, fleet, unit, merge, shard";
+const VERBS: &str = "ping, stats, watch, shutdown, sleep, scenario, eval, fit, sweep, fleet";
 
 /// Parses one request line.
 ///
@@ -378,71 +315,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 seed: keys.get("seed")?,
                 shape: finite(&keys, "shape")?,
             })
-        }
-        "unit" => {
-            let form = t.operand("unit form (sweep or fleet)")?;
-            match form.value.as_str() {
-                "sweep" => {
-                    let app = t.operand("application name")?;
-                    let keys = t.key_values(&[
-                        "index", "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual",
-                        "alpha", "target",
-                    ])?;
-                    Request::UnitSweep(UnitSweepRequest {
-                        app,
-                        index: keys.require("index", 1)?,
-                        scenario: keys.get("scenario")?,
-                        point: parse_point(&keys)?,
-                        qual: parse_qual(&keys)?,
-                    })
-                }
-                "fleet" => {
-                    let app = t.operand("application name")?;
-                    let keys = t.key_values(&[
-                        "batch", "freq", "vdd", "window", "alus", "fpus", "scenario", "tqual",
-                        "alpha", "target", "dies", "seed", "shape",
-                    ])?;
-                    let batch = keys.require("batch", 1)?;
-                    let dies = positive_dies(&keys)?;
-                    Request::UnitFleet(UnitFleetRequest {
-                        app,
-                        batch,
-                        scenario: keys.get("scenario")?,
-                        point: parse_point(&keys)?,
-                        qual: parse_qual(&keys)?,
-                        dies,
-                        seed: keys.get("seed")?,
-                        shape: finite(&keys, "shape")?,
-                    })
-                }
-                other => {
-                    return Err(ProtoError::new(
-                        form.pos,
-                        format!("unknown unit form `{other}` (known: sweep, fleet)"),
-                    ))
-                }
-            }
-        }
-        "merge" => Request::Merge {
-            scenario: t.key_values(&["scenario"])?.get("scenario")?,
-        },
-        "shard" => {
-            let keys = t.key_values(&["index", "shards"])?;
-            let index = keys.require::<u64>("index", 1)?;
-            let shards = keys.require::<u64>("shards", 1)?;
-            if shards.value == 0 {
-                return Err(ProtoError::new(shards.pos, "shards must be positive"));
-            }
-            if index.value >= shards.value {
-                return Err(ProtoError::new(
-                    index.pos,
-                    format!(
-                        "shard index {} out of range 0..{}",
-                        index.value, shards.value
-                    ),
-                ));
-            }
-            Request::Shard { index, shards }
         }
         other => {
             return Err(ProtoError::new(
@@ -724,6 +596,12 @@ mod tests {
         let e = parse_request("bogus").unwrap_err();
         assert_eq!(e.pos, 1);
         assert!(e.message.contains("unknown request"));
+        // The retired shard-only verbs are unknown like any other.
+        for line in ["unit sweep gzip index=0", "merge", "shard index=0 shards=1"] {
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(e.pos, 1, "{line}");
+            assert!(e.message.contains(&format!("(known: {VERBS})")), "{e}");
+        }
     }
 
     #[test]
@@ -832,70 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_requests_parse_both_forms() {
-        let Request::UnitSweep(u) =
-            parse_request("unit sweep gzip index=4 freq=3.5e9 vdd=1.1 window=64 alus=4 fpus=2")
-                .unwrap()
-        else {
-            panic!("not a unit sweep")
-        };
-        assert_eq!(u.app.value, "gzip");
-        assert_eq!(u.app.pos, 3);
-        assert_eq!(u.index.value, 4);
-        assert_eq!(u.point.freq_hz.unwrap().value, 3.5e9);
-        assert_eq!(u.point.window.unwrap().value, 64);
-
-        let Request::UnitFleet(u) =
-            parse_request("unit fleet twolf batch=2 dies=10000 seed=7 shape=2.2").unwrap()
-        else {
-            panic!("not a unit fleet")
-        };
-        assert_eq!(u.batch.value, 2);
-        assert_eq!(u.dies.unwrap().value, 10_000);
-        assert_eq!(u.seed.unwrap().value, 7);
-        assert_eq!(u.shape.unwrap().value, 2.2);
-
-        // index/batch are required; the form token is validated.
-        let e = parse_request("unit sweep gzip freq=3e9").unwrap_err();
-        assert!(e.message.contains("missing required key `index`"), "{e}");
-        let e = parse_request("unit fleet gzip seed=1").unwrap_err();
-        assert!(e.message.contains("missing required key `batch`"), "{e}");
-        let e = parse_request("unit frob gzip").unwrap_err();
-        assert_eq!(e.pos, 2);
-        assert!(e.message.contains("unknown unit form"), "{e}");
-        assert_eq!(parse_request("unit").unwrap_err().pos, 2);
-        assert_eq!(parse_request("unit sweep").unwrap_err().pos, 3);
-        assert!(parse_request("unit fleet gzip batch=0 dies=0").is_err());
-    }
-
-    #[test]
-    fn merge_and_shard_requests_parse() {
-        assert_eq!(
-            parse_request("merge").unwrap(),
-            Request::Merge { scenario: None }
-        );
-        let Request::Merge { scenario } = parse_request("merge scenario=hot").unwrap() else {
-            panic!("not a merge")
-        };
-        assert_eq!(scenario.unwrap().value, "hot");
-        assert!(parse_request("merge now").is_err());
-
-        let Request::Shard { index, shards } = parse_request("shard index=1 shards=4").unwrap()
-        else {
-            panic!("not a shard")
-        };
-        assert_eq!(index.value, 1);
-        assert_eq!(shards.value, 4);
-
-        let e = parse_request("shard index=4 shards=4").unwrap_err();
-        assert!(e.message.contains("out of range"), "{e}");
-        let e = parse_request("shard index=0 shards=0").unwrap_err();
-        assert!(e.message.contains("shards must be positive"), "{e}");
-        assert!(parse_request("shard index=0").is_err());
-        assert!(parse_request("shard shards=2").is_err());
-    }
-
-    #[test]
     fn scenario_upload_header_parses() {
         let Request::Scenario { name, lines } = parse_request("scenario hot 42").unwrap() else {
             panic!("not a scenario upload")
@@ -919,10 +733,6 @@ mod tests {
             "fit gzip freq=3.5e9 tqual=394 alpha=0.48 target=4000",
             "sweep gzip strategy=dvs step=0.5 tqual=370",
             "fleet gzip dies=50000 seed=7 shape=2.5 freq=3.5e9",
-            "unit sweep gzip index=4 freq=3.5e9 vdd=1.1 window=64 alus=4 fpus=2",
-            "unit fleet twolf batch=2 dies=10000 seed=7 shape=2.2",
-            "merge scenario=hot",
-            "shard index=1 shards=4",
         ];
         for (i, line) in requests.iter().enumerate() {
             for seed in 0..40 {

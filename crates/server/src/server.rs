@@ -53,8 +53,7 @@ use sim_obs::{FitBurnObjective, SloObjective, SloSet, SloStatus, Ticker, WindowR
 
 use crate::protocol::{
     busy_line, parse_request, EvalRequest, FitRequest, FleetRequest, OpPoint, ProtoError,
-    QualOverride, Request, ResponseLine, SweepRequest, UnitFleetRequest, UnitSweepRequest,
-    GREETING, MAX_LINE_BYTES, WATCH_FRAME_KIND,
+    QualOverride, Request, ResponseLine, SweepRequest, GREETING, MAX_LINE_BYTES, WATCH_FRAME_KIND,
 };
 use crate::queue::{BoundedQueue, PushError};
 
@@ -309,23 +308,6 @@ enum Job {
         model: ReliabilityModel,
         config: FleetConfig,
     },
-    UnitSweep {
-        slot: Arc<EngineSlot>,
-        app: App,
-        arch: ArchPoint,
-        dvs: DvsPoint,
-        model: ReliabilityModel,
-        index: u64,
-    },
-    UnitFleet {
-        slot: Arc<EngineSlot>,
-        app: App,
-        arch: ArchPoint,
-        dvs: DvsPoint,
-        model: ReliabilityModel,
-        config: FleetConfig,
-        batch: u64,
-    },
     Sleep {
         ms: u64,
     },
@@ -347,8 +329,6 @@ pub struct ServerState {
     default_slot: Arc<EngineSlot>,
     queue: BoundedQueue<QueuedRequest>,
     telemetry: Option<Arc<Telemetry>>,
-    /// Cluster role, set by the `shard` handshake: `(index, shards)`.
-    shard: Mutex<Option<(u64, u64)>>,
     started: Instant,
     stop: AtomicBool,
     connections: AtomicU64,
@@ -378,13 +358,6 @@ impl ServerState {
     #[must_use]
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// This server's cluster role `(index, shards)`, once a coordinator
-    /// has performed the `shard` handshake.
-    #[must_use]
-    pub fn shard_identity(&self) -> Option<(u64, u64)> {
-        *self.shard.lock().expect("shard lock poisoned")
     }
 
     /// Current counter snapshot.
@@ -524,7 +497,6 @@ impl Server {
             registry: Mutex::new(registry),
             default_slot: slot,
             telemetry,
-            shard: Mutex::new(None),
             started: Instant::now(),
             stop: AtomicBool::new(false),
             connections: AtomicU64::new(0),
@@ -876,46 +848,7 @@ fn respond(state: &Arc<ServerState>, reader: &mut LineReader<'_>, line: &str) ->
             Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
             Err(e) => e.to_line(),
         },
-        Request::UnitSweep(unit) => match resolve_unit_sweep(state, &unit) {
-            Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
-            Err(e) => e.to_line(),
-        },
-        Request::UnitFleet(unit) => match resolve_unit_fleet(state, &unit) {
-            Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
-            Err(e) => e.to_line(),
-        },
-        Request::Merge { scenario } => match resolve_slot(state, scenario.as_ref()) {
-            Ok(slot) => merge_line(&slot),
-            Err(e) => e.to_line(),
-        },
-        Request::Shard { index, shards } => {
-            *state.shard.lock().expect("shard lock poisoned") = Some((index.value, shards.value));
-            sim_obs::counter!("server.shard.handshakes", 1);
-            let mut ok = ResponseLine::ok("shard");
-            ok.u64("index", index.value).u64("shards", shards.value);
-            ok.finish()
-        }
     }
-}
-
-/// The `merge` response: one engine's cumulative evaluation summary —
-/// the partial a coordinator folds (and `cluster status` prints).
-fn merge_line(slot: &EngineSlot) -> String {
-    let cache = slot.engine.cache();
-    let timing = slot.engine.timing_cache();
-    let mut ok = ResponseLine::ok("merge");
-    ok.u64("workers", slot.engine.workers() as u64)
-        .u64("evaluations", cache.len() as u64)
-        .u64("cache_hits", cache.hits())
-        .u64("timing_runs", timing.misses())
-        .u64("timing_reuses", timing.hits())
-        .u64("wall_ns", cache.wall().as_nanos() as u64)
-        .u64("busy_ns", cache.busy().as_nanos() as u64)
-        .u64(
-            "store_records",
-            slot.engine.store().map_or(0, |s| s.len() as u64),
-        );
-    ok.finish()
 }
 
 /// Flattens an error to one response-safe line.
@@ -1031,10 +964,15 @@ fn stats_line(state: &Arc<ServerState>) -> String {
         .u64("evaluations", summary.evaluations)
         .u64("cache_hits", summary.cache_hits)
         .u64("timing_runs", summary.timing_runs)
-        .u64("timing_reuses", summary.timing_reuses);
-    if let Some((index, shards)) = state.shard_identity() {
-        ok.u64("shard_index", index).u64("shard_count", shards);
-    }
+        .u64("timing_reuses", summary.timing_reuses)
+        .u64(
+            "store_records",
+            state
+                .default_slot
+                .engine
+                .store()
+                .map_or(0, |s| s.len() as u64),
+        );
     ok.finish()
 }
 
@@ -1146,8 +1084,8 @@ fn resolve_point(slot: &EngineSlot, point: &OpPoint) -> Result<(ArchPoint, DvsPo
             .at_ghz(f.value / 1e9)
             .map_err(|e| ProtoError::new(f.pos, one_line(&e)))?,
         // The Hz value is taken verbatim — a `/1e9` → `*1e9` GHz round
-        // trip can drift a ulp, and cluster coordinators rely on shipped
-        // points reconstructing bit-exactly.
+        // trip can drift a ulp, and a client naming an exact point must
+        // get exactly that point.
         (Some(f), Some(v)) => DvsPoint {
             frequency: Hertz(f.value),
             vdd: Volts(v.value),
@@ -1275,78 +1213,6 @@ fn resolve_fleet(state: &Arc<ServerState>, fleet: &FleetRequest) -> Result<Job, 
     })
 }
 
-fn resolve_unit_sweep(
-    state: &Arc<ServerState>,
-    unit: &UnitSweepRequest,
-) -> Result<Job, ProtoError> {
-    let slot = resolve_slot(state, unit.scenario.as_ref())?;
-    let app = resolve_app(&slot, &unit.app)?;
-    let (arch, dvs) = resolve_point(&slot, &unit.point)?;
-    let model = slot
-        .model_for(&unit.qual)
-        .map_err(|e| ProtoError::new(qual_pos(&unit.qual), one_line(&e)))?;
-    Ok(Job::UnitSweep {
-        slot,
-        app,
-        arch,
-        dvs,
-        model,
-        index: unit.index.value,
-    })
-}
-
-fn resolve_unit_fleet(
-    state: &Arc<ServerState>,
-    unit: &UnitFleetRequest,
-) -> Result<Job, ProtoError> {
-    let slot = resolve_slot(state, unit.scenario.as_ref())?;
-    let app = resolve_app(&slot, &unit.app)?;
-    let (arch, dvs) = resolve_point(&slot, &unit.point)?;
-    let model = slot
-        .model_for(&unit.qual)
-        .map_err(|e| ProtoError::new(qual_pos(&unit.qual), one_line(&e)))?;
-    let config = FleetConfig {
-        dies: unit
-            .dies
-            .as_ref()
-            .map_or(slot.scenario.fleet.dies, |d| d.value),
-        seed: unit
-            .seed
-            .as_ref()
-            .map_or(slot.scenario.fleet.seed, |s| s.value),
-        shape: unit
-            .shape
-            .as_ref()
-            .map_or(slot.scenario.fleet.shape, |s| s.value),
-        variation: slot.scenario.fleet.variation,
-    };
-    if let Err(e) = config.validate() {
-        let pos = unit
-            .dies
-            .as_ref()
-            .map(|d| d.pos)
-            .or_else(|| unit.shape.as_ref().map(|s| s.pos))
-            .unwrap_or(1);
-        return Err(ProtoError::new(pos, one_line(&e)));
-    }
-    let batches = config.dies.div_ceil(drm::DIE_BATCH);
-    if unit.batch.value >= batches {
-        return Err(ProtoError::new(
-            unit.batch.pos,
-            format!("batch {} out of range 0..{batches}", unit.batch.value),
-        ));
-    }
-    Ok(Job::UnitFleet {
-        slot,
-        app,
-        arch,
-        dvs,
-        model,
-        config,
-        batch: unit.batch.value,
-    })
-}
-
 fn qual_pos(qual: &QualOverride) -> usize {
     qual.tqual_k
         .as_ref()
@@ -1445,7 +1311,6 @@ fn verb_latency_metric(job: &Job) -> &'static str {
         Job::Fit { .. } => "server.request.latency_ms.fit",
         Job::Sweep { .. } => "server.request.latency_ms.sweep",
         Job::Fleet { .. } => "server.request.latency_ms.fleet",
-        Job::UnitSweep { .. } | Job::UnitFleet { .. } => "server.request.latency_ms.unit",
         Job::Sleep { .. } => "server.request.latency_ms.sleep",
     }
 }
@@ -1539,66 +1404,6 @@ fn run_job(job: &Job) -> String {
                 Err(e) => ProtoError::new(1, one_line(&e)).to_line(),
             }
         }
-        Job::UnitSweep {
-            slot,
-            app,
-            arch,
-            dvs,
-            model,
-            index,
-        } => {
-            // The pass-local counters of this unit's `evaluate_all` are
-            // the shard's delta for the coordinator's fold; the scoring
-            // lookup afterwards is a guaranteed cache hit.
-            let result = slot
-                .engine
-                .evaluate_all(&[(*app, *arch, *dvs)])
-                .and_then(|delta| Ok((delta, slot.engine.evaluation(*app, *arch, *dvs)?)));
-            match result {
-                Ok((delta, ev)) => {
-                    let fit = ev.application_fit(model).total();
-                    let target = model.target_fit();
-                    let mut ok = ResponseLine::ok("unit-sweep");
-                    ok.u64("index", *index)
-                        .str("app", app.name())
-                        .f64("bips", ev.bips)
-                        .f64("fit", fit.value())
-                        .f64("target", target.value())
-                        .bool("feasible", fit <= target)
-                        .u64("evaluations", delta.evaluations)
-                        .u64("cache_hits", delta.cache_hits)
-                        .u64("timing_runs", delta.timing_runs)
-                        .u64("timing_reuses", delta.timing_reuses)
-                        .u64("wall_ns", delta.wall.as_nanos() as u64)
-                        .u64("busy_ns", delta.busy.as_nanos() as u64);
-                    ok.finish()
-                }
-                Err(e) => ProtoError::new(1, one_line(&e)).to_line(),
-            }
-        }
-        Job::UnitFleet {
-            slot,
-            app,
-            arch,
-            dvs,
-            model,
-            config,
-            batch,
-        } => match drm::fleet_partial(&slot.engine, *app, *arch, *dvs, model, config, *batch) {
-            Ok(part) => {
-                let mut ok = ResponseLine::ok("unit-fleet");
-                ok.u64("batch", *batch)
-                    .str("app", app.name())
-                    .u64("dies", part.dies())
-                    .u64("violations", part.violations())
-                    .f64("fit_sum", part.fit_sum())
-                    .f64("life_sum", part.life_sum())
-                    .str("fit_sketch", &part.fit_sketch().to_compact_string())
-                    .str("life_sketch", &part.life_sketch().to_compact_string());
-                ok.finish()
-            }
-            Err(e) => ProtoError::new(1, one_line(&e)).to_line(),
-        },
         Job::Fleet {
             slot,
             app,

@@ -89,59 +89,39 @@ echo "$server_report" | grep -q 'requests (lines received)' \
 echo "$server_report" | grep -q 'service-level objectives' \
   || { echo "error: server trace lacks the report's SLO section" >&2; exit 1; }
 
-echo "== cluster smoke: coordinator + 2 ramp serve workers, parity vs direct, store, status =="
-# Two workers on ephemeral ports; worker A persists its timing runs to a
-# scratch evaluation store. The folded sweep choice and fleet summary
-# must be byte-identical to the direct single-process runs.
-shard_a_log="$(mktemp -t ramp-check-shard-a-XXXXXX.log)"
-shard_b_log="$(mktemp -t ramp-check-shard-b-XXXXXX.log)"
+echo "== store smoke: a restarted server answers a stored sweep without simulating =="
 store_dir="$(mktemp -d -t ramp-check-store-XXXXXX)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$shard_a_log" "$shard_b_log"; rm -rf "$store_dir"' EXIT
-./target/release/ramp serve --addr 127.0.0.1:0 --quick --store-dir "$store_dir" >"$shard_a_log" &
-shard_a_pid=$!
-./target/release/ramp serve --addr 127.0.0.1:0 --quick >"$shard_b_log" &
-shard_b_pid=$!
-shard_a=""; shard_b=""
-for _ in $(seq 1 100); do
-  shard_a="$(sed -n 's/^ramp-serve\/1 listening on //p' "$shard_a_log")"
-  shard_b="$(sed -n 's/^ramp-serve\/1 listening on //p' "$shard_b_log")"
-  [ -n "$shard_a" ] && [ -n "$shard_b" ] && break
-  sleep 0.1
-done
-[ -n "$shard_a" ] && [ -n "$shard_b" ] \
-  || { echo "error: worker shards never reported their addresses" >&2; exit 1; }
-cluster_out="$(./target/release/ramp cluster serve --app gzip --strategy dvs --addr "$shard_a,$shard_b")"
-echo "$cluster_out" | grep -q '^cluster: 2 shard(s)' \
-  || { echo "error: cluster serve did not address 2 shards" >&2; exit 1; }
-echo "$cluster_out" | grep -q '11 unique point(s), 0 re-dispatched' \
-  || { echo "error: cluster serve routed an unexpected grid" >&2; exit 1; }
-cluster_choice="$(echo "$cluster_out" | sed -n 's/^  configuration  //p')"
-direct_choice="$(./target/release/ramp drm --app gzip --strategy dvs --quick \
-  | sed -n 's/^  configuration  //p')"
-[ -n "$cluster_choice" ] && [ "$cluster_choice" = "$direct_choice" ] \
-  || { echo "error: cluster choice '$cluster_choice' != direct '$direct_choice'" >&2; exit 1; }
-./target/release/ramp cluster status --addr "$shard_a,$shard_b" | grep -c 'evaluations' | grep -q '^2$' \
-  || { echo "error: cluster status did not report both shards" >&2; exit 1; }
-stored="$(./target/release/ramp cluster status --addr "$shard_a" | sed -n 's/.* \([0-9][0-9]*\) stored .*/\1/p')"
-[ -n "$stored" ] && [ "$stored" -gt 0 ] \
-  || { echo "error: the --store-dir worker stored no timing runs ('$stored')" >&2; exit 1; }
-# The sharded fleet folds the same percentiles the direct run prints.
-cluster_fleet="$(./target/release/ramp cluster fleet --app twolf --dies 20000 --addr "$shard_a,$shard_b" \
-  | grep -E '^  (FIT|lifetime|violations)')"
-direct_fleet="$(./target/release/ramp fleet --app twolf --dies 20000 --quick \
-  | grep -E '^  (FIT|lifetime|violations)')"
-[ -n "$cluster_fleet" ] && [ "$cluster_fleet" = "$direct_fleet" ] \
-  || { echo "error: sharded fleet summary differs from direct" >&2; exit 1; }
-./target/release/ramp client --addr "$shard_a" shutdown >/dev/null
-./target/release/ramp client --addr "$shard_b" shutdown >/dev/null
-wait "$shard_a_pid" "$shard_b_pid"
-# Shard-death recovery and bit-level parity (including mid-sweep kill and
-# store pre-warm) are pinned by tests/cluster_parity.rs in the test step.
+store_log="$(mktemp -t ramp-check-store-XXXXXX.log)"
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log"; rm -rf "$store_dir"' EXIT
+# Serves on the store, sweeps once, prints the sweep reply and the stats
+# reply, then shuts the server down.
+store_round() {
+  ./target/release/ramp serve --addr 127.0.0.1:0 --quick --store-dir "$store_dir" >"$store_log" &
+  local pid=$! addr=""
+  for _ in $(seq 1 100); do
+    addr="$(sed -n 's/^ramp-serve\/1 listening on //p' "$store_log")"
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "error: store server never reported its address" >&2; exit 1; }
+  ./target/release/ramp client --addr "$addr" sweep gzip --strategy dvs
+  ./target/release/ramp client --addr "$addr" stats
+  ./target/release/ramp client --addr "$addr" shutdown >/dev/null
+  wait "$pid"
+}
+cold="$(store_round)"
+warm="$(store_round)"
+echo "$cold" | grep -q ' store_records=[1-9]' \
+  || { echo "error: the cold server stored no timing runs: $cold" >&2; exit 1; }
+echo "$warm" | grep -q ' timing_runs=0 ' \
+  || { echo "error: the restarted server re-simulated stored points: $warm" >&2; exit 1; }
+[ "$(echo "$cold" | head -n 1)" = "$(echo "$warm" | head -n 1)" ] \
+  || { echo "error: the restarted server answered the sweep differently" >&2; exit 1; }
 
 echo "== checkpoint smoke: cut checkpoints, inspect them, run a sliced fit =="
 ckpt_dir="$(mktemp -d -t ramp-check-ckpt-XXXXXX)"
 slice_scn="$(mktemp -t ramp-check-slice-XXXXXX.scn)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$shard_a_log" "$shard_b_log" "$slice_scn"; rm -rf "$store_dir" "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn"; rm -rf "$store_dir" "$ckpt_dir"' EXIT
 # A slice-enabled scenario: the paper default plus a [slice] section
 # pointing at a scratch checkpoint directory.
 ./target/release/ramp scenario print > "$slice_scn"
@@ -169,8 +149,15 @@ plain_drm="$(./target/release/ramp drm --app gzip --strategy dvs --quick)"
 [ "$surr_drm" = "$plain_drm" ] \
   || { echo "error: surrogate-enabled drm differs from exhaustive" >&2; exit 1; }
 
-echo "== paper driver smoke: the bench-suite library still runs a table =="
+echo "== paper driver smoke: tables run, and a driver's stdout is byte-stable =="
 RAMP_FAST=1 ./target/release/table1 >/dev/null
+table2_a="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
+table2_b="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn" "$table2_a" "$table2_b"; rm -rf "$store_dir" "$ckpt_dir"' EXIT
+RAMP_FAST=1 ./target/release/table2 >"$table2_a" 2>/dev/null
+RAMP_FAST=1 ./target/release/table2 >"$table2_b" 2>/dev/null
+cmp "$table2_a" "$table2_b" \
+  || { echo "error: two table2 runs printed different stdout" >&2; exit 1; }
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings

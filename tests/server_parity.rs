@@ -442,10 +442,10 @@ fn protocol_fuzz_never_kills_the_connection() {
     const CANONICAL: &[&str] = &[
         "ping",
         "stats",
-        "merge",
         "eval gzip freq=4000000000 vdd=1 window=128 alus=6 fpus=4",
         "fit gzip tqual=394 alpha=0.48 target=4000",
-        "unit sweep gzip index=1 freq=3.5e9 vdd=0.95",
+        "sweep gzip strategy=dvs tqual=370",
+        "fleet twolf dies=5000 seed=7",
     ];
     for i in 0..300u64 {
         let canonical = CANONICAL[i as usize % CANONICAL.len()];
@@ -469,6 +469,47 @@ fn protocol_fuzz_never_kills_the_connection() {
     // The connection and the server both survived the abuse.
     client.ping().expect("ping after fuzzing");
     assert_eq!(server.stats().connections, 1);
+}
+
+/// A server restarted on the same `store_dir` pre-warms its timing cache
+/// from the runs the first one stored: the same sweep then runs no timing
+/// simulation and answers bit-identically.
+#[test]
+fn restarted_server_prewarms_from_the_store() {
+    let dir = std::env::temp_dir().join(format!("ramp-server-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let config = ServerConfig {
+        store_dir: Some(dir.clone()),
+        ..tiny_config()
+    };
+    let sweep_once = || {
+        let server = start_server(config.clone());
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let reply = client
+            .request_raw("sweep gzip strategy=dvs")
+            .expect("sweep");
+        let stats = client.request("stats").expect("stats");
+        client.request("shutdown").expect("shutdown");
+        server.join();
+        (reply, stats)
+    };
+
+    let (cold, stats) = sweep_once();
+    assert!(cold.starts_with("ok sweep "), "{cold}");
+    let runs = stats.u64("timing_runs").expect("timing_runs");
+    assert!(runs > 0, "a cold sweep must simulate");
+    assert_eq!(
+        stats.u64("store_records").expect("store_records"),
+        runs,
+        "every timing run must be stored"
+    );
+
+    let (warm, stats) = sweep_once();
+    assert_eq!(stats.u64("timing_runs").expect("timing_runs"), 0);
+    assert!(stats.u64("timing_reuses").expect("timing_reuses") > 0);
+    assert_eq!(warm, cold, "the stored runs must answer bit-identically");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An uploaded scenario is a first-class engine: evaluating through it
