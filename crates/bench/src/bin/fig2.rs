@@ -4,8 +4,7 @@
 //! this substrate's thermal range — see EXPERIMENTS.md).
 
 use bench_suite::{
-    make_oracle, parallel_over_apps, print_sweep_summary, qualified_model, suite_alpha_qual,
-    DVS_STEP_GHZ, FIG2_SWEEP,
+    fig2_rows, make_oracle, print_sweep_summary, suite_alpha_qual, DVS_STEP_GHZ, FIG2_SWEEP,
 };
 use drm::Strategy;
 use workload::App;
@@ -28,17 +27,7 @@ fn main() {
     }
     println!();
 
-    let rows = parallel_over_apps(&oracle, |app, oracle| {
-        let mut row = Vec::new();
-        for (t_qual, _) in FIG2_SWEEP {
-            let model = qualified_model(t_qual, alpha)?;
-            let choice = oracle.best(app, Strategy::ArchDvs, &model, DVS_STEP_GHZ)?;
-            row.push(choice);
-        }
-        Ok(row)
-    });
-
-    for (app, row) in rows {
+    for (app, row) in fig2_rows(&oracle, &App::ALL, alpha).expect("rows") {
         print!("{:10}", app.name());
         for choice in &row {
             print!(

@@ -11,11 +11,9 @@
 //! neither policy subsumes the other.
 
 use bench_suite::{
-    make_oracle, parallel_over_apps, print_sweep_summary, qualified_model, suite_alpha_qual,
-    DVS_STEP_GHZ, FIG34_SWEEP,
+    fig4_rows, make_oracle, print_sweep_summary, suite_alpha_qual, DVS_STEP_GHZ, FIG34_SWEEP,
 };
-use drm::{compare_drm_dtm, Strategy};
-use sim_common::Kelvin;
+use drm::Strategy;
 use workload::App;
 
 fn main() {
@@ -37,18 +35,8 @@ fn main() {
     }
     println!();
 
-    let rows = parallel_over_apps(&oracle, |app, oracle| {
-        let mut row = Vec::new();
-        for (t, _) in FIG34_SWEEP {
-            let model = qualified_model(t, alpha)?;
-            let point = compare_drm_dtm(oracle, app, Kelvin(t), &model, DVS_STEP_GHZ)?;
-            row.push(point);
-        }
-        Ok(row)
-    });
-
     let mut crossovers = Vec::new();
-    for (app, row) in rows {
+    for (app, row) in fig4_rows(&oracle, &App::ALL, alpha).expect("rows") {
         print!("{:9}", app.name());
         for p in &row {
             print!(

@@ -1,27 +1,24 @@
 //! Table 2 reproduction: per-application IPC and base power
 //! (dynamic + leakage) on the base non-adaptive processor.
 
-use bench_suite::{make_oracle, parallel_over_apps, print_sweep_summary};
+use bench_suite::{make_oracle, print_sweep_summary, table2_rows};
+use workload::App;
 
 fn main() {
     let oracle = make_oracle().expect("oracle");
+    // Finding the suite's peak activity evaluates every base point in one
+    // parallel pass; the rows below only read the cache.
+    oracle.suite_max_activity(&App::ALL).expect("sweep");
     println!("Table 2: Workload description (measured on the base processor)");
     println!("===============================================================");
     println!(
         "{:10} {:12} {:>6} {:>8}   {:>10} {:>12}",
         "App", "Type", "IPC", "Power(W)", "paper IPC", "paper P(W)"
     );
-    let rows = parallel_over_apps(&oracle, |app, oracle| {
-        let ev = oracle.base_evaluation(app)?;
-        Ok((ev.ipc, ev.average_power().0))
-    });
-    for (app, (ipc, power)) in rows {
+    for (app, ipc, power) in table2_rows(&oracle, &App::ALL).expect("rows") {
         let class = if app.is_multimedia() {
             "Multimedia"
-        } else if matches!(
-            app,
-            workload::App::Bzip2 | workload::App::Gzip | workload::App::Twolf
-        ) {
+        } else if matches!(app, App::Bzip2 | App::Gzip | App::Twolf) {
             "SpecInt"
         } else {
             "SpecFP"

@@ -19,7 +19,11 @@
 //!
 //! Every figure driver shares one [`Oracle`] whose batch engine fans
 //! evaluations across `RAMP_JOBS` worker threads (0 or unset = all
-//! cores) and ends with a one-line sweep summary.
+//! cores) and ends with a one-line sweep summary. A driver runs in two
+//! phases: a prefetch that evaluates every point it needs in one batch
+//! pass, then a sequential row phase that only reads the cache and
+//! scores. The engine's workers are thus the only threads that evaluate,
+//! so the summary's busy time never exceeds workers × wall.
 //!
 //! ## The `T_qual` axis mapping
 //!
@@ -36,9 +40,9 @@
 //! | 325 K | drastic underdesign | 340 K |
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 
-use drm::{EvalParams, Oracle};
+use drm::{compare_drm_dtm, DrmChoice, DrmDtmPoint, EvalParams, Oracle, Strategy};
 use ramp::ReliabilityModel;
 use scenario::Scenario;
 use sim_common::{Kelvin, SimError};
@@ -230,35 +234,72 @@ pub fn suite_alpha_qual(oracle: &Oracle) -> Result<f64, SimError> {
     oracle.suite_max_activity(&App::ALL)
 }
 
-/// Runs `job` for every application, all sharing `oracle` (and hence one
-/// evaluation cache). The expensive pipeline work should already be
-/// prefetched through the oracle's batch engine (`Oracle::prefetch_suite`);
-/// the per-app jobs then run on scoped threads and mostly score cache
-/// hits, so results stay cheap and deterministic. Results come back in
-/// [`App::ALL`] order.
+/// Table 2's rows, `(app, IPC, average power in W)`, read from the cache
+/// [`Oracle::suite_max_activity`] filled.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a worker thread panics or a job returns an error.
-pub fn parallel_over_apps<R, F>(oracle: &Oracle, job: F) -> Vec<(App, R)>
-where
-    R: Send,
-    F: Fn(App, &Oracle) -> Result<R, SimError> + Sync,
-{
-    let results: Mutex<Vec<(usize, App, R)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for (i, app) in App::ALL.into_iter().enumerate() {
-            let results = &results;
-            let job = &job;
-            scope.spawn(move || {
-                let r = job(app, oracle).unwrap_or_else(|e| panic!("job for {app} failed: {e}"));
-                results.lock().expect("no poisoned lock").push((i, app, r));
-            });
-        }
-    });
-    let mut collected = results.into_inner().expect("no poisoned lock");
-    collected.sort_by_key(|(i, _, _)| *i);
-    collected.into_iter().map(|(_, app, r)| (app, r)).collect()
+/// Propagates evaluation errors.
+pub fn table2_rows(oracle: &Oracle, apps: &[App]) -> Result<Vec<(App, f64, f64)>, SimError> {
+    apps.iter()
+        .map(|&app| {
+            let ev = oracle.base_evaluation(app)?;
+            Ok((app, ev.ipc, ev.average_power().0))
+        })
+        .collect()
+}
+
+/// Figure 2's rows: the ArchDVS DRM choice of every app at each
+/// [`FIG2_SWEEP`] point, scored from the cache the ArchDVS
+/// [`Oracle::prefetch_suite`] filled.
+///
+/// # Errors
+///
+/// Propagates qualification and evaluation errors.
+pub fn fig2_rows(
+    oracle: &Oracle,
+    apps: &[App],
+    alpha_qual: f64,
+) -> Result<Vec<(App, Vec<DrmChoice>)>, SimError> {
+    let models = FIG2_SWEEP
+        .iter()
+        .map(|&(t_qual, _)| qualified_model(t_qual, alpha_qual))
+        .collect::<Result<Vec<_>, _>>()?;
+    apps.iter()
+        .map(|&app| {
+            let row = models
+                .iter()
+                .map(|model| oracle.best(app, Strategy::ArchDvs, model, DVS_STEP_GHZ))
+                .collect::<Result<_, _>>()?;
+            Ok((app, row))
+        })
+        .collect()
+}
+
+/// Figure 4's rows: DRM vs DTM at each [`FIG34_SWEEP`] point for every
+/// app, from the cache the DVS [`Oracle::prefetch_suite`] filled.
+///
+/// # Errors
+///
+/// Propagates qualification and evaluation errors.
+pub fn fig4_rows(
+    oracle: &Oracle,
+    apps: &[App],
+    alpha_qual: f64,
+) -> Result<Vec<(App, Vec<DrmDtmPoint>)>, SimError> {
+    let models = FIG34_SWEEP
+        .iter()
+        .map(|&(t, _)| Ok((t, qualified_model(t, alpha_qual)?)))
+        .collect::<Result<Vec<_>, SimError>>()?;
+    apps.iter()
+        .map(|&app| {
+            let row = models
+                .iter()
+                .map(|(t, model)| compare_drm_dtm(oracle, app, Kelvin(*t), model, DVS_STEP_GHZ))
+                .collect::<Result<_, _>>()?;
+            Ok((app, row))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -288,13 +329,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_preserves_order() {
-        let oracle = make_oracle().unwrap();
-        let out = parallel_over_apps(&oracle, |app, _| Ok(app.name().len()));
-        assert_eq!(out.len(), App::ALL.len());
-        for ((a, n), expect) in out.iter().zip(App::ALL) {
-            assert_eq!(*a, expect);
-            assert_eq!(*n, expect.name().len());
-        }
+    fn row_phases_add_no_timing_run() {
+        use drm::Evaluator;
+        let params = EvalParams {
+            warmup_instructions: 500,
+            measure_instructions: 2_000,
+            interval_instructions: 1_000,
+            ..EvalParams::quick()
+        };
+        let oracle = Oracle::with_workers(Evaluator::ibm_65nm(params).unwrap(), 2);
+        let apps = [App::Gzip];
+        let timing_runs = || oracle.summary().timing_runs;
+
+        let alpha = oracle.suite_max_activity(&apps).unwrap();
+        let before = timing_runs();
+        let rows = table2_rows(&oracle, &apps).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(timing_runs(), before, "table2 rows simulated");
+
+        oracle
+            .prefetch_suite(&apps, Strategy::Dvs, DVS_STEP_GHZ)
+            .unwrap();
+        let before = timing_runs();
+        let rows = fig4_rows(&oracle, &apps, alpha).unwrap();
+        assert_eq!(rows[0].1.len(), FIG34_SWEEP.len());
+        assert_eq!(timing_runs(), before, "fig4 rows simulated");
+
+        oracle
+            .prefetch_suite(&apps, Strategy::ArchDvs, DVS_STEP_GHZ)
+            .unwrap();
+        let before = timing_runs();
+        let rows = fig2_rows(&oracle, &apps, alpha).unwrap();
+        assert_eq!(rows[0].1.len(), FIG2_SWEEP.len());
+        assert_eq!(timing_runs(), before, "fig2 rows simulated");
     }
 }

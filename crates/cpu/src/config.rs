@@ -252,6 +252,21 @@ impl CoreConfig {
         self.int_alus + self.fpus + self.addr_gens
     }
 
+    /// Fetch-queue capacity: the fetch-to-dispatch pipeline occupancy
+    /// (width × depth) plus one cycle of slack, or Little's law caps fetch
+    /// below its width.
+    pub fn fetch_queue_capacity(&self) -> u32 {
+        self.fetch_width * (self.frontend_latency + 2)
+    }
+
+    /// Most ops a processor holds fetched but uncommitted: a full window,
+    /// a full fetch queue and one op held back at a fetch stall. A run
+    /// that commits `n` instructions pulls at most `n` plus this many ops
+    /// from its source.
+    pub fn max_in_flight(&self) -> u64 {
+        u64::from(self.window_size) + u64::from(self.fetch_queue_capacity()) + 1
+    }
+
     /// L2 hit latency in cycles at the configured frequency.
     pub fn l2_hit_cycles(&self) -> u32 {
         (self.l2_hit_ns * 1e-9 * self.frequency.0).ceil() as u32

@@ -22,7 +22,7 @@
 //! stay in program order.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use workload::{InstructionSource, MicroOp, OpClass, RegClass};
 
@@ -55,6 +55,38 @@ struct Slot {
     unready_srcs: u8,
     /// Next waiter (by sequence number) on the wakeup list of `srcs[k]`.
     next_waiter: [u64; 2],
+}
+
+/// The 8-byte words targeted by stores in the window, each with the number
+/// of stores publishing it: at most one entry per memory-queue slot, so a
+/// linear scan is enough.
+#[derive(Debug, Clone)]
+struct StoreWords(Vec<(u64, u32)>);
+
+impl StoreWords {
+    fn with_capacity(mem_queue: u32) -> StoreWords {
+        StoreWords(Vec::with_capacity(mem_queue as usize))
+    }
+
+    fn contains(&self, word: u64) -> bool {
+        self.0.iter().any(|&(w, _)| w == word)
+    }
+
+    fn publish(&mut self, word: u64) {
+        match self.0.iter_mut().find(|(w, _)| *w == word) {
+            Some((_, n)) => *n += 1,
+            None => self.0.push((word, 1)),
+        }
+    }
+
+    fn retire(&mut self, word: u64) {
+        if let Some(i) = self.0.iter().position(|&(w, _)| w == word) {
+            self.0[i].1 -= 1;
+            if self.0[i].1 == 0 {
+                self.0.swap_remove(i);
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -214,7 +246,7 @@ pub struct Processor<S> {
     agen_free: Vec<u64>,
 
     mem_in_window: u32,
-    store_addrs: HashMap<u64, u32>,
+    store_addrs: StoreWords,
 
     /// Issued slots as `(ready_cycle, seq)`, earliest first.
     completions: BinaryHeap<Reverse<(u64, u64)>>,
@@ -256,9 +288,7 @@ impl<S: InstructionSource> Processor<S> {
                 mem
             },
             window: VecDeque::with_capacity(config.window_size as usize),
-            fetch_queue: VecDeque::with_capacity(
-                (config.fetch_width * (config.frontend_latency + 2)) as usize,
-            ),
+            fetch_queue: VecDeque::with_capacity(config.fetch_queue_capacity() as usize),
             pending: None,
             now: 0,
             seq_next: 0,
@@ -273,7 +303,7 @@ impl<S: InstructionSource> Processor<S> {
             fp_free: vec![0; config.fpus as usize],
             agen_free: vec![0; config.addr_gens as usize],
             mem_in_window: 0,
-            store_addrs: HashMap::with_capacity(config.mem_queue as usize),
+            store_addrs: StoreWords::with_capacity(config.mem_queue),
             completions: BinaryHeap::with_capacity(config.window_size as usize),
             due: Vec::with_capacity(config.window_size as usize),
             ready: Vec::with_capacity(config.window_size as usize),
@@ -538,13 +568,7 @@ impl<S: InstructionSource> Processor<S> {
                 self.mem_in_window -= 1;
                 if slot.op.class == OpClass::Store {
                     if let Some(addr) = slot.op.addr {
-                        let key = addr >> 3;
-                        if let Some(n) = self.store_addrs.get_mut(&key) {
-                            *n -= 1;
-                            if *n == 0 {
-                                self.store_addrs.remove(&key);
-                            }
-                        }
+                        self.store_addrs.retire(addr >> 3);
                     }
                 }
             }
@@ -663,7 +687,7 @@ impl<S: InstructionSource> Processor<S> {
     /// True when a store older than the load in window slot `load_idx`
     /// targets the same 8-byte word (store-to-load forwarding hit).
     fn store_addr_is_older(&self, load_idx: usize, addr: u64) -> bool {
-        if !self.store_addrs.contains_key(&(addr >> 3)) {
+        if !self.store_addrs.contains(addr >> 3) {
             return false;
         }
         let load_seq = self.window[load_idx].seq;
@@ -729,7 +753,7 @@ impl<S: InstructionSource> Processor<S> {
                     // Publish the store address for disambiguation as soon
                     // as the store enters the memory queue.
                     if let Some(addr) = f.op.addr {
-                        *self.store_addrs.entry(addr >> 3).or_insert(0) += 1;
+                        self.store_addrs.publish(addr >> 3);
                     }
                 }
             }
@@ -754,10 +778,7 @@ impl<S: InstructionSource> Processor<S> {
             self.counters.cycles_fetch_stalled += 1;
             return;
         }
-        // The queue must cover the fetch-to-dispatch pipeline occupancy
-        // (width x depth) plus one cycle of slack, or Little's law caps
-        // fetch below its width.
-        let cap = (self.config.fetch_width * (self.config.frontend_latency + 2)) as usize;
+        let cap = self.config.fetch_queue_capacity() as usize;
         let mut budget = self.config.fetch_width;
         while budget > 0 && self.fetch_queue.len() < cap {
             let op = match self.pending.take() {
@@ -1024,11 +1045,11 @@ impl<S: InstructionSource> Processor<S> {
         // Memory-queue occupancy and the published store addresses are a
         // function of the window contents.
         self.mem_in_window = self.window.iter().filter(|s| s.op.class.is_mem()).count() as u32;
-        self.store_addrs.clear();
+        self.store_addrs.0.clear();
         for slot in &self.window {
             if slot.op.class == OpClass::Store {
                 if let Some(addr) = slot.op.addr {
-                    *self.store_addrs.entry(addr >> 3).or_insert(0) += 1;
+                    self.store_addrs.publish(addr >> 3);
                 }
             }
         }

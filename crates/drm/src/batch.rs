@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use sim_common::SimError;
 use sim_cpu::{CoreConfig, TimingKey};
-use workload::App;
+use workload::{App, OpTape};
 
 use crate::dvs::DvsPoint;
 use crate::evaluator::{Evaluation, Evaluator, TimingRun};
@@ -39,6 +39,12 @@ use crate::store::EvalStore;
 /// only synchronization between workers, and evaluations take O(100 ms)
 /// against O(100 ns) map operations, so a modest constant suffices.
 const SHARDS: usize = 16;
+
+/// Most ops one batch pass records per app: 12 MiB of tape, enough for a
+/// standard-length run (700 000 instructions plus the in-flight bound).
+/// Longer runs replay the capped tape and continue the live stream past
+/// its end, so the cap bounds memory without changing any result.
+const MAX_TAPE_OPS: usize = 1 << 20;
 
 /// Cache key for one (application, operating point) evaluation.
 ///
@@ -173,6 +179,15 @@ impl TimingCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// True when `key` is cached. Unlike [`get`](TimingCache::get) this
+    /// counts neither a hit nor a miss.
+    pub fn contains(&self, key: &TimingCacheKey) -> bool {
+        self.shards[key.shard()]
+            .lock()
+            .expect("timing cache shard lock poisoned")
+            .contains_key(key)
     }
 
     /// Lookups served from the cache — timing runs *not* re-simulated.
@@ -593,6 +608,41 @@ impl BatchEngine {
         evaluator.evaluate_with_timing(&profile, config, &timing)
     }
 
+    /// Records one [`OpTape`] for each app with at least two groups whose
+    /// timing run is not cached, so those runs replay one recording of the
+    /// app's stream instead of each regenerating it. A tape covers warmup +
+    /// measurement + the largest in-flight bound among the app's
+    /// configurations, so no run of the pass outlives its tape, up to
+    /// [`MAX_TAPE_OPS`]. A sliced evaluator needs live stream state at
+    /// every cut and gets no tapes.
+    fn record_tapes(&self, groups: &[Vec<(EvalKey, App, CoreConfig)>]) -> HashMap<App, OpTape> {
+        let mut tapes = HashMap::new();
+        if self.evaluator.slice().is_some() {
+            return tapes;
+        }
+        let params = self.evaluator.params();
+        let mut per_app: HashMap<App, (usize, u64)> = HashMap::new();
+        for group in groups {
+            let (_, app, config) = &group[0];
+            if self.timing.contains(&TimingCacheKey::new(*app, config)) {
+                continue;
+            }
+            let entry = per_app.entry(*app).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 = entry.1.max(config.max_in_flight());
+        }
+        for (app, (_, in_flight)) in per_app.into_iter().filter(|&(_, (n, _))| n >= 2) {
+            let _tape_span = sim_obs::span!("drm.batch.tape");
+            let len = params
+                .warmup_instructions
+                .saturating_add(params.measure_instructions)
+                .saturating_add(in_flight);
+            let len = usize::try_from(len).map_or(MAX_TAPE_OPS, |len| len.min(MAX_TAPE_OPS));
+            tapes.insert(app, OpTape::record(app.profile(), params.seed, len));
+        }
+        tapes
+    }
+
     /// Evaluates every job in `jobs` — deduplicated against each other
     /// and the cache — across the worker pool, filling the shared cache.
     ///
@@ -649,6 +699,8 @@ impl BatchEngine {
             groups[idx].push((key, app, config));
         }
 
+        let tapes = self.record_tapes(&groups);
+
         let workers = self.workers.min(groups.len()).max(1);
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
@@ -661,6 +713,7 @@ impl BatchEngine {
                 for w in 0..workers {
                     let evaluator = self.evaluator.clone();
                     let groups = &groups;
+                    let tapes = &tapes;
                     let next = &next;
                     let stop = &stop;
                     let first_error = &first_error;
@@ -691,6 +744,7 @@ impl BatchEngine {
                                 // worker claims a group.
                                 sim_obs::hist!("drm.queue.depth", (groups.len() - i) as f64);
                                 let profile = group[0].1.profile();
+                                let tape = tapes.get(&group[0].1);
                                 for (key, app, config) in group {
                                     // Every member does its own lookup so the
                                     // timing-cache hit/miss counters read as
@@ -700,7 +754,10 @@ impl BatchEngine {
                                     let tkey = TimingCacheKey::new(*app, config);
                                     let timing = match self.timing.get(&tkey) {
                                         Some(t) => t,
-                                        None => match evaluator.timing_run(&profile, config) {
+                                        None => match tape.map_or_else(
+                                            || evaluator.timing_run(&profile, config),
+                                            |tape| evaluator.run_timing_tape(tape, config),
+                                        ) {
                                             Ok(run) => {
                                                 timing_runs.fetch_add(1, Ordering::Relaxed);
                                                 let run = self.timing.insert(tkey, run);
@@ -746,6 +803,11 @@ impl BatchEngine {
         let timing_runs = timing_runs.load(Ordering::Relaxed);
         if sim_obs::enabled() {
             sim_obs::counter!("drm.batch.passes", 1);
+            sim_obs::counter!("drm.batch.tapes", tapes.len() as u64);
+            sim_obs::counter!(
+                "drm.batch.tape_ops",
+                tapes.values().map(|t| t.len() as u64).sum::<u64>()
+            );
             sim_obs::counter!("drm.batch.evaluations", cold);
             sim_obs::counter!("drm.batch.warm_hits", warm_hits);
             sim_obs::counter!("drm.batch.timing_runs", timing_runs);
@@ -804,6 +866,31 @@ mod tests {
         );
         assert_ne!(a, b);
         assert_eq!(a.freq_khz, b.freq_khz);
+    }
+
+    #[test]
+    fn tapes_are_capped_whatever_the_run_length() {
+        // Both lengths are scenario keys a server client can upload; a
+        // pass must not try to hold a tape of u64::MAX ops.
+        let params = EvalParams {
+            warmup_instructions: u64::MAX,
+            measure_instructions: u64::MAX,
+            ..EvalParams::quick()
+        };
+        let e = BatchEngine::with_workers(Evaluator::ibm_65nm(params).unwrap(), 1);
+        let arch = ArchPoint::most_aggressive();
+        let groups: Vec<_> = [3.0, 4.0]
+            .into_iter()
+            .map(|ghz| {
+                let dvs = DvsPoint::at_ghz(ghz).unwrap();
+                let config = e.config_for(arch, dvs).unwrap();
+                vec![(EvalKey::new(App::Gzip, arch, dvs), App::Gzip, config)]
+            })
+            .collect();
+        let tapes = e.record_tapes(&groups);
+        assert_eq!(tapes[&App::Gzip].len(), MAX_TAPE_OPS);
+        // One cold group alone replays nothing, so it records no tape.
+        assert!(e.record_tapes(&groups[..1]).is_empty());
     }
 
     #[test]

@@ -15,13 +15,10 @@ use sim_common::{Kelvin, Seconds, SimError, StructureMap, Watts};
 use sim_cpu::{CoreConfig, Processor};
 use sim_power::PowerModel;
 use sim_thermal::ThermalModel;
-use workload::{App, SyntheticStream};
+use workload::{App, SyntheticStream, DATA_BASE};
 
 use crate::dvs::{DVS_MAX_GHZ, DVS_MIN_GHZ};
 use crate::sensors::{SensorBank, SensorParams};
-
-/// Base address of the synthetic data segment.
-const DATA_BASE: u64 = 0x1000_0000;
 
 /// Parameters of the reactive controller.
 #[derive(Debug, Clone, Copy, PartialEq)]

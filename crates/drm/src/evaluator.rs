@@ -27,12 +27,9 @@ use sim_cpu::{Checkpoint, CoreConfig, IntervalStats, Processor};
 use sim_obs::{Histogram, StageTimes};
 use sim_power::PowerModel;
 use sim_thermal::ThermalModel;
-use workload::{App, AppProfile, SyntheticStream};
+use workload::{App, AppProfile, OpTape, SyntheticStream, DATA_BASE};
 
 use crate::slice::{slice_fingerprint, slice_lengths, CheckpointStore, SliceParams};
-
-/// Base address of the synthetic data segment (see `workload::stream`).
-const DATA_BASE: u64 = 0x1000_0000;
 
 /// Ceiling applied to solved temperatures. The leakage/temperature fixed
 /// point has no physical solution for configurations past thermal runaway
@@ -506,18 +503,35 @@ impl Evaluator {
         self.run_timing_sliced(profile, config, slice)
     }
 
-    /// The timing stage: synthetic stream → prewarm → warmup → measured
-    /// cycle simulation. Opens the `eval.timing` span but not the outer
-    /// `eval` span, so callers control the nesting. Dispatches to the
-    /// sliced path when the evaluator carries slice parameters.
+    /// The timing stage. Dispatches to the sliced path when the evaluator
+    /// carries slice parameters; otherwise a lone run feeds the core from
+    /// an empty tape, which is the live stream from its first op.
     fn run_timing(&self, profile: &AppProfile, config: &CoreConfig) -> Result<TimingRun, SimError> {
-        if let Some(slice) = &self.slice {
-            return self.run_timing_sliced(profile, config, slice);
+        match &self.slice {
+            Some(slice) => self.run_timing_sliced(profile, config, slice),
+            None => self.run_timing_tape(
+                &OpTape::record(profile.clone(), self.params.seed, 0),
+                config,
+            ),
         }
+    }
+
+    /// The unsliced timing stage: tape source → prewarm → warmup →
+    /// measured cycle simulation. The core replays the tape and continues
+    /// the live stream past its end, so the run is bit-identical at any
+    /// tape length; a batch pass records one tape per app and hands it to
+    /// every run. Opens the `eval.timing` span but not the outer `eval`
+    /// span, so callers control the nesting.
+    pub(crate) fn run_timing_tape(
+        &self,
+        tape: &OpTape,
+        config: &CoreConfig,
+    ) -> Result<TimingRun, SimError> {
+        debug_assert_eq!(tape.seed(), self.params.seed, "tape from another seed");
         let start = Instant::now();
         let _timing_span = sim_obs::span!("eval.timing");
-        let stream = SyntheticStream::new(profile.clone(), self.params.seed);
-        let mut cpu = Processor::new(config.clone(), stream)?;
+        let profile = tape.profile();
+        let mut cpu = Processor::new(config.clone(), tape.source())?;
 
         // Steady-state warm start: prefill the resident footprint and run
         // the warmup, discarding its statistics.
@@ -984,6 +998,27 @@ mod tests {
         let mut b = a.clone();
         b.stats = EvalStats::default();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn tape_fed_timing_matches_the_live_stream_at_any_tape_length() {
+        let params = EvalParams {
+            warmup_instructions: 2_000,
+            measure_instructions: 8_000,
+            interval_instructions: 2_000,
+            ..EvalParams::quick()
+        };
+        let e = Evaluator::ibm_65nm(params).unwrap();
+        let profile = App::Twolf.profile();
+        let config = CoreConfig::base();
+        let live = e.timing_run(&profile, &config).unwrap();
+        let full = 10_000 + config.max_in_flight() as usize;
+        // Empty, running out mid-measurement, and covering the whole run.
+        for len in [0, 3_000, full] {
+            let tape = OpTape::record(profile.clone(), params.seed, len);
+            let run = e.run_timing_tape(&tape, &config).unwrap();
+            assert_eq!(run.intervals(), live.intervals(), "tape of {len} ops");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! dependency-distance model controlling exploitable ILP, a static-branch
 //! bias model controlling predictability, and a working-set/stride model
 //! controlling cache behaviour — from which [`SyntheticStream`] produces a
-//! deterministic, seeded instruction stream.
+//! deterministic, seeded instruction stream. An [`OpTape`] records a
+//! stream's prefix in 12 bytes per op so a sweep generates it once and every
+//! timing run replays it through a [`TapeSource`].
 //!
 //! Profiles are calibrated so that the base 8-wide 4 GHz processor of Table 1
 //! reproduces the IPC spread of Table 2 (from 0.7 for `art` up to 3.2 for
@@ -28,12 +30,14 @@
 pub mod op;
 pub mod profile;
 pub mod stream;
+pub mod tape;
 pub mod textfmt;
 pub mod trace;
 
 pub use op::{ArchReg, MicroOp, OpClass, RegClass, ARCH_REGS_PER_CLASS};
 pub use profile::{App, AppProfile, OpMix, PhaseSegment};
-pub use stream::{StreamState, SyntheticStream};
+pub use stream::{StreamState, SyntheticStream, DATA_BASE};
+pub use tape::{OpTape, TapeSource};
 pub use textfmt::{profile_from_text, profile_to_text};
 pub use trace::{RecordedTrace, TraceReplayer};
 

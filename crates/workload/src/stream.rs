@@ -10,7 +10,7 @@ use crate::InstructionSource;
 
 /// Base virtual address of the synthetic data region. Code lives at 0, data
 /// far away, so instruction and data addresses never collide in the caches.
-const DATA_BASE: u64 = 0x1000_0000;
+pub const DATA_BASE: u64 = 0x1000_0000;
 
 /// Depth of the recent-destination ring used for dependency construction.
 /// Matches the architectural register count so ring entries are never
@@ -23,8 +23,10 @@ const MAX_CALL_DEPTH: usize = 24;
 
 /// Per-class micro-op tally, flushed to `workload.ops.<class>` /
 /// `workload.ops.total` counters when the stream is dropped (one counter
-/// update per stream lifetime, nothing in the per-op path). Cloned
-/// streams start a fresh tally so replays never double-report.
+/// update per stream lifetime, nothing in the per-op path). The counters
+/// count ops *generated*: an `OpTape` recording counts its ops once, and
+/// the timing runs that replay it count nothing. Cloned streams start a
+/// fresh tally so replays never double-report.
 #[derive(Debug)]
 struct OpTally {
     counts: [u64; OpClass::ALL.len()],
@@ -126,6 +128,10 @@ pub struct SyntheticStream {
     profile: AppProfile,
     rng: Xoshiro256pp,
     bias_salt: u64,
+    /// `ln(1 - p)` of the geometric dependency-distance law, integer then
+    /// floating point: a function of the profile alone, so it is computed
+    /// once here rather than on every sampled source.
+    ln_q: [f64; 2],
 
     // Recent destination registers, most recent at the back.
     recent_int: VecDeque<ArchReg>,
@@ -167,8 +173,10 @@ impl SyntheticStream {
         let streams = (0..profile.access_streams)
             .map(|_| rng.gen_u64(0..profile.data_working_set.max(8)) & !7)
             .collect();
+        let ln_q = |mean: f64| (1.0 - (1.0 / mean).clamp(1e-6, 1.0)).ln();
         let mut s = SyntheticStream {
             bias_salt: seed ^ 0x9E37_79B9_7F4A_7C15,
+            ln_q: [ln_q(profile.dep_mean_int), ln_q(profile.dep_mean_fp)],
             cur_cum: profile.mix.cumulative(),
             cur_working_set: profile.data_working_set,
             cur_spatial: profile.spatial_fraction,
@@ -324,16 +332,18 @@ impl SyntheticStream {
         OpClass::ALL[slot]
     }
 
-    /// Samples a dependency distance with the given mean (geometric).
-    fn sample_distance(&mut self, mean: f64) -> usize {
-        let p = (1.0 / mean).clamp(1e-6, 1.0);
+    /// Samples a dependency distance for a `class` source: geometric with
+    /// the profile's mean for that class. Divides by the stored `ln(1 - p)`
+    /// (not a multiply by its reciprocal) so every sample keeps its bits.
+    fn sample_distance(&mut self, class: RegClass) -> usize {
+        let ln_q = self.ln_q[class as usize];
         let u: f64 = self.rng.gen_f64(f64::EPSILON..1.0);
-        let d = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
+        let d = 1.0 + (u.ln() / ln_q).floor();
         d as usize
     }
 
-    fn source_from_ring(&mut self, class: RegClass, mean: f64) -> Option<ArchReg> {
-        let d = self.sample_distance(mean);
+    fn source_from_ring(&mut self, class: RegClass) -> Option<ArchReg> {
+        let d = self.sample_distance(class);
         let ring = match class {
             RegClass::Int => &self.recent_int,
             RegClass::Fp => &self.recent_fp,
@@ -418,8 +428,6 @@ impl InstructionSource for SyntheticStream {
     fn next_op(&mut self) -> MicroOp {
         let pc = self.pc;
         let class = self.class_at(pc);
-        let dep_int = self.profile.dep_mean_int;
-        let dep_fp = self.profile.dep_mean_fp;
 
         let mut op = MicroOp {
             pc,
@@ -432,19 +440,19 @@ impl InstructionSource for SyntheticStream {
 
         match class {
             OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv => {
-                op.srcs[0] = self.source_from_ring(RegClass::Int, dep_int);
-                op.srcs[1] = self.source_from_ring(RegClass::Int, dep_int);
+                op.srcs[0] = self.source_from_ring(RegClass::Int);
+                op.srcs[1] = self.source_from_ring(RegClass::Int);
                 op.dest = Some(self.alloc_dest(RegClass::Int));
                 self.step_pc_sequential();
             }
             OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => {
-                op.srcs[0] = self.source_from_ring(RegClass::Fp, dep_fp);
-                op.srcs[1] = self.source_from_ring(RegClass::Fp, dep_fp);
+                op.srcs[0] = self.source_from_ring(RegClass::Fp);
+                op.srcs[1] = self.source_from_ring(RegClass::Fp);
                 op.dest = Some(self.alloc_dest(RegClass::Fp));
                 self.step_pc_sequential();
             }
             OpClass::Load => {
-                op.srcs[0] = self.source_from_ring(RegClass::Int, dep_int);
+                op.srcs[0] = self.source_from_ring(RegClass::Int);
                 op.addr = Some(self.data_address());
                 let fp_dest = self.rng.gen_bool(self.profile.fp_load_fraction);
                 op.dest = Some(if fp_dest {
@@ -455,18 +463,18 @@ impl InstructionSource for SyntheticStream {
                 self.step_pc_sequential();
             }
             OpClass::Store => {
-                op.srcs[0] = self.source_from_ring(RegClass::Int, dep_int);
+                op.srcs[0] = self.source_from_ring(RegClass::Int);
                 let fp_data = self.rng.gen_bool(self.profile.fp_load_fraction);
                 op.srcs[1] = if fp_data {
-                    self.source_from_ring(RegClass::Fp, dep_fp)
+                    self.source_from_ring(RegClass::Fp)
                 } else {
-                    self.source_from_ring(RegClass::Int, dep_int)
+                    self.source_from_ring(RegClass::Int)
                 };
                 op.addr = Some(self.data_address());
                 self.step_pc_sequential();
             }
             OpClass::Branch => {
-                op.srcs[0] = self.source_from_ring(RegClass::Int, dep_int);
+                op.srcs[0] = self.source_from_ring(RegClass::Int);
                 let (base_taken, flip) = self.branch_character(pc);
                 let taken = base_taken ^ self.rng.gen_bool(flip);
                 op.taken = taken;

@@ -3,9 +3,9 @@
 //! stream. Cases are drawn from the in-tree deterministic PRNG.
 
 use sim_common::Xoshiro256pp;
-use workload::{App, AppProfile, InstructionSource, OpClass, OpMix, RegClass, SyntheticStream};
-
-const DATA_BASE: u64 = 0x1000_0000;
+use workload::{
+    App, AppProfile, InstructionSource, OpClass, OpMix, RegClass, SyntheticStream, DATA_BASE,
+};
 
 fn random_profile(rng: &mut Xoshiro256pp) -> AppProfile {
     let int_w = rng.gen_f64(0.2..0.6);

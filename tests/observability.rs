@@ -6,7 +6,9 @@
 //! The sim-obs dispatcher is process-global, so every test here holds
 //! [`OBS_LOCK`] to serialize against the others.
 
-use drm::{run_fleet, ArchPoint, BatchEngine, DvsPoint, EvalParams, Evaluator, FleetConfig};
+use drm::{
+    run_fleet, ArchPoint, BatchEngine, DvsPoint, EvalParams, Evaluator, FleetConfig, Strategy,
+};
 use ramp::{FailureParams, Mechanism, QualificationPoint, ReliabilityModel};
 use sim_common::{Floorplan, Kelvin, Structure};
 use sim_cpu::CoreConfig;
@@ -235,4 +237,69 @@ fn fleet_trace_event_export_names_a_lane_per_worker() {
         worker_spans >= WORKERS,
         "expected at least one drm.fleet.worker span per worker, got {worker_spans}"
     );
+}
+
+/// The value of counter `name` in `snapshot`, if it was recorded.
+fn counter(snapshot: &[sim_obs::Metric], name: &str) -> Option<u64> {
+    snapshot.iter().find_map(|m| match m.value {
+        sim_obs::MetricValue::Counter(c) if m.name == name => Some(c),
+        _ => None,
+    })
+}
+
+/// One app's 198-candidate ArchDVS pass records exactly one op tape, long
+/// enough that no timing run outlives it: with the pass's tape the only
+/// stream generation, `workload.ops.total` (ops generated) equals
+/// `drm.batch.tape_ops` (ops recorded), so no run went live. A second pass
+/// at new voltages finds every timing run cached and records no tape.
+#[test]
+fn one_app_candidate_pass_records_one_tape_and_never_goes_live() {
+    let _guard = hold_obs_lock();
+    sim_obs::reset_for_tests();
+    sim_obs::set_enabled(true);
+
+    let params = EvalParams {
+        warmup_instructions: 500,
+        measure_instructions: 2_000,
+        interval_instructions: 1_000,
+        ..EvalParams::quick()
+    };
+    let engine = BatchEngine::with_workers(Evaluator::ibm_65nm(params).expect("evaluator"), 2);
+    let jobs: Vec<_> = Strategy::ArchDvs
+        .candidates(0.25)
+        .into_iter()
+        .map(|(arch, dvs)| (App::Art, arch, dvs))
+        .collect();
+    assert_eq!(jobs.len(), 198);
+    let summary = engine.evaluate_all(&jobs).expect("candidate pass");
+    assert_eq!(summary.timing_runs, 198);
+    let snapshot = sim_obs::flush();
+    sim_obs::reset_for_tests();
+
+    assert_eq!(counter(&snapshot, "drm.batch.tapes"), Some(1));
+    // The base configuration has the deepest window of the space.
+    let tape_ops = 500 + 2_000 + CoreConfig::base().max_in_flight();
+    assert_eq!(counter(&snapshot, "drm.batch.tape_ops"), Some(tape_ops));
+    assert_eq!(
+        counter(&snapshot, "workload.ops.total"),
+        Some(tape_ops),
+        "a timing run generated ops past its tape"
+    );
+
+    // Timing ignores the supply voltage, so shifting every candidate's
+    // voltage gives 198 cold evaluations whose timing is all cached.
+    sim_obs::set_enabled(true);
+    let shifted: Vec<_> = jobs
+        .iter()
+        .map(|&(app, arch, dvs)| {
+            let vdd = sim_common::Volts(dvs.vdd.0 + 0.01);
+            (app, arch, DvsPoint { vdd, ..dvs })
+        })
+        .collect();
+    let summary = engine.evaluate_all(&shifted).expect("timing-warm pass");
+    assert_eq!((summary.evaluations, summary.timing_runs), (198, 0));
+    let snapshot = sim_obs::flush();
+    sim_obs::reset_for_tests();
+    assert_eq!(counter(&snapshot, "drm.batch.tapes").unwrap_or(0), 0);
+    assert_eq!(counter(&snapshot, "workload.ops.total").unwrap_or(0), 0);
 }

@@ -172,6 +172,39 @@ fn voltage_grid_timing_reuse_is_bit_identical_to_scalar_path() {
     }
 }
 
+/// Op tapes are a pure performance optimization: a batch pass whose
+/// timing runs all replay one recorded tape of the app's stream matches a
+/// fresh per-config `Evaluator::evaluate` (which generates the stream
+/// live) bit for bit, with 1 worker and with 4. The points span the
+/// smallest and largest windows, so the tape must cover the deepest
+/// in-flight bound of the pass.
+#[test]
+fn taped_batch_pass_is_bit_identical_to_per_config_evaluation() {
+    let app = App::Equake;
+    let mut jobs = Vec::new();
+    for arch in [ArchPoint::ALL[0], ArchPoint::ALL[8], ArchPoint::ALL[17]] {
+        for ghz in [3.0, 4.5] {
+            jobs.push((app, arch, DvsPoint::at_ghz(ghz).expect("dvs point")));
+        }
+    }
+    let evaluator = Evaluator::ibm_65nm(EvalParams::quick()).expect("evaluator");
+    let seq = oracle(1);
+    let par = oracle(4);
+    seq.prefetch(&jobs).expect("sequential sweep");
+    par.prefetch(&jobs).expect("parallel sweep");
+    for &(app, arch, dvs) in &jobs {
+        let config = arch
+            .apply(&sim_cpu::CoreConfig::base(), dvs)
+            .expect("config");
+        let scalar = evaluator.evaluate(app, &config).expect("scalar evaluation");
+        let at = dvs.frequency.to_ghz();
+        let a = seq.evaluation(app, arch, dvs).expect("cached");
+        let b = par.evaluation(app, arch, dvs).expect("cached");
+        assert_eq!(*a, scalar, "{app} {arch} @ {at:.2} GHz (1 worker)");
+        assert_eq!(*b, scalar, "{app} {arch} @ {at:.2} GHz (4 workers)");
+    }
+}
+
 /// Sliced evaluation is a pure performance optimization: against an
 /// unsliced evaluator of the same operating point, a sliced one — cold
 /// (cut pass) or warm (parallel checkpoint resume), with 1 worker or 4 —
