@@ -92,8 +92,8 @@ pub fn print_help() {
     println!("              | info [--dir <path>]");
     println!("  serve       run the network evaluation service (ramp-serve/1)");
     println!("              [--addr host:port] [--jobs N] [--queue-depth N]");
-    println!("              [--workers N] [--batch-max N] [--linger-ms N]");
-    println!("              [--stop-file <path>] [--tick-ms N (0 = no telemetry)]");
+    println!("              [--workers N] [--stop-file <path>]");
+    println!("              [--tick-ms N (0 = no telemetry)]");
     println!("              [--store-dir <dir>] [--quick]");
     println!("  client      talk to a running server; prints the raw response");
     println!("              [--addr host:port] ping | stats | shutdown");
@@ -889,8 +889,6 @@ fn serve_cmd(args: &Args) -> Result<(), SimError> {
         "jobs",
         "queue-depth",
         "workers",
-        "batch-max",
-        "linger-ms",
         "stop-file",
         "tick-ms",
         "store-dir",
@@ -908,8 +906,6 @@ fn serve_cmd(args: &Args) -> Result<(), SimError> {
         jobs: args.jobs()?,
         queue_depth: args.positive_u64_or("queue-depth", defaults.queue_depth as u64)? as usize,
         drain_workers: args.positive_u64_or("workers", defaults.drain_workers as u64)? as usize,
-        batch_max: args.positive_u64_or("batch-max", defaults.batch_max as u64)? as usize,
-        linger: Duration::from_millis(args.u64_or("linger-ms", 2)?),
         stop_file: args.get("stop-file").map(PathBuf::from),
         eval: args.flag("quick").then(EvalParams::quick),
         store_dir: args.get("store-dir").map(PathBuf::from),

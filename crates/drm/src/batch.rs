@@ -16,6 +16,13 @@
 //! ([`EvalKey`] carries both frequency and voltage in fixed-point form,
 //! so same-frequency/different-voltage points can never alias).
 //!
+//! Only batch passes fill the evaluation cache. A single-point
+//! [`BatchEngine::evaluation`] miss finishes the point from the timing
+//! cache and returns it uncached, so the points a caller names one at a
+//! time cannot grow memory. The [`TimingCache`] is single-flight: the
+//! first caller for a key simulates it outside every lock, and
+//! concurrent callers for that key wait and share its run.
+//!
 //! [`ReliabilityModel`]: ramp::ReliabilityModel
 
 use std::collections::hash_map::DefaultHasher;
@@ -23,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sim_common::SimError;
@@ -116,18 +123,68 @@ impl TimingCacheKey {
     }
 }
 
-/// A sharded, thread-safe cache of cycle-level timing runs, shared by
-/// every worker alongside the [`EvalCache`].
+/// One timing-cache entry: a finished run, or a run some caller of
+/// [`TimingCache::get_or_run`] is simulating right now.
+#[derive(Debug)]
+enum TimingSlot {
+    Ready(Arc<TimingRun>),
+    InFlight,
+}
+
+/// One lock-protected part of the [`TimingCache`]; callers waiting for
+/// an in-flight run of this shard park on `done`.
+#[derive(Debug, Default)]
+struct TimingShard {
+    slots: Mutex<HashMap<TimingCacheKey, TimingSlot>>,
+    done: Condvar,
+}
+
+impl TimingShard {
+    /// The shard's map. A thread that panicked while holding the lock
+    /// left the map consistent (every critical section is a single map
+    /// operation), so a poisoned lock is recovered, not propagated.
+    fn slots(&self) -> MutexGuard<'_, HashMap<TimingCacheKey, TimingSlot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A sharded, thread-safe, single-flight cache of cycle-level timing
+/// runs, shared by every worker alongside the [`EvalCache`].
 ///
 /// The timing stage dominates evaluation cost (cycle simulation vs. a
 /// handful of prefactored thermal solves), so serving it from here turns
 /// an N-voltage DVS grid into one timing run plus N cheap power/thermal
-/// passes.
+/// passes. [`get_or_run`](TimingCache::get_or_run) makes concurrent
+/// misses on one key share a single simulation, whichever threads they
+/// come from.
 #[derive(Debug, Default)]
 pub struct TimingCache {
-    shards: [Mutex<HashMap<TimingCacheKey, Arc<TimingRun>>>; SHARDS],
+    shards: [TimingShard; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
+    waits: AtomicU64,
+}
+
+/// The in-flight slot of one [`TimingCache::get_or_run`] runner. Dropping
+/// it publishes `run` (or, when the run failed or panicked, clears the
+/// slot so a later caller runs it again) and wakes the shard's waiters,
+/// so no waiter is stranded whatever the run closure does.
+struct Flight<'a> {
+    shard: &'a TimingShard,
+    key: TimingCacheKey,
+    run: Option<Arc<TimingRun>>,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.shard.slots();
+        match self.run.take() {
+            Some(run) => slots.insert(self.key, TimingSlot::Ready(run)),
+            None => slots.remove(&self.key),
+        };
+        drop(slots);
+        self.shard.done.notify_all();
+    }
 }
 
 impl TimingCache {
@@ -137,42 +194,110 @@ impl TimingCache {
         TimingCache::default()
     }
 
-    /// Looks up `key`, counting a hit or a miss.
+    fn shard(&self, key: &TimingCacheKey) -> &TimingShard {
+        &self.shards[key.shard()]
+    }
+
+    fn count_hit(&self) {
+        sim_obs::counter!("drm.timing_cache.hit", 1);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count_miss(&self) {
+        sim_obs::counter!("drm.timing_cache.miss", 1);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Looks up a finished run for `key`, counting a hit or a miss. A
+    /// run still in flight is a miss; it does not wait.
     pub fn get(&self, key: &TimingCacheKey) -> Option<Arc<TimingRun>> {
-        let found = self.shards[key.shard()]
-            .lock()
-            .expect("timing cache shard lock poisoned")
-            .get(key)
-            .cloned();
-        match found {
-            Some(_) => {
-                sim_obs::counter!("drm.timing_cache.hit", 1);
-                self.hits.fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                sim_obs::counter!("drm.timing_cache.miss", 1);
-                self.misses.fetch_add(1, Ordering::Relaxed)
-            }
+        let found = match self.shard(key).slots().get(key) {
+            Some(TimingSlot::Ready(run)) => Some(Arc::clone(run)),
+            _ => None,
         };
+        match found {
+            Some(_) => self.count_hit(),
+            None => self.count_miss(),
+        }
         found
     }
 
-    /// Inserts a timing run, returning the cached [`Arc`]. First insert
-    /// wins on a race (timing is deterministic, so both are equal).
-    pub fn insert(&self, key: TimingCacheKey, run: TimingRun) -> Arc<TimingRun> {
-        self.shards[key.shard()]
-            .lock()
-            .expect("timing cache shard lock poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::new(run))
-            .clone()
+    /// The run for `key`: the cached one (a hit), or the one another
+    /// caller is simulating right now, waited for (also a hit), or —
+    /// when neither exists — `run()`'s, simulated by this caller outside
+    /// every lock and then cached (a miss). Each call counts exactly one
+    /// hit or miss, so concurrent callers for one cold key add one miss
+    /// between them and all receive the same [`Arc`].
+    ///
+    /// `run` must not use this cache: waiting on a key from inside a run
+    /// could wait on itself. When `run` fails or panics the slot is
+    /// cleared and the waiters wake up to run it themselves.
+    ///
+    /// # Errors
+    ///
+    /// Returns `run`'s error; nothing is cached then.
+    pub fn get_or_run<E>(
+        &self,
+        key: TimingCacheKey,
+        run: impl FnOnce() -> Result<TimingRun, E>,
+    ) -> Result<Arc<TimingRun>, E> {
+        let shard = self.shard(&key);
+        let mut slots = shard.slots();
+        let mut waited = false;
+        loop {
+            match slots.get(&key) {
+                Some(TimingSlot::Ready(found)) => {
+                    let found = Arc::clone(found);
+                    drop(slots);
+                    self.count_hit();
+                    return Ok(found);
+                }
+                Some(TimingSlot::InFlight) => {
+                    if !waited {
+                        waited = true;
+                        self.waits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    slots = shard
+                        .done
+                        .wait(slots)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                None => break,
+            }
+        }
+        slots.insert(key, TimingSlot::InFlight);
+        drop(slots);
+        self.count_miss();
+        let mut flight = Flight {
+            shard,
+            key,
+            run: None,
+        };
+        let done = Arc::new(run()?);
+        flight.run = Some(Arc::clone(&done));
+        Ok(done)
     }
 
-    /// Number of cached timing runs.
+    /// Caches a run loaded from elsewhere (the evaluation store) without
+    /// counting a hit or a miss. A run already cached or in flight for
+    /// `key` is kept: timing is deterministic, so both are equal.
+    pub fn insert(&self, key: TimingCacheKey, run: TimingRun) {
+        self.shard(&key)
+            .slots()
+            .entry(key)
+            .or_insert_with(|| TimingSlot::Ready(Arc::new(run)));
+    }
+
+    /// Number of cached timing runs (runs in flight are not counted).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("timing cache shard lock poisoned").len())
+            .map(|s| {
+                s.slots()
+                    .values()
+                    .filter(|slot| matches!(slot, TimingSlot::Ready(_)))
+                    .count()
+            })
             .sum()
     }
 
@@ -181,16 +306,13 @@ impl TimingCache {
         self.len() == 0
     }
 
-    /// True when `key` is cached. Unlike [`get`](TimingCache::get) this
-    /// counts neither a hit nor a miss.
+    /// True when a finished run for `key` is cached. Unlike
+    /// [`get`](TimingCache::get) this counts neither a hit nor a miss.
     pub fn contains(&self, key: &TimingCacheKey) -> bool {
-        self.shards[key.shard()]
-            .lock()
-            .expect("timing cache shard lock poisoned")
-            .contains_key(key)
+        matches!(self.shard(key).slots().get(key), Some(TimingSlot::Ready(_)))
     }
 
-    /// Lookups served from the cache — timing runs *not* re-simulated.
+    /// Lookups served without simulating — timing runs *not* re-run.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -198,6 +320,14 @@ impl TimingCache {
     /// Lookups that required a fresh cycle simulation.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// [`get_or_run`](TimingCache::get_or_run) calls that found the run
+    /// in flight and waited for another caller to finish it. Each also
+    /// counts as a hit (or, when that run failed, as the miss of its own
+    /// run).
+    pub fn waits(&self) -> u64 {
+        self.waits.load(Ordering::Relaxed)
     }
 }
 
@@ -212,8 +342,10 @@ pub struct EvalCache {
     shards: [Mutex<HashMap<EvalKey, Arc<Evaluation>>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Summed single-evaluation wall time of every insert (the
-    /// sequential-equivalent cost of the work done so far).
+    /// Summed wall time of every evaluation performed: each insert's
+    /// single-evaluation wall time, plus the work of each cache-miss
+    /// evaluation finished without caching (the sequential-equivalent
+    /// cost of the work done so far).
     busy_ns: AtomicU64,
     /// Elapsed wall time while at least one batch pass or cache-miss
     /// evaluation was in flight.
@@ -229,13 +361,18 @@ impl EvalCache {
         EvalCache::default()
     }
 
+    /// The shard holding `key`. Every critical section is a single map
+    /// operation, so a lock poisoned by a panicking thread still guards a
+    /// consistent map and is recovered.
+    fn shard(&self, key: &EvalKey) -> MutexGuard<'_, HashMap<EvalKey, Arc<Evaluation>>> {
+        self.shards[key.shard()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `key`, counting a hit or a miss.
     pub fn get(&self, key: &EvalKey) -> Option<Arc<Evaluation>> {
-        let found = self.shards[key.shard()]
-            .lock()
-            .expect("cache shard lock poisoned")
-            .get(key)
-            .cloned();
+        let found = self.shard(key).get(key).cloned();
         match found {
             Some(_) => {
                 sim_obs::counter!("drm.cache.hits", 1);
@@ -252,11 +389,7 @@ impl EvalCache {
     /// Peeks at `key` without touching the hit/miss counters (used for
     /// dedup, where a hit is not a served lookup).
     pub fn peek(&self, key: &EvalKey) -> Option<Arc<Evaluation>> {
-        self.shards[key.shard()]
-            .lock()
-            .expect("cache shard lock poisoned")
-            .get(key)
-            .cloned()
+        self.shard(key).get(key).cloned()
     }
 
     /// Inserts an evaluation, returning the cached [`Arc`]. If another
@@ -264,21 +397,24 @@ impl EvalCache {
     /// value is returned (evaluations are deterministic, so both values
     /// are equal anyway).
     pub fn insert(&self, key: EvalKey, ev: Evaluation) -> Arc<Evaluation> {
-        self.busy_ns
-            .fetch_add(ev.stats.wall().as_nanos() as u64, Ordering::Relaxed);
-        self.shards[key.shard()]
-            .lock()
-            .expect("cache shard lock poisoned")
+        self.add_busy(ev.stats.wall());
+        self.shard(&key)
             .entry(key)
             .or_insert_with(|| Arc::new(ev))
             .clone()
+    }
+
+    /// Adds the wall time of evaluation work done outside an insert.
+    fn add_busy(&self, wall: Duration) {
+        self.busy_ns
+            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Number of cached evaluations.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard lock poisoned").len())
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
             .sum()
     }
 
@@ -292,12 +428,13 @@ impl EvalCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that required (or will require) a fresh evaluation.
+    /// Lookups that required (or will require) a fresh evaluation or
+    /// finish.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Summed per-evaluation wall time across all inserts.
+    /// Summed wall time of every evaluation performed (see `busy_ns`).
     pub fn busy(&self) -> Duration {
         Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed))
     }
@@ -351,7 +488,9 @@ impl Drop for BusySpan<'_> {
 pub struct SweepSummary {
     /// Worker threads used for parallel passes.
     pub workers: usize,
-    /// Evaluations performed (cache misses that ran the pipeline).
+    /// Evaluations batch passes performed and cached (cache misses that
+    /// ran the pipeline). Only batch passes fill the cache, so a
+    /// single-point evaluation finished on a miss is not counted.
     pub evaluations: u64,
     /// Lookups served straight from the cache.
     pub cache_hits: u64,
@@ -544,10 +683,18 @@ impl BatchEngine {
     }
 
     /// The evaluation at one operating point: served from the cache when
-    /// warm, computed inline (on the calling thread) otherwise.
+    /// a batch pass put it there, finished inline (on the calling thread)
+    /// otherwise.
     ///
-    /// The hit path costs a single hash lookup; the miss path evaluates
-    /// without holding any lock and then inserts.
+    /// The hit path costs a single hash lookup. The miss path takes the
+    /// timing run from the single-flight [`TimingCache`] (simulating it,
+    /// outside every lock, only when no caller has), finishes the
+    /// power/thermal passes, and returns the result *without* caching it:
+    /// only [`evaluate_all`](BatchEngine::evaluate_all) fills the
+    /// evaluation cache. A finish costs tens of microseconds, so caching
+    /// every point a caller names (a server client can name any voltage)
+    /// would grow memory for little gain; the expensive timing run stays
+    /// cached either way.
     ///
     /// # Errors
     ///
@@ -565,8 +712,38 @@ impl BatchEngine {
         }
         let _busy = self.cache.busy_span();
         let config = self.config_for(arch, dvs)?;
-        let ev = self.evaluate_cold(&self.evaluator, key, &config)?;
-        Ok(self.cache.insert(key, ev))
+        let profile = app.profile();
+        let mut ran = None;
+        let timing = self.timing_run(key, &config, || {
+            let run = self.evaluator.timing_run(&profile, &config)?;
+            ran = Some(run.wall());
+            Ok(run)
+        })?;
+        let ev = self
+            .evaluator
+            .evaluate_with_timing(&profile, &config, &timing)?;
+        // The work this call did: the finish, plus the timing run only
+        // when this call simulated it.
+        self.cache
+            .add_busy(ev.stats.power_thermal() + ran.unwrap_or_default());
+        Ok(Arc::new(ev))
+    }
+
+    /// The timing run for `config` from the single-flight timing cache:
+    /// on a miss, `simulate` runs and the runner appends its result to the
+    /// attached evaluation store before publishing it.
+    fn timing_run(
+        &self,
+        key: EvalKey,
+        config: &CoreConfig,
+        simulate: impl FnOnce() -> Result<TimingRun, SimError>,
+    ) -> Result<Arc<TimingRun>, SimError> {
+        self.timing
+            .get_or_run(TimingCacheKey::new(key.app, config), || {
+                let run = simulate()?;
+                self.persist(key, config, &run)?;
+                Ok(run)
+            })
     }
 
     /// Write-through: appends a fresh timing run to the attached
@@ -583,31 +760,6 @@ impl BatchEngine {
         }
     }
 
-    /// A cache-miss evaluation: serve the timing stage from the shared
-    /// timing cache (running, inserting, and persisting it on a miss),
-    /// then finish the power/thermal passes. Bit-identical to
-    /// [`Evaluator::evaluate`], which re-simulates timing every call.
-    fn evaluate_cold(
-        &self,
-        evaluator: &Evaluator,
-        key: EvalKey,
-        config: &CoreConfig,
-    ) -> Result<Evaluation, SimError> {
-        let profile = key.app.profile();
-        let tkey = TimingCacheKey::new(key.app, config);
-        let timing = match self.timing.get(&tkey) {
-            Some(t) => t,
-            None => {
-                let run = self
-                    .timing
-                    .insert(tkey, evaluator.timing_run(&profile, config)?);
-                self.persist(key, config, &run)?;
-                run
-            }
-        };
-        evaluator.evaluate_with_timing(&profile, config, &timing)
-    }
-
     /// Records one [`OpTape`] for each app with at least two groups whose
     /// timing run is not cached, so those runs replay one recording of the
     /// app's stream instead of each regenerating it. A tape covers warmup +
@@ -615,7 +767,7 @@ impl BatchEngine {
     /// configurations, so no run of the pass outlives its tape, up to
     /// [`MAX_TAPE_OPS`]. A sliced evaluator needs live stream state at
     /// every cut and gets no tapes.
-    fn record_tapes(&self, groups: &[Vec<(EvalKey, App, CoreConfig)>]) -> HashMap<App, OpTape> {
+    fn record_tapes(&self, groups: &[Vec<(EvalKey, CoreConfig)>]) -> HashMap<App, OpTape> {
         let mut tapes = HashMap::new();
         if self.evaluator.slice().is_some() {
             return tapes;
@@ -623,11 +775,11 @@ impl BatchEngine {
         let params = self.evaluator.params();
         let mut per_app: HashMap<App, (usize, u64)> = HashMap::new();
         for group in groups {
-            let (_, app, config) = &group[0];
-            if self.timing.contains(&TimingCacheKey::new(*app, config)) {
+            let (key, config) = &group[0];
+            if self.timing.contains(&TimingCacheKey::new(key.app, config)) {
                 continue;
             }
-            let entry = per_app.entry(*app).or_insert((0, 0));
+            let entry = per_app.entry(key.app).or_insert((0, 0));
             entry.0 += 1;
             entry.1 = entry.1.max(config.max_in_flight());
         }
@@ -667,7 +819,7 @@ impl BatchEngine {
 
         // Dedup: one work item per distinct cold key.
         let mut seen = HashSet::new();
-        let mut work: Vec<(EvalKey, App, ArchPoint, DvsPoint)> = Vec::new();
+        let mut work: Vec<(EvalKey, ArchPoint, DvsPoint)> = Vec::new();
         let mut warm_hits = 0u64;
         for &(app, arch, dvs) in jobs {
             let key = EvalKey::new(app, arch, dvs);
@@ -677,7 +829,7 @@ impl BatchEngine {
             if self.cache.peek(&key).is_some() {
                 warm_hits += 1;
             } else {
-                work.push((key, app, arch, dvs));
+                work.push((key, arch, dvs));
             }
         }
         let cold = work.len() as u64;
@@ -685,18 +837,20 @@ impl BatchEngine {
         // Group the cold work by timing key: all members of a group
         // (same app, same timing-relevant configuration — typically a
         // voltage grid at one frequency) share one cycle-level timing
-        // run. One worker owns a whole group, so the pass performs
-        // exactly one timing run per group, whatever the worker count.
+        // run. One worker owns a whole group, so the pass performs at
+        // most one timing run per group, whatever the worker count; the
+        // single-flight timing cache shares that run with any caller
+        // outside the pass that needs the same key meanwhile.
         let mut group_index: HashMap<TimingCacheKey, usize> = HashMap::new();
-        let mut groups: Vec<Vec<(EvalKey, App, CoreConfig)>> = Vec::new();
-        for (key, app, arch, dvs) in work {
+        let mut groups: Vec<Vec<(EvalKey, CoreConfig)>> = Vec::new();
+        for (key, arch, dvs) in work {
             let config = self.config_for(arch, dvs)?;
-            let tkey = TimingCacheKey::new(app, &config);
+            let tkey = TimingCacheKey::new(key.app, &config);
             let idx = *group_index.entry(tkey).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
             });
-            groups[idx].push((key, app, config));
+            groups[idx].push((key, config));
         }
 
         let tapes = self.record_tapes(&groups);
@@ -729,7 +883,7 @@ impl BatchEngine {
                                 stop.store(true, Ordering::Relaxed);
                                 first_error
                                     .lock()
-                                    .expect("error slot lock poisoned")
+                                    .unwrap_or_else(PoisonError::into_inner)
                                     .get_or_insert(e);
                             };
                             loop {
@@ -743,35 +897,28 @@ impl BatchEngine {
                                 // Work remaining in the shared queue as this
                                 // worker claims a group.
                                 sim_obs::hist!("drm.queue.depth", (groups.len() - i) as f64);
-                                let profile = group[0].1.profile();
-                                let tape = tapes.get(&group[0].1);
-                                for (key, app, config) in group {
+                                let app = group[0].0.app;
+                                let profile = app.profile();
+                                let tape = tapes.get(&app);
+                                for (key, config) in group {
                                     // Every member does its own lookup so the
                                     // timing-cache hit/miss counters read as
-                                    // reuses/runs; only this worker touches
-                                    // the group's key, so the first member
-                                    // misses (and simulates) and the rest hit.
-                                    let tkey = TimingCacheKey::new(*app, config);
-                                    let timing = match self.timing.get(&tkey) {
-                                        Some(t) => t,
-                                        None => match tape.map_or_else(
+                                    // reuses/runs: the first member runs (or
+                                    // waits for a caller already running) the
+                                    // group's timing, and the rest hit.
+                                    let timing = match self.timing_run(*key, config, || {
+                                        let run = tape.map_or_else(
                                             || evaluator.timing_run(&profile, config),
                                             |tape| evaluator.run_timing_tape(tape, config),
-                                        ) {
-                                            Ok(run) => {
-                                                timing_runs.fetch_add(1, Ordering::Relaxed);
-                                                let run = self.timing.insert(tkey, run);
-                                                if let Err(e) = self.persist(*key, config, &run) {
-                                                    fail(e);
-                                                    return;
-                                                }
-                                                run
-                                            }
-                                            Err(e) => {
-                                                fail(e);
-                                                return;
-                                            }
-                                        },
+                                        )?;
+                                        timing_runs.fetch_add(1, Ordering::Relaxed);
+                                        Ok(run)
+                                    }) {
+                                        Ok(run) => run,
+                                        Err(e) => {
+                                            fail(e);
+                                            return;
+                                        }
                                     };
                                     match evaluator.evaluate_with_timing(&profile, config, &timing)
                                     {
@@ -795,7 +942,10 @@ impl BatchEngine {
             });
         }
 
-        if let Some(e) = first_error.into_inner().expect("error slot lock poisoned") {
+        if let Some(e) = first_error
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
             return Err(e);
         }
         let wall = start.elapsed();
@@ -884,7 +1034,7 @@ mod tests {
             .map(|ghz| {
                 let dvs = DvsPoint::at_ghz(ghz).unwrap();
                 let config = e.config_for(arch, dvs).unwrap();
-                vec![(EvalKey::new(App::Gzip, arch, dvs), App::Gzip, config)]
+                vec![(EvalKey::new(App::Gzip, arch, dvs), config)]
             })
             .collect();
         let tapes = e.record_tapes(&groups);
@@ -904,6 +1054,82 @@ mod tests {
         let summary = e.evaluate_all(&[job]).unwrap();
         assert_eq!(summary.evaluations, 0);
         assert_eq!(summary.cache_hits, 1);
+    }
+
+    #[test]
+    fn concurrent_cold_evaluations_share_one_timing_run() {
+        let e = engine(1);
+        let (app, arch, dvs) = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<Arc<Evaluation>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        e.evaluation(app, arch, dvs).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(e.timing_cache().misses(), 1, "one timing run between them");
+        assert_eq!(e.timing_cache().hits(), 7);
+        // Single-point evaluations are finished, not cached.
+        assert!(e.cache().is_empty());
+        let first = &results[0];
+        for ev in &results[1..] {
+            assert_eq!(**ev, **first);
+            for (got, want) in [
+                (ev.bips, first.bips),
+                (ev.ipc, first.ipc),
+                (ev.average_power().0, first.average_power().0),
+                (ev.max_temperature().0, first.max_temperature().0),
+                (ev.sink_temperature.0, first.sink_temperature.0),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_run_wakes_its_waiters() {
+        let e = engine(1);
+        let config = e
+            .config_for(ArchPoint::most_aggressive(), DvsPoint::base())
+            .unwrap();
+        let key = TimingCacheKey::new(App::Gzip, &config);
+        let cache = e.timing_cache();
+        let simulate = || e.evaluator().timing_run(&App::Gzip.profile(), &config);
+        std::thread::scope(|scope| {
+            let runner = scope.spawn(|| {
+                cache.get_or_run(key, || -> Result<TimingRun, SimError> {
+                    // Fail only once the waiter is parked on this run.
+                    while cache.waits() == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("timing run failed");
+                })
+            });
+            let waiter = scope.spawn(|| {
+                while cache.misses() == 0 {
+                    std::thread::yield_now();
+                }
+                cache.get_or_run(key, simulate)
+            });
+            assert!(runner.join().is_err(), "the runner panics");
+            let run = waiter.join().unwrap().unwrap();
+            // The waiter woke up, found the slot cleared, and ran it.
+            assert_eq!(cache.waits(), 1);
+            assert_eq!(cache.misses(), 2);
+            let again = cache
+                .get_or_run(key, || -> Result<TimingRun, SimError> {
+                    unreachable!("the waiter's run is cached")
+                })
+                .unwrap();
+            assert!(Arc::ptr_eq(&run, &again));
+            assert!(Arc::ptr_eq(&run, &cache.get(&key).unwrap()));
+            assert_eq!(cache.len(), 1);
+        });
     }
 
     #[test]

@@ -128,7 +128,11 @@ impl Oracle {
         self.engine.workers()
     }
 
-    /// Number of distinct (workload, configuration) evaluations performed.
+    /// Number of distinct (workload, configuration) evaluations the
+    /// batch passes ([`prefetch`](Oracle::prefetch), the searches)
+    /// performed and cached. Only batch passes fill the cache: a
+    /// single-point [`evaluation`](Oracle::evaluation) miss is finished
+    /// from the timing cache and not counted here.
     pub fn evaluations_performed(&self) -> usize {
         self.engine.cache().len()
     }
@@ -150,7 +154,10 @@ impl Oracle {
         }
     }
 
-    /// The (cached) evaluation of `app` at an adaptation point.
+    /// The evaluation of `app` at an adaptation point: cached when a
+    /// batch pass evaluated it, otherwise finished from the (cached)
+    /// timing run without caching the result (see
+    /// [`BatchEngine::evaluation`]).
     ///
     /// The cache key is the full operating point — application,
     /// `ArchPoint`, frequency *and* voltage — so distinct points never
@@ -168,7 +175,7 @@ impl Oracle {
         self.engine.evaluation(app, arch, dvs)
     }
 
-    /// The (cached) evaluation of `app` on the base non-adaptive processor.
+    /// The evaluation of `app` on the base non-adaptive processor.
     ///
     /// # Errors
     ///
@@ -505,15 +512,27 @@ mod tests {
 
     #[test]
     fn evaluations_are_cached() {
+        // Repeated single-point evaluations pay one timing run between
+        // them and return bit-identical results; only batch passes fill
+        // the evaluation cache.
         let o = oracle();
-        o.base_evaluation(App::Gzip).unwrap();
-        o.base_evaluation(App::Gzip).unwrap();
-        assert_eq!(o.evaluations_performed(), 1);
-        // A DVS search over 6 frequencies adds 5 new evaluations (the base
-        // point is already cached).
+        let a = o.base_evaluation(App::Gzip).unwrap();
+        let b = o.base_evaluation(App::Gzip).unwrap();
+        assert_eq!(*a, *b);
+        assert_eq!(a.bips.to_bits(), b.bips.to_bits());
+        assert_eq!(
+            a.max_temperature().0.to_bits(),
+            b.max_temperature().0.to_bits()
+        );
+        let s = o.summary();
+        assert_eq!((s.timing_runs, s.timing_reuses), (1, 1));
+        assert_eq!(o.evaluations_performed(), 0);
+        // A DVS search's batch pass caches its 6 candidates (the base
+        // point among them) and simulates the 5 new frequencies.
         o.best(App::Gzip, Strategy::Dvs, &model(370.0), 0.5)
             .unwrap();
         assert_eq!(o.evaluations_performed(), 6);
+        assert_eq!(o.summary().timing_runs, 6);
     }
 
     #[test]
@@ -531,13 +550,15 @@ mod tests {
             frequency: Hertz::from_ghz(4.0),
             vdd: Volts(0.9),
         };
-        let a = o.evaluation(App::Gzip, arch, nominal).unwrap();
-        let b = o.evaluation(App::Gzip, arch, undervolted).unwrap();
+        o.prefetch(&[(App::Gzip, arch, nominal), (App::Gzip, arch, undervolted)])
+            .unwrap();
         assert_eq!(
             o.evaluations_performed(),
             2,
             "distinct points must not alias"
         );
+        let a = o.evaluation(App::Gzip, arch, nominal).unwrap();
+        let b = o.evaluation(App::Gzip, arch, undervolted).unwrap();
         assert_eq!(a.config.vdd, Volts(1.0));
         assert_eq!(b.config.vdd, Volts(0.9));
         // Lower voltage means measurably lower power for the same stream.

@@ -15,7 +15,7 @@
 //!   (versioned greeting, unknown-key/arity rejection, 1-based error
 //!   positions — read with the shared token cursor of `sim_common::textfmt`).
 //! - [`queue`] — the bounded request queue behind admission control.
-//! - [`server`] — accept loop, micro-batching drain workers, scenario
+//! - [`server`] — accept loop, one-request-at-a-time drain workers, scenario
 //!   registry, and drain-then-exit shutdown.
 //! - [`client`] — the blocking client the CLI, tests, and load bench
 //!   all share.

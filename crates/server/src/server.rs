@@ -1,5 +1,5 @@
-//! The evaluation server: accept loop, bounded request queue,
-//! micro-batching drain workers, and shutdown orchestration.
+//! The evaluation server: accept loop, bounded request queue, drain
+//! workers, and shutdown orchestration.
 //!
 //! One long-lived [`BatchEngine`] per installed scenario means the
 //! sharded `Arc<Evaluation>` cache and the voltage-invariant
@@ -14,13 +14,15 @@
 //! semantic errors are answered immediately without touching the queue.
 //! Resolved work is `try_push`ed onto a bounded queue — a full queue is
 //! answered with `busy` (admission control sheds load; nothing blocks).
-//! Drain workers pop work and gather whatever else arrives inside a
-//! short linger window into one batch, then hand each scenario's share
-//! to its engine's `evaluate_all`, which deduplicates against the cache
-//! and shares timing runs across the batch. Micro-batching is what makes
-//! concurrent clients *faster* than one: a lone client pays a full
-//! round-trip per request, while overlapping requests ride the same
-//! batch pass.
+//! Drain workers pop one request at a time and answer it at once; no
+//! worker waits for more requests to arrive. Concurrent cold requests
+//! still share work through the engine: the timing cache is
+//! single-flight, so requests that need the same cycle-level timing run
+//! while it is being simulated wait for it and share it. A `sweep` runs
+//! its candidates as one batch pass, and only batch passes fill the
+//! evaluation cache: an `eval` or `fit` at a point no sweep covered is
+//! finished from the cached timing run (tens of microseconds) and not
+//! stored, so the distinct `vdd=` values a client sends grow no cache.
 //!
 //! ## Shutdown
 //!
@@ -70,12 +72,8 @@ pub struct ServerConfig {
     pub jobs: usize,
     /// Bounded queue capacity; a full queue sheds with `busy` (≥ 1).
     pub queue_depth: usize,
-    /// Drain-worker threads pulling batches off the queue.
+    /// Drain-worker threads answering queued requests.
     pub drain_workers: usize,
-    /// Largest batch one drain pass will gather.
-    pub batch_max: usize,
-    /// How long a drain pass lingers for more requests after the first.
-    pub linger: Duration,
     /// Socket read timeout — also the poll interval at which idle
     /// connections observe shutdown.
     pub read_timeout: Duration,
@@ -107,8 +105,6 @@ impl Default for ServerConfig {
             jobs: 0,
             queue_depth: 64,
             drain_workers: 2,
-            batch_max: 32,
-            linger: Duration::from_millis(2),
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
@@ -182,14 +178,17 @@ pub struct ServerStats {
     pub shed: u64,
     /// Malformed or failing requests answered with `err`.
     pub errors: u64,
-    /// Batches drained off the queue.
+    /// Drain passes: a drain worker answers one queued request per pass,
+    /// so this equals `batched_requests` (the key stays for clients that
+    /// read it).
     pub batches: u64,
-    /// Queued requests processed through batches.
+    /// Queued requests answered by drain passes.
     pub batched_requests: u64,
 }
 
 impl ServerStats {
-    /// Mean requests per drained batch (1.0 = no batching benefit).
+    /// Mean requests per drain pass: 1.0 whenever any request was
+    /// drained, since each pass answers one.
     #[must_use]
     pub fn batch_occupancy(&self) -> f64 {
         if self.batches == 0 {
@@ -1222,85 +1221,34 @@ fn qual_pos(qual: &QualOverride) -> usize {
         .unwrap_or(1)
 }
 
-/// Drain-worker loop: pop one request, gather more inside the linger
-/// window, run each scenario's share through one `evaluate_all` pass,
-/// answer everyone.
+/// Drain-worker loop: pop one request, answer it, repeat until the
+/// queue is closed and empty.
 fn worker_loop(state: &Arc<ServerState>) {
     loop {
-        let Some(first) = state.queue.pop_timeout(Duration::from_millis(50)) else {
+        let Some(request) = state.queue.pop_timeout(Duration::from_millis(50)) else {
             if state.queue.is_closed() {
                 return;
             }
             continue;
         };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + state.config.linger;
-        while batch.len() < state.config.batch_max {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match state.queue.pop_timeout(deadline - now) {
-                Some(request) => batch.push(request),
-                None => break,
-            }
-        }
         sim_obs::gauge!("server.queue.depth", state.queue.len() as f64);
-        process_batch(state, batch);
+        process(state, request);
     }
 }
 
-fn process_batch(state: &Arc<ServerState>, batch: Vec<QueuedRequest>) {
+/// Answers one queued request. The `server.batch` span and the
+/// `batches`/`batched_requests` counters count it as a pass of one.
+fn process(state: &Arc<ServerState>, request: QueuedRequest) {
     let _span = sim_obs::span!("server.batch");
     state.batches.fetch_add(1, Ordering::Relaxed);
-    state
-        .batched_requests
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    sim_obs::hist!("server.batch.size", batch.len() as f64);
-
-    // One evaluate_all per engine covers every eval/fit in the batch:
-    // cross-request deduplication plus shared timing runs. Errors are
-    // ignored here — each request's own evaluation call below reports
-    // them per request.
-    type SlotJobs = (Arc<EngineSlot>, Vec<(App, ArchPoint, DvsPoint)>);
-    let mut grouped: HashMap<*const EngineSlot, SlotJobs> = HashMap::new();
-    for request in &batch {
-        if let Job::Eval {
-            slot,
-            app,
-            arch,
-            dvs,
-            ..
-        }
-        | Job::Fit {
-            slot,
-            app,
-            arch,
-            dvs,
-            ..
-        } = &request.job
-        {
-            grouped
-                .entry(Arc::as_ptr(slot))
-                .or_insert_with(|| (Arc::clone(slot), Vec::new()))
-                .1
-                .push((*app, *arch, *dvs));
-        }
-    }
-    for (_, (slot, jobs)) in grouped {
-        if jobs.len() > 1 {
-            let _ = slot.engine.evaluate_all(&jobs);
-        }
-    }
-
-    for request in batch {
-        let response = run_job(&request.job);
-        let latency_ms = request.enqueued.elapsed().as_secs_f64() * 1e3;
-        sim_obs::hist!("server.request.latency_ms", latency_ms);
-        sim_obs::hist!(verb_latency_metric(&request.job), latency_ms);
-        // A vanished client is not an error; the work stays cached.
-        let _ = request.reply.send(response);
-    }
+    state.batched_requests.fetch_add(1, Ordering::Relaxed);
+    sim_obs::hist!("server.batch.size", 1.0);
+    let response = run_job(&request.job);
+    let latency_ms = request.enqueued.elapsed().as_secs_f64() * 1e3;
+    sim_obs::hist!("server.request.latency_ms", latency_ms);
+    sim_obs::hist!(verb_latency_metric(&request.job), latency_ms);
+    // A vanished client is not an error; its timing run stays cached.
+    let _ = request.reply.send(response);
 }
 
 /// The per-verb latency histogram recorded alongside the global one —

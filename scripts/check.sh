@@ -21,11 +21,12 @@ echo "== benchmark tests: every workload at smoke scale, traced digest equals un
 # workload, equals the untraced one. They do not check recorded digests.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== benchmark digests: one full-scale round of each DRM workload =="
+echo "== benchmark digests: one full-scale round of every workload =="
 # At seed 12345, full scale and 2 threads, ramp-bench exits non-zero when
-# the round's output digest (DRM choices, simulated cycles, IPC) differs
+# the round's output digest (DRM choices, simulated cycles and IPC; fleet
+# summaries; the serve workload's sorted request/reply pairs) differs
 # from the one recorded in benchmark/src/spec.rs.
-for workload in drm-exhaustive drm-surrogate; do
+for workload in drm-exhaustive drm-surrogate fleet serve-warm; do
   cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seed 12345 --threads 2 --seconds 0 --trace 0 >/dev/null
 done

@@ -336,15 +336,17 @@ fn fleet_matches_direct_population_bit_for_bit() {
     assert!(bad.raw.contains("fleet.shape"), "{}", bad.raw);
 }
 
-/// Four clients hammering the same points concurrently race the shared
-/// caches and the micro-batcher; everyone must read byte-identical
-/// responses, and a warm cache must absorb all of the duplicate work.
+/// Four clients hammering the same points concurrently from a fully
+/// cold start race the shared caches; everyone must read byte-identical
+/// responses, and the single-flight timing cache must run each point's
+/// timing exactly once between them.
 #[test]
 fn concurrent_clients_get_identical_answers() {
+    const CLIENTS: u64 = 4;
     let server = start_server(tiny_config());
     let addr = server.local_addr();
 
-    fn one_client(addr: std::net::SocketAddr, n: usize) -> Vec<String> {
+    fn one_client(addr: std::net::SocketAddr, n: u64) -> Vec<String> {
         let mut client = Client::connect(addr).expect("connect");
         POINTS
             .iter()
@@ -356,30 +358,56 @@ fn concurrent_clients_get_identical_answers() {
             .collect()
     }
 
-    // Warm the shared cache with one sequential pass first: the eval
-    // cache computes misses without holding a lock, so a fully-cold
-    // concurrent start may legitimately evaluate a point twice. Against
-    // a warm cache the accounting below is exact.
-    let warm = one_client(addr, 0);
-    assert_eq!(server.sweep_summary().evaluations, POINTS.len() as u64);
-
-    let handles: Vec<_> = (1..5)
+    let handles: Vec<_> = (0..CLIENTS)
         .map(|n| std::thread::spawn(move || one_client(addr, n)))
         .collect();
-    for handle in handles {
-        let transcript = handle.join().expect("client thread");
-        assert_eq!(
-            transcript, warm,
-            "concurrent client diverged from the sequential pass"
-        );
+    let transcripts: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect();
+    for transcript in &transcripts[1..] {
+        assert_eq!(transcript, &transcripts[0], "concurrent clients diverged");
     }
 
-    // 4 clients × 3 points all served from the shared cache: no new
-    // evaluations, no new timing runs.
+    // Every request looks its point's timing run up once: one run per
+    // point, and every other client's lookup reuses it. Single-point
+    // evaluations are finished, not cached.
+    let points = POINTS.len() as u64;
     let summary = server.sweep_summary();
-    assert_eq!(summary.evaluations, POINTS.len() as u64);
-    assert_eq!(summary.timing_runs, POINTS.len() as u64);
-    assert!(summary.cache_hits >= 12, "expected ≥12 warm hits");
+    assert_eq!(summary.timing_runs, points);
+    assert_eq!(summary.timing_reuses, (CLIENTS - 1) * points);
+    assert_eq!(summary.evaluations, 0);
+    server.shutdown();
+    server.join();
+}
+
+/// The points clients name one at a time grow no cache: 64 distinct
+/// voltages at one frequency whose timing run is cached add no
+/// evaluation-cache entry and no timing run.
+#[test]
+fn distinct_vdd_requests_grow_no_cache() {
+    let server = start_server(tiny_config());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let warm = client
+        .request_raw("sweep gzip strategy=dvs")
+        .expect("sweep");
+    assert!(warm.starts_with("ok sweep "), "{warm}");
+    let grid = Scenario::paper_default()
+        .dvs
+        .at_ghz(3.5)
+        .expect("grid point");
+    let before = server.sweep_summary();
+    assert!(before.evaluations > 0, "the sweep caches its candidates");
+    for i in 0..64 {
+        let vdd = grid.vdd.0 + (f64::from(i) - 32.0) * 1e-3;
+        let line = format!("eval gzip freq={} vdd={vdd:.4}", grid.frequency.0);
+        let reply = client.request_raw(&line).expect("request");
+        assert!(reply.starts_with("ok eval "), "{line}: {reply}");
+    }
+    let after = server.sweep_summary();
+    assert_eq!(after.evaluations, before.evaluations);
+    assert_eq!(after.timing_runs, before.timing_runs);
+    assert_eq!(after.timing_reuses, before.timing_reuses + 64);
     server.shutdown();
     server.join();
 }
@@ -391,7 +419,6 @@ fn full_queue_sheds_with_busy_and_recovers() {
     let server = start_server(ServerConfig {
         queue_depth: 1,
         drain_workers: 1,
-        linger: Duration::ZERO,
         eval: Some(TINY),
         ..ServerConfig::default()
     });
