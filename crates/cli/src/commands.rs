@@ -9,9 +9,8 @@
 
 use drm::scaling::{required_qualification_temperature, scaling_study, TechnologyNode};
 use drm::{
-    intra_app_best, slice_fingerprint, slice_lengths, BatchEngine, CheckpointStore,
-    ControllerParams, EvalParams, FleetConfig, Oracle, ReactiveDrm, SensorParams, SliceParams,
-    Strategy,
+    intra_app_best, BatchEngine, CheckpointStore, ControllerParams, EvalParams, FleetConfig,
+    Oracle, ReactiveDrm, RunDigest, SensorParams, SliceParams, Strategy,
 };
 use ramp::{Mechanism, QualificationPoint, ReliabilityModel};
 use scenario::{Qualification, Scenario};
@@ -818,24 +817,23 @@ fn checkpoint_save(args: &Args) -> Result<(), SimError> {
         .with_workers(workers);
     let evaluator = scn.evaluator_with(params)?;
     let store = CheckpointStore::new(dir)?;
-    let lens = slice_lengths(params.measure_instructions, instructions);
-    let fingerprint = slice_fingerprint(&cfg, &params, instructions);
     for profile in workloads_from(args, &scn)? {
         let run = evaluator.timing_run_sliced(&profile, &cfg, &slice)?;
-        let mut bytes = 0u64;
-        for k in 0..lens.len() {
-            let path = store.path(&profile.name, params.seed, fingerprint, k);
-            bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        }
+        let digest = RunDigest::new(&profile, &cfg, &params);
+        let files = store.run_files(digest, instructions);
+        let bytes: u64 = files
+            .iter()
+            .map(|path| std::fs::metadata(path).map_or(0, |m| m.len()))
+            .sum();
         println!(
-            "{}: {} slice(s) of {} instructions -> {dir} (fingerprint {fingerprint:016x})",
+            "{}: {} slice(s) of {} instructions -> {dir} (digest {digest})",
             profile.name,
-            lens.len(),
+            files.len(),
             instructions
         );
         println!(
             "  {} checkpoint file(s), {bytes} bytes; {} intervals, IPC {:.3}",
-            lens.len(),
+            files.len(),
             run.intervals().len(),
             run.ipc()
         );

@@ -413,7 +413,7 @@ impl KeyValues<'_> {
 
 /// FNV-1a over `bytes` (64-bit). Deterministic across runs and platforms,
 /// unlike the standard library's randomized default hasher, so it serves
-/// record checksums and checkpoint fingerprints.
+/// record checksums and run digests.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

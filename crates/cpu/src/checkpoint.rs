@@ -38,11 +38,10 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 /// A complete slice checkpoint: identity metadata plus the warm workload
 /// and pipeline state at one interval boundary.
 ///
-/// The `fingerprint` binds the checkpoint to the timing configuration and
-/// evaluation parameters that produced it (the slice layer computes it from
-/// the core's `TimingKey` and the evaluation lengths); a consumer must
-/// refuse to resume from a checkpoint whose fingerprint does not match its
-/// own.
+/// The `fingerprint` binds the checkpoint to the run that produced it (the
+/// slice layer stores its run digest: the workload profile, the core's
+/// `TimingKey` and the evaluation lengths); a consumer must refuse to
+/// resume from a checkpoint whose fingerprint does not match its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Workload (application/profile) name.

@@ -38,9 +38,9 @@ use sim_cpu::{CoreConfig, TimingKey};
 use workload::{App, OpTape};
 
 use crate::dvs::DvsPoint;
-use crate::evaluator::{Evaluation, Evaluator, TimingRun};
+use crate::evaluator::{Evaluation, Evaluator, RunDigest, TimingRun};
 use crate::space::ArchPoint;
-use crate::store::EvalStore;
+use crate::store::{EvalStore, StoreRecord};
 
 /// Number of independently locked cache shards. Shard contention is the
 /// only synchronization between workers, and evaluations take O(100 ms)
@@ -618,30 +618,33 @@ impl BatchEngine {
     }
 
     /// Attaches a persistent evaluation store: every record loaded from
-    /// disk pre-warms the shared [`TimingCache`] (so already-stored
-    /// points cost zero timing runs), and every fresh timing run is
-    /// appended write-through. Call *after* [`with_base_config`]
-    /// (BatchEngine::with_base_config): records are reconstructed
-    /// against the engine's base configuration, and a record whose
-    /// adaptation point does not apply to it (a foreign store) is
-    /// skipped — the store is a cache, not a source of truth.
-    ///
-    /// [`with_base_config`]: BatchEngine::with_base_config
+    /// disk that this engine would have simulated itself pre-warms the
+    /// shared [`TimingCache`] (so already-stored points cost zero timing
+    /// runs), and every fresh timing run is appended write-through. Call
+    /// *after* [`with_base_config`](BatchEngine::with_base_config): each
+    /// record's point is rebuilt on the engine's base configuration and
+    /// served only when the engine's [`RunDigest`] for it equals the
+    /// stored one. Any other record (another run shape, base core or
+    /// profile) is skipped and counted under `drm.store.foreign` — the
+    /// store is a cache, not a source of truth.
     #[must_use]
     pub fn with_store(mut self, store: EvalStore) -> BatchEngine {
-        let mut warmed = 0u64;
+        let (mut warmed, mut foreign) = (0u64, 0u64);
         for rec in store.take_records() {
-            let Ok(config) = rec.key.arch.apply(&self.base_config, rec.dvs()) else {
-                continue;
-            };
-            self.timing
-                .insert(TimingCacheKey::new(rec.key.app, &config), rec.run);
-            warmed += 1;
+            match rec.arch.apply(&self.base_config, rec.dvs) {
+                Ok(config) if self.digest(rec.app, &config) == rec.digest => {
+                    self.timing
+                        .insert(TimingCacheKey::new(rec.app, &config), rec.run);
+                    warmed += 1;
+                }
+                _ => foreign += 1,
+            }
         }
         sim_obs::counter!("drm.store.prewarmed", warmed);
+        sim_obs::counter!("drm.store.foreign", foreign);
         sim_obs::log_debug!(
             "drm.store",
-            "pre-warmed timing cache with {warmed} stored run(s) from {}",
+            "pre-warmed timing cache with {warmed} stored run(s) from {}, skipped {foreign} foreign",
             store.path().display()
         );
         self.store = Some(Arc::new(store));
@@ -680,6 +683,11 @@ impl BatchEngine {
 
     fn config_for(&self, arch: ArchPoint, dvs: DvsPoint) -> Result<CoreConfig, SimError> {
         arch.apply(&self.base_config, dvs)
+    }
+
+    /// The digest of this engine's timing run of `app` on `config`.
+    fn digest(&self, app: App, config: &CoreConfig) -> RunDigest {
+        RunDigest::new(&app.profile(), config, self.evaluator.params())
     }
 
     /// The evaluation at one operating point: served from the cache when
@@ -740,24 +748,33 @@ impl BatchEngine {
     ) -> Result<Arc<TimingRun>, SimError> {
         self.timing
             .get_or_run(TimingCacheKey::new(key.app, config), || {
-                let run = simulate()?;
-                self.persist(key, config, &run)?;
-                Ok(run)
+                self.persist(key, config, simulate()?)
             })
     }
 
     /// Write-through: appends a fresh timing run to the attached
-    /// evaluation store (no-op without one).
-    fn persist(&self, key: EvalKey, config: &CoreConfig, run: &TimingRun) -> Result<(), SimError> {
-        match &self.store {
-            Some(store) => store.append(
-                key,
-                config.frequency.0.to_bits(),
-                config.vdd.0.to_bits(),
-                run,
-            ),
-            None => Ok(()),
-        }
+    /// evaluation store under its digest (no-op without one).
+    fn persist(
+        &self,
+        key: EvalKey,
+        config: &CoreConfig,
+        run: TimingRun,
+    ) -> Result<TimingRun, SimError> {
+        let Some(store) = &self.store else {
+            return Ok(run);
+        };
+        let record = StoreRecord {
+            digest: self.digest(key.app, config),
+            app: key.app,
+            arch: key.arch,
+            dvs: DvsPoint {
+                frequency: config.frequency,
+                vdd: config.vdd,
+            },
+            run,
+        };
+        store.append(&record)?;
+        Ok(record.run)
     }
 
     /// Records one [`OpTape`] for each app with at least two groups whose
@@ -1222,18 +1239,16 @@ mod tests {
         use crate::store::EvalStore;
         let dir = std::env::temp_dir().join(format!("ramp-batch-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("seg.evalstore");
         let job = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
 
-        let first = engine(2).with_store(EvalStore::open(&path).unwrap());
+        let first = engine(2).with_store(EvalStore::open_dir(&dir, "seg").unwrap());
         let summary = first.evaluate_all(&[job]).unwrap();
         assert_eq!(summary.timing_runs, 1, "cold store must simulate");
         let reference = first.evaluation(job.0, job.1, job.2).unwrap();
 
         // "Restart": a fresh engine with cold in-memory caches, attached
         // to the now-populated store.
-        let restarted = engine(2).with_store(EvalStore::open(&path).unwrap());
+        let restarted = engine(2).with_store(EvalStore::open_dir(&dir, "seg").unwrap());
         assert_eq!(restarted.timing_cache().len(), 1);
         let summary = restarted.evaluate_all(&[job]).unwrap();
         assert_eq!(summary.evaluations, 1);
@@ -1242,6 +1257,43 @@ mod tests {
         let replayed = restarted.evaluation(job.0, job.1, job.2).unwrap();
         assert_eq!(replayed.bips.to_bits(), reference.bips.to_bits());
         assert_eq!(replayed.ipc.to_bits(), reference.ipc.to_bits());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store written under one run shape serves nothing to an engine of
+    /// another: the second engine skips the record as foreign and answers
+    /// exactly as an engine with no store.
+    #[test]
+    fn a_store_of_another_run_shape_is_not_served() {
+        use crate::store::EvalStore;
+        let dir = std::env::temp_dir().join(format!("ramp-batch-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
+        let longer = EvalParams {
+            measure_instructions: 2 * EvalParams::quick().measure_instructions,
+            ..EvalParams::quick()
+        };
+        let engine_with =
+            |params| BatchEngine::with_workers(Evaluator::ibm_65nm(params).unwrap(), 1);
+
+        let writer = engine_with(EvalParams::quick())
+            .with_store(EvalStore::open_dir(&dir, "quick").unwrap());
+        writer.evaluate_all(&[job]).unwrap();
+        assert_eq!(writer.store().unwrap().len(), 1);
+
+        let reader = engine_with(longer).with_store(EvalStore::open_dir(&dir, "longer").unwrap());
+        assert_eq!(
+            reader.timing_cache().len(),
+            0,
+            "a foreign record pre-warmed"
+        );
+        let served = reader.evaluation(job.0, job.1, job.2).unwrap();
+        let fresh = engine_with(longer).evaluation(job.0, job.1, job.2).unwrap();
+        assert_eq!(*served, *fresh);
+        assert_eq!(served.ipc.to_bits(), fresh.ipc.to_bits());
+        assert_eq!(served.intervals.len(), fresh.intervals.len());
+        // The reader's own run is stored next to the writer's.
+        assert_eq!(reader.store().unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

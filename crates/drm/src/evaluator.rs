@@ -16,20 +16,22 @@
 //! 2. leakage power depends on temperature and temperature on power, so
 //!    each pass iterates the leakage/temperature fixed point.
 
+use std::fmt;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ramp::{ApplicationFit, ReliabilityModel, StructureConditions};
-use sim_common::{Kelvin, Seconds, SimError, Structure, StructureMap, Watts};
+use sim_common::{fnv1a64, Kelvin, Seconds, SimError, Structure, StructureMap, Watts};
 use sim_cpu::{Checkpoint, CoreConfig, IntervalStats, Processor};
 use sim_obs::{Histogram, StageTimes};
 use sim_power::PowerModel;
 use sim_thermal::ThermalModel;
 use workload::{App, AppProfile, OpTape, SyntheticStream, DATA_BASE};
 
-use crate::slice::{slice_fingerprint, slice_lengths, CheckpointStore, SliceParams};
+use crate::slice::{slice_lengths, CheckpointStore, SliceParams};
 
 /// Ceiling applied to solved temperatures. The leakage/temperature fixed
 /// point has no physical solution for configurations past thermal runaway
@@ -116,6 +118,42 @@ impl EvalParams {
 impl Default for EvalParams {
     fn default() -> Self {
         EvalParams::standard()
+    }
+}
+
+/// Digest of everything a cycle-level timing run depends on: the
+/// workload profile's full content, the timing-relevant configuration
+/// ([`CoreConfig::timing_key`]) and the run shape (warmup, measurement,
+/// interval, seed and prewarm). It keys both on-disk forms of a run —
+/// evaluation-store records and slice checkpoints — so neither can serve
+/// a run of another profile, core or shape.
+///
+/// Supply voltage and `leakage_iterations` are left out: neither moves a
+/// cycle, so one digest covers a whole DVS voltage grid, as one
+/// [`TimingRun`] does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RunDigest(pub u64);
+
+impl RunDigest {
+    /// FNV-1a over one versioned canonical text of the run's inputs.
+    #[must_use]
+    pub fn new(profile: &AppProfile, config: &CoreConfig, params: &EvalParams) -> RunDigest {
+        let canonical = format!(
+            "ramp-run/1|{profile:?}|{:?}|warmup={}|measure={}|interval={}|seed={}|prewarm={}",
+            config.timing_key(),
+            params.warmup_instructions,
+            params.measure_instructions,
+            params.interval_instructions,
+            params.seed,
+            params.prewarm_bytes,
+        );
+        RunDigest(fnv1a64(canonical.as_bytes()))
+    }
+}
+
+impl fmt::Display for RunDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0)
     }
 }
 
@@ -480,7 +518,7 @@ impl Evaluator {
     /// was built [`with_slice`](Evaluator::with_slice): the measured run
     /// is cut into `slice.instructions`-sized slices at interval
     /// boundaries. When `slice.checkpoint_dir` holds a complete persisted
-    /// cut set for this (workload, seed, timing key) the slices are
+    /// cut set for this run's [`RunDigest`] and slice length the slices are
     /// restored and simulated in parallel on `slice.workers` threads;
     /// otherwise a sequential cut pass runs the workload once, persisting
     /// a checkpoint at every cut so later runs can resume in parallel.
@@ -565,24 +603,31 @@ impl Evaluator {
         let start = Instant::now();
         let _timing_span = sim_obs::span!("eval.timing");
         let lens = slice_lengths(self.params.measure_instructions, slice.instructions);
-        let fingerprint = slice_fingerprint(config, &self.params, slice.instructions);
+        // The digest is computed only when a checkpoint directory can use it.
         let store = match &slice.checkpoint_dir {
-            Some(dir) => Some(CheckpointStore::new(dir)?),
+            Some(dir) => Some((
+                CheckpointStore::new(dir)?,
+                RunDigest::new(profile, config, &self.params),
+            )),
             None => None,
         };
-        if let Some(store) = &store {
-            if let Some(cuts) =
-                store.load_run(&profile.name, self.params.seed, fingerprint, lens.len())?
-            {
-                let intervals =
-                    self.run_slices(profile, config, &cuts, &lens, slice.workers, store)?;
+        if let Some((store, digest)) = &store {
+            if let Some(cuts) = store.load_run(*digest, slice.instructions, lens.len())? {
+                let intervals = self.run_slices(profile, config, &cuts, &lens, slice.workers)?;
                 return Ok(TimingRun {
                     intervals,
                     wall: start.elapsed(),
                 });
             }
         }
-        self.run_timing_cut(profile, config, &lens, fingerprint, store.as_ref(), start)
+        self.run_timing_cut(
+            profile,
+            config,
+            &lens,
+            store.as_ref(),
+            slice.instructions,
+            start,
+        )
     }
 
     /// The sequential cut pass: one full-length run, persisting a
@@ -596,8 +641,8 @@ impl Evaluator {
         profile: &AppProfile,
         config: &CoreConfig,
         lens: &[u64],
-        fingerprint: u64,
-        store: Option<&CheckpointStore>,
+        store: Option<&(CheckpointStore, RunDigest)>,
+        slice_instructions: u64,
         start: Instant,
     ) -> Result<TimingRun, SimError> {
         let stream = SyntheticStream::new(profile.clone(), self.params.seed);
@@ -611,15 +656,15 @@ impl Evaluator {
             (self.params.measure_instructions / self.params.interval_instructions + 1) as usize,
         );
         for (k, &len) in lens.iter().enumerate() {
-            if let Some(store) = store {
+            if let Some((store, digest)) = store {
                 let checkpoint = Checkpoint {
                     workload: profile.name.clone(),
                     seed: self.params.seed,
-                    fingerprint,
+                    fingerprint: digest.0,
                     stream: cpu.source().state(),
                     pipeline: cpu.state(),
                 };
-                store.save(&checkpoint, k)?;
+                store.save(&checkpoint, slice_instructions, k)?;
             }
             let mut remaining = len;
             while remaining > 0 {
@@ -637,20 +682,19 @@ impl Evaluator {
     /// The parallel resume path: every slice restores its checkpoint and
     /// simulates independently; per-slice interval statistics are folded
     /// back in slice order. A checkpoint that does not fit the processor
-    /// fails naming its file in `store`.
+    /// fails naming its file.
     fn run_slices(
         &self,
         profile: &AppProfile,
         config: &CoreConfig,
-        cuts: &[Checkpoint],
+        cuts: &[(PathBuf, Checkpoint)],
         lens: &[u64],
         workers: usize,
-        store: &CheckpointStore,
     ) -> Result<Vec<IntervalStats>, SimError> {
         // A valid cut set partitions the measurement: cut k must sit at
         // exactly warmup + k slices of committed instructions.
         let mut expected = self.params.warmup_instructions;
-        for (k, cut) in cuts.iter().enumerate() {
+        for (k, (_, cut)) in cuts.iter().enumerate() {
             if cut.instructions() != expected {
                 return Err(SimError::invalid_config(format!(
                     "checkpoint {k} cut at {} instructions, expected {expected}",
@@ -676,10 +720,9 @@ impl Evaluator {
                         if k >= count {
                             break;
                         }
-                        let cut = &cuts[k];
+                        let (path, cut) = &cuts[k];
                         let result = run_one_slice(profile, seed, config, cut, lens[k], interval)
                             .map_err(|e| {
-                                let path = store.path(&cut.workload, cut.seed, cut.fingerprint, k);
                                 SimError::invalid_config(format!("{}: {e}", path.display()))
                             });
                         if tx.send((k, result)).is_err() {
@@ -1142,8 +1185,8 @@ mod tests {
                 .unwrap();
             assert_eq!(plain, resumed, "workers {workers}");
         }
-        // The cut set survives a measurement-length change (shorter run,
-        // same slices) and keeps parity there too.
+        // A measurement-length change is another run: it cuts a set of
+        // its own next to the first and keeps parity there too.
         let mut short_params = *e.params();
         short_params.measure_instructions = 60_000;
         let short = Evaluator::ibm_65nm(short_params).unwrap();
@@ -1155,6 +1198,7 @@ mod tests {
             .evaluate(App::MpgDec, &CoreConfig::base())
             .unwrap();
         assert_eq!(short_plain, short_sliced);
+        assert_eq!(store.list().unwrap().len(), 4 + 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1207,6 +1251,101 @@ mod tests {
         assert_eq!(plain.intervals(), cut.intervals());
         assert_eq!(plain.intervals(), resumed.intervals());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two profiles with one name and one stream count but different
+    /// content share a checkpoint directory: each sliced run resumes only
+    /// its own cuts and equals its own unsliced run.
+    #[test]
+    fn profiles_sharing_a_name_never_share_cuts() {
+        let dir = temp_dir("same-name");
+        let e = evaluator();
+        let config = CoreConfig::base();
+        let builtin = App::Gzip.profile();
+        let variant = AppProfile {
+            dep_mean_int: builtin.dep_mean_int + 2.0,
+            branch_noise: builtin.branch_noise / 2.0,
+            ..builtin.clone()
+        };
+        assert_eq!(variant.name, builtin.name);
+        assert_eq!(variant.access_streams, builtin.access_streams);
+        let slice = SliceParams::new(30_000).with_dir(&dir).with_workers(2);
+        for profile in [&builtin, &variant, &builtin, &variant] {
+            let plain = e.timing_run(profile, &config).unwrap();
+            let sliced = e.timing_run_sliced(profile, &config, &slice).unwrap();
+            assert_eq!(plain.intervals(), sliced.intervals());
+        }
+        let plain = e.timing_run(&builtin, &config).unwrap();
+        let other = e.timing_run(&variant, &config).unwrap();
+        assert_ne!(
+            plain.intervals(),
+            other.intervals(),
+            "the profiles must differ"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The run digest is pinned, covers every input a timing run depends
+    /// on, and leaves out what never moves a cycle.
+    #[test]
+    fn run_digest_covers_every_timing_input() {
+        let profile = App::Gzip.profile();
+        let base = CoreConfig::base();
+        let params = EvalParams::quick();
+        let digest = RunDigest::new(&profile, &base, &params);
+        assert_eq!(digest, RunDigest(0xe91b_5a56_8571_c529));
+        assert_eq!(digest.to_string(), format!("{:016x}", digest.0));
+        // Profile content separates under the same name.
+        let variant = AppProfile {
+            hot_fraction: profile.hot_fraction / 2.0,
+            ..profile.clone()
+        };
+        assert_ne!(digest, RunDigest::new(&variant, &base, &params));
+        // A timing-key field separates.
+        let arch = base.with_adaptation(64, 4, 2).unwrap();
+        assert_ne!(digest, RunDigest::new(&profile, &arch, &params));
+        let slower = base.with_dvs(sim_common::Hertz::from_ghz(3.0), base.vdd);
+        assert_ne!(digest, RunDigest::new(&profile, &slower, &params));
+        // Every run-shape field separates.
+        for shape in [
+            EvalParams {
+                warmup_instructions: params.warmup_instructions + 1,
+                ..params
+            },
+            EvalParams {
+                measure_instructions: params.measure_instructions * 2,
+                ..params
+            },
+            EvalParams {
+                interval_instructions: params.interval_instructions / 2,
+                ..params
+            },
+            EvalParams {
+                seed: params.seed + 1,
+                ..params
+            },
+            EvalParams {
+                prewarm_bytes: params.prewarm_bytes / 2,
+                ..params
+            },
+        ] {
+            assert_ne!(digest, RunDigest::new(&profile, &base, &shape), "{shape:?}");
+        }
+        // Voltage and leakage iterations never move a cycle.
+        let dvs = base.with_dvs(base.frequency, sim_common::Volts(0.85));
+        assert_eq!(digest, RunDigest::new(&profile, &dvs, &params));
+        let leakage = EvalParams {
+            leakage_iterations: params.leakage_iterations + 4,
+            ..params
+        };
+        assert_eq!(digest, RunDigest::new(&profile, &base, &leakage));
+        // The nine built-in apps have distinct digests.
+        let digests: std::collections::HashSet<RunDigest> = App::ALL
+            .iter()
+            .map(|app| RunDigest::new(&app.profile(), &base, &params))
+            .collect();
+        assert_eq!(App::ALL.len(), 9);
+        assert_eq!(digests.len(), 9);
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub use batch::{
 pub use controller::{ControlTrace, ControllerParams, ReactiveDrm};
 pub use dtm::{compare_drm_dtm, dtm_best_dvs, DrmDtmPoint, DtmChoice};
 pub use dvs::{frequency_grid, voltage_for_frequency, DvsPoint, DvsRange};
-pub use evaluator::{EvalParams, EvalStats, Evaluation, Evaluator, IntervalProfile, TimingRun};
+pub use evaluator::{
+    EvalParams, EvalStats, Evaluation, Evaluator, IntervalProfile, RunDigest, TimingRun,
+};
 pub use fleet::{
     fleet_partial, fleet_summarize, run_fleet, FleetConfig, FleetPartial, FleetStats, FleetSummary,
     VariationParams, DIE_BATCH,
@@ -89,7 +91,7 @@ pub use oracle::{DrmChoice, Oracle};
 pub use scaling::{scaling_study, ScalingRow, TechnologyNode};
 pub use sensors::{SensorBank, SensorParams};
 pub use sim_common::fnv1a64;
-pub use slice::{slice_fingerprint, slice_lengths, CheckpointStore, SliceParams};
+pub use slice::{slice_lengths, CheckpointStore, SliceParams};
 pub use space::{ArchPoint, Strategy};
 pub use store::{EvalStore, StoreRecord, STORE_EXTENSION, STORE_HEADER};
 pub use surrogate::{AppTable, ErrorBounds, Surrogate, SurrogateParams, SurrogateScore};

@@ -17,20 +17,22 @@
 //! either way, so temperatures, FIT, and every derived quantity match to
 //! the last bit at any worker count.
 //!
-//! Checkpoints are keyed by workload name, stream seed, and a
-//! [`slice_fingerprint`] over the timing-relevant configuration
-//! ([`CoreConfig::timing_key`]) and run shape. The timing key excludes
-//! supply voltage, so one checkpoint set serves an entire DVS voltage
-//! grid — the same sharing rule as the batch engine's timing cache.
+//! A cut set is keyed by the run's [`RunDigest`] — the workload
+//! profile's content, the timing-relevant configuration and the whole run
+//! shape, the same key as the evaluation store's records — plus the slice
+//! length. Each checkpoint's `fingerprint` carries the digest and is
+//! checked on load, so a renamed file or another profile's cuts are never
+//! resumed. The digest excludes supply voltage, so one cut set serves an
+//! entire DVS voltage grid, as one timing-cache entry does.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sim_common::{fnv1a64, SimError};
-use sim_cpu::{checkpoint_from_text, checkpoint_to_text, Checkpoint, CoreConfig};
+use sim_common::SimError;
+use sim_cpu::{checkpoint_from_text, checkpoint_to_text, Checkpoint};
 
 use crate::batch::default_workers;
-use crate::evaluator::EvalParams;
+use crate::evaluator::{EvalParams, RunDigest};
 
 /// File extension of persisted checkpoints.
 pub const CHECKPOINT_EXT: &str = "ckpt";
@@ -119,29 +121,6 @@ pub fn slice_lengths(total: u64, slice: u64) -> Vec<u64> {
     lens
 }
 
-/// Fingerprint of everything (besides workload name and seed, which key
-/// the file name directly) that determines the machine state at a cut
-/// point: the timing-relevant configuration ([`CoreConfig::timing_key`],
-/// which excludes `vdd` — voltage never moves a cycle), the warmup
-/// length, the prewarm footprint, and the slice length itself.
-///
-/// The measurement length and interval length are deliberately *not*
-/// fingerprinted: cuts land at `warmup + k × slice` regardless, so one
-/// checkpoint set serves shorter measurements and any interval length
-/// that divides the slice (divisibility is enforced by
-/// [`SliceParams::validate`]).
-#[must_use]
-pub fn slice_fingerprint(config: &CoreConfig, params: &EvalParams, slice_instructions: u64) -> u64 {
-    let canonical = format!(
-        "ramp-slice-v1|{:?}|warmup={}|prewarm={}|slice={}",
-        config.timing_key(),
-        params.warmup_instructions,
-        params.prewarm_bytes,
-        slice_instructions
-    );
-    fnv1a64(canonical.as_bytes())
-}
-
 fn io_err(path: &Path, op: &str, e: &std::io::Error) -> SimError {
     SimError::invalid_config(format!("checkpoint {op} {}: {e}", path.display()))
 }
@@ -149,9 +128,10 @@ fn io_err(path: &Path, op: &str, e: &std::io::Error) -> SimError {
 /// A directory of persisted checkpoints, one text file per cut point.
 ///
 /// File names encode the lookup key —
-/// `<workload>-s<seed>-<fingerprint>-k<index>.ckpt` — and the same triple
-/// is stored (and verified) inside the file, so a renamed or foreign file
-/// is rejected rather than silently resumed.
+/// `<digest>-n<slice length>-k<index>.ckpt` — and the checkpoint's
+/// `fingerprint` carries the digest and is verified on load, so a renamed
+/// or foreign file is rejected rather than silently resumed. This module
+/// alone knows the naming rule.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -176,29 +156,25 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Path of the checkpoint for slice `index` of the given run key.
+    /// Path of the checkpoint for slice `index` of the run `digest` cut
+    /// every `slice` instructions.
     #[must_use]
-    pub fn path(&self, workload: &str, seed: u64, fingerprint: u64, index: usize) -> PathBuf {
-        self.dir.join(format!(
-            "{workload}-s{seed}-{fingerprint:016x}-k{index:04}.{CHECKPOINT_EXT}"
-        ))
+    pub fn path(&self, digest: RunDigest, slice: u64, index: usize) -> PathBuf {
+        self.dir
+            .join(format!("{digest}-n{slice}-k{index:04}.{CHECKPOINT_EXT}"))
     }
 
-    /// Persists `checkpoint` as slice `index`, returning the bytes
-    /// written. Counts one `slice.cut` and the file size under
+    /// Persists `checkpoint` as slice `index` of its run (the digest its
+    /// `fingerprint` carries) cut every `slice` instructions, returning
+    /// the bytes written. Counts one `slice.cut` and the file size under
     /// `slice.bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the file cannot be
     /// written.
-    pub fn save(&self, checkpoint: &Checkpoint, index: usize) -> Result<u64, SimError> {
-        let path = self.path(
-            &checkpoint.workload,
-            checkpoint.seed,
-            checkpoint.fingerprint,
-            index,
-        );
+    pub fn save(&self, checkpoint: &Checkpoint, slice: u64, index: usize) -> Result<u64, SimError> {
+        let path = self.path(RunDigest(checkpoint.fingerprint), slice, index);
         let text = checkpoint_to_text(checkpoint);
         fs::write(&path, &text).map_err(|e| io_err(&path, "write", &e))?;
         sim_obs::counter!("slice.cut", 1);
@@ -213,15 +189,14 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the file exists but does
-    /// not parse, or its embedded key disagrees with the requested one.
+    /// not parse, or its fingerprint is not the requested digest.
     pub fn load(
         &self,
-        workload: &str,
-        seed: u64,
-        fingerprint: u64,
+        digest: RunDigest,
+        slice: u64,
         index: usize,
     ) -> Result<Option<Checkpoint>, SimError> {
-        let path = self.path(workload, seed, fingerprint, index);
+        let path = self.path(digest, slice, index);
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -229,16 +204,11 @@ impl CheckpointStore {
         };
         let checkpoint = checkpoint_from_text(&text)
             .map_err(|e| SimError::invalid_config(format!("{}: {e}", path.display())))?;
-        if checkpoint.workload != workload
-            || checkpoint.seed != seed
-            || checkpoint.fingerprint != fingerprint
-        {
+        if checkpoint.fingerprint != digest.0 {
             return Err(SimError::invalid_config(format!(
-                "{}: embedded key ({}, seed {}, fingerprint {:016x}) does not match the file name",
+                "{}: embedded digest {} does not match the file name",
                 path.display(),
-                checkpoint.workload,
-                checkpoint.seed,
-                checkpoint.fingerprint
+                RunDigest(checkpoint.fingerprint)
             )));
         }
         sim_obs::counter!("slice.resume", 1);
@@ -246,9 +216,9 @@ impl CheckpointStore {
         Ok(Some(checkpoint))
     }
 
-    /// Loads the complete cut set for a run — checkpoints `0..count` —
-    /// or `None` if *any* is missing (all-or-nothing: a partial set
-    /// cannot reproduce the sequential run).
+    /// Loads the complete cut set for a run — checkpoints `0..count`,
+    /// each with its file — or `None` if *any* is missing (all-or-nothing:
+    /// a partial set cannot reproduce the sequential run).
     ///
     /// # Errors
     ///
@@ -256,19 +226,28 @@ impl CheckpointStore {
     /// corrupt or mismatched (see [`load`](CheckpointStore::load)).
     pub fn load_run(
         &self,
-        workload: &str,
-        seed: u64,
-        fingerprint: u64,
+        digest: RunDigest,
+        slice: u64,
         count: usize,
-    ) -> Result<Option<Vec<Checkpoint>>, SimError> {
+    ) -> Result<Option<Vec<(PathBuf, Checkpoint)>>, SimError> {
         let mut cuts = Vec::with_capacity(count);
         for index in 0..count {
-            match self.load(workload, seed, fingerprint, index)? {
-                Some(chk) => cuts.push(chk),
+            match self.load(digest, slice, index)? {
+                Some(chk) => cuts.push((self.path(digest, slice, index), chk)),
                 None => return Ok(None),
             }
         }
         Ok(Some(cuts))
+    }
+
+    /// The files of a run's persisted cut set, in slice order, up to the
+    /// first missing cut (`ramp checkpoint save` reports these).
+    #[must_use]
+    pub fn run_files(&self, digest: RunDigest, slice: u64) -> Vec<PathBuf> {
+        (0..)
+            .map(|index| self.path(digest, slice, index))
+            .take_while(|path| path.is_file())
+            .collect()
     }
 
     /// Parses every `.ckpt` file in the directory, sorted by file name
@@ -302,8 +281,10 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cpu::Processor;
+    use sim_cpu::{CoreConfig, Processor};
     use workload::{App, InstructionSource, SyntheticStream};
+
+    const DIGEST: RunDigest = RunDigest(0xFEED);
 
     fn temp_store(tag: &str) -> CheckpointStore {
         let dir =
@@ -354,46 +335,22 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_timing_inputs_only() {
-        let params = EvalParams::quick();
-        let base = CoreConfig::base();
-        let fp = slice_fingerprint(&base, &params, 30_000);
-        // Stable across calls.
-        assert_eq!(fp, slice_fingerprint(&base, &params, 30_000));
-        // Voltage is not timing-relevant: a DVS voltage grid shares cuts.
-        let dvs = base.with_dvs(base.frequency, sim_common::Volts(0.85));
-        assert_eq!(fp, slice_fingerprint(&dvs, &params, 30_000));
-        // Timing knobs, warmup, prewarm, and slice length all separate.
-        let arch = base.with_adaptation(64, 4, 2).unwrap();
-        assert_ne!(fp, slice_fingerprint(&arch, &params, 30_000));
-        let mut warm = params;
-        warm.warmup_instructions += 1;
-        assert_ne!(fp, slice_fingerprint(&base, &warm, 30_000));
-        let mut pre = params;
-        pre.prewarm_bytes /= 2;
-        assert_ne!(fp, slice_fingerprint(&base, &pre, 30_000));
-        assert_ne!(fp, slice_fingerprint(&base, &params, 60_000));
-        // Measurement length is deliberately shared.
-        let mut longer = params;
-        longer.measure_instructions *= 10;
-        assert_eq!(fp, slice_fingerprint(&base, &longer, 30_000));
-    }
-
-    #[test]
     fn store_round_trips_checkpoints() {
         let store = temp_store("round-trip");
-        let chk = cut_checkpoint(7, 0xFEED);
-        let bytes = store.save(&chk, 0).unwrap();
+        let chk = cut_checkpoint(7, DIGEST.0);
+        let bytes = store.save(&chk, 30_000, 0).unwrap();
         assert!(bytes > 0);
-        let loaded = store.load("gzip", 7, 0xFEED, 0).unwrap().unwrap();
+        let loaded = store.load(DIGEST, 30_000, 0).unwrap().unwrap();
         assert_eq!(loaded, chk);
         // Missing index / different key → None, not an error.
-        assert!(store.load("gzip", 7, 0xFEED, 1).unwrap().is_none());
-        assert!(store.load("gzip", 8, 0xFEED, 0).unwrap().is_none());
-        assert!(store.load_run("gzip", 7, 0xFEED, 2).unwrap().is_none());
+        assert!(store.load(DIGEST, 30_000, 1).unwrap().is_none());
+        assert!(store.load(RunDigest(0xBEEF), 30_000, 0).unwrap().is_none());
+        assert!(store.load(DIGEST, 60_000, 0).unwrap().is_none());
+        assert!(store.load_run(DIGEST, 30_000, 2).unwrap().is_none());
+        assert_eq!(store.load_run(DIGEST, 30_000, 1).unwrap().unwrap().len(), 1);
         assert_eq!(
-            store.load_run("gzip", 7, 0xFEED, 1).unwrap().unwrap().len(),
-            1
+            store.run_files(DIGEST, 30_000),
+            [store.path(DIGEST, 30_000, 0)]
         );
         let listed = store.list().unwrap();
         assert_eq!(listed.len(), 1);
@@ -404,16 +361,16 @@ mod tests {
     #[test]
     fn store_rejects_tampered_files() {
         let store = temp_store("tamper");
-        let chk = cut_checkpoint(7, 0xFEED);
-        store.save(&chk, 0).unwrap();
+        let chk = cut_checkpoint(7, DIGEST.0);
+        store.save(&chk, 30_000, 0).unwrap();
         // A file renamed to a different key must be rejected: its embedded
-        // key no longer matches the name it is looked up under.
-        let wrong = store.path("gzip", 9, 0xFEED, 0);
-        fs::rename(store.path("gzip", 7, 0xFEED, 0), &wrong).unwrap();
-        assert!(store.load("gzip", 9, 0xFEED, 0).is_err());
+        // digest no longer matches the name it is looked up under.
+        let other = RunDigest(0xBEEF);
+        fs::rename(store.path(DIGEST, 30_000, 0), store.path(other, 30_000, 0)).unwrap();
+        assert!(store.load(other, 30_000, 0).is_err());
         // Corrupt text is an error, not a silent miss.
-        fs::write(store.path("gzip", 7, 0xFEED, 0), "checkpoint.version 1\n").unwrap();
-        assert!(store.load("gzip", 7, 0xFEED, 0).is_err());
+        fs::write(store.path(DIGEST, 30_000, 0), "checkpoint.version 1\n").unwrap();
+        assert!(store.load(DIGEST, 30_000, 0).is_err());
         let _ = fs::remove_dir_all(store.dir());
     }
 }

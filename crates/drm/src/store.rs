@@ -1,16 +1,19 @@
 //! Disk-backed, append-only evaluation store: persists cycle-level
-//! timing runs across process restarts so shard caches survive and can
-//! be pre-warmed from a shared directory.
+//! timing runs across process restarts so a restarted engine's timing
+//! cache can be pre-warmed from a shared directory.
 //!
 //! The expensive stage of every evaluation is the cycle-level timing
 //! run; power/thermal finishing is cheap and qualification-dependent.
-//! The store therefore persists [`TimingRun`]s, keyed by the *full*
-//! operating-point key ([`EvalKey`]: app × [`ArchPoint`] × fixed-point
-//! frequency/voltage), with the raw `f64` bits of the DVS point
-//! alongside so the evaluated [`CoreConfig`] — and hence the timing-
-//! cache key — is reconstructed bit-identically on load.
+//! The store therefore persists [`TimingRun`]s, keyed and deduped by
+//! their [`RunDigest`] — the workload profile's content, the
+//! timing-relevant configuration and the run shape, the same key as slice
+//! checkpoints. Each record also carries its operating point (app,
+//! [`ArchPoint`], and the raw `f64` bits of its [`DvsPoint`]), so an
+//! engine rebuilds the record's configuration on its own base
+//! configuration and serves the record only when its own digest for that
+//! point equals the stored one (`BatchEngine::with_store`).
 //!
-//! Format (`ramp-evalstore/1`): a text segment with one record per
+//! Format (`ramp-evalstore/2`): a text segment with one record per
 //! line, read with the token cursor of [`sim_common::textfmt`]. Each
 //! record carries keyed header tokens, a fixed-width positional payload
 //! (58 values per interval, `u64`s in decimal and `f64`s as 16-digit hex
@@ -20,9 +23,7 @@
 //! write on crash) is silently dropped and the segment truncated back
 //! to the last complete line; a *complete* record that fails to parse
 //! or checksum is a hard error with 1-based line/token positions.
-//! Duplicate keys are last-write-wins, matching replay order.
-//!
-//! [`CoreConfig`]: sim_cpu::CoreConfig
+//! Duplicate digests are last-write-wins, matching replay order.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -36,13 +37,12 @@ use sim_common::{Hertz, SimError, Structure, Volts};
 use sim_cpu::IntervalStats;
 use workload::App;
 
-use crate::batch::EvalKey;
 use crate::dvs::DvsPoint;
-use crate::evaluator::TimingRun;
+use crate::evaluator::{RunDigest, TimingRun};
 use crate::space::ArchPoint;
 
 /// First line of every store segment.
-pub const STORE_HEADER: &str = "ramp-evalstore/1";
+pub const STORE_HEADER: &str = "ramp-evalstore/2";
 
 /// File extension for store segments.
 pub const STORE_EXTENSION: &str = "evalstore";
@@ -54,48 +54,36 @@ pub const STORE_EXTENSION: &str = "evalstore";
 const VALUES_PER_INTERVAL: usize = 2 + 9 + 25 + 6 + 12 + 4;
 
 /// Keyed header tokens before the positional payload (`run` verb +
-/// 10 `key=value` tokens).
-const HEADER_TOKENS: usize = 11;
+/// 9 `key=value` tokens).
+const HEADER_TOKENS: usize = 10;
 
-/// One persisted evaluation: the full operating-point key, the raw
-/// `f64` bits of its DVS point, and the cycle-level timing run.
+/// One persisted timing run with its digest and operating point.
 #[derive(Debug, Clone)]
 pub struct StoreRecord {
-    /// The full operating-point key.
-    pub key: EvalKey,
-    /// Raw bits of the DVS frequency in Hz (bit-exact reconstruction).
-    pub freq_bits: u64,
-    /// Raw bits of the supply voltage in volts.
-    pub vdd_bits: u64,
+    /// Digest of the run's inputs: the key records are deduped on.
+    pub digest: RunDigest,
+    /// The workload.
+    pub app: App,
+    /// The adaptation point the run was simulated at.
+    pub arch: ArchPoint,
+    /// The DVS point the run was simulated at, bit-exact.
+    pub dvs: DvsPoint,
     /// The persisted timing run.
     pub run: TimingRun,
 }
 
-impl StoreRecord {
-    /// The DVS point reconstructed bit-identically from the raw bits.
-    #[must_use]
-    pub fn dvs(&self) -> DvsPoint {
-        DvsPoint {
-            frequency: Hertz(f64::from_bits(self.freq_bits)),
-            vdd: Volts(f64::from_bits(self.vdd_bits)),
-        }
-    }
-}
-
-/// A disk-backed, append-only store of timing runs.
-///
-/// Open one segment with [`EvalStore::open`], or a shared directory of
-/// segments with [`EvalStore::open_dir`] (every shard reads all
-/// segments but appends only to its own, so concurrent shards never
-/// interleave writes). Loaded records are drained once via
+/// A disk-backed, append-only store of timing runs over a shared
+/// directory of segments ([`EvalStore::open_dir`]): every process reads
+/// all segments but appends only to its own, so concurrent writers never
+/// interleave. Loaded records are drained once via
 /// [`EvalStore::take_records`] to pre-warm a timing cache; fresh runs
 /// are persisted with [`EvalStore::append`].
 #[derive(Debug)]
 pub struct EvalStore {
     path: PathBuf,
-    /// The segment file, and the keys known to be durable in any segment
-    /// (appends dedupe on them).
-    file: Mutex<(File, HashSet<EvalKey>)>,
+    /// The segment file, and the digests known to be durable in any
+    /// segment (appends dedupe on them).
+    file: Mutex<(File, HashSet<RunDigest>)>,
     /// Records loaded at open, in last-write-wins replay order.
     loaded: Mutex<Vec<StoreRecord>>,
 }
@@ -165,23 +153,22 @@ fn counter_fields(iv: &mut IntervalStats) -> Vec<&mut u64> {
 
 /// Encodes one record as a single line (no trailing newline), checksum
 /// included.
-fn encode_record(key: EvalKey, freq_bits: u64, vdd_bits: u64, run: &TimingRun) -> String {
+fn encode_record(rec: &StoreRecord) -> String {
     use std::fmt::Write as _;
     let mut line = format!(
-        "run app={} window={} alus={} fpus={} freq_khz={} vdd_uv={} \
-         freq_bits={} vdd_bits={} wall_ns={} intervals={}",
-        key.app.name(),
-        key.arch.window,
-        key.arch.alus,
-        key.arch.fpus,
-        key.freq_khz,
-        key.vdd_uv,
-        Hex64(freq_bits),
-        Hex64(vdd_bits),
-        run.wall().as_nanos(),
-        run.intervals().len(),
+        "run app={} window={} alus={} fpus={} freq_bits={} vdd_bits={} digest={} \
+         wall_ns={} intervals={}",
+        rec.app.name(),
+        rec.arch.window,
+        rec.arch.alus,
+        rec.arch.fpus,
+        Hex64::of(rec.dvs.frequency.0),
+        Hex64::of(rec.dvs.vdd.0),
+        rec.digest,
+        rec.run.wall().as_nanos(),
+        rec.run.intervals().len(),
     );
-    for iv in run.intervals() {
+    for iv in rec.run.intervals() {
         let _ = write!(line, " {} {}", iv.cycles, iv.instructions);
         for s in Structure::ALL {
             let _ = write!(line, " {}", Hex64::of(iv.activity[s]));
@@ -194,8 +181,7 @@ fn encode_record(key: EvalKey, freq_bits: u64, vdd_bits: u64, run: &TimingRun) -
     line
 }
 
-/// Decodes one complete record line, verifying the checksum and the
-/// embedded fixed-point key against the raw DVS bits.
+/// Decodes one complete record line, verifying its checksum.
 fn decode_record(line: &str) -> Result<StoreRecord, String> {
     // Checksum first, so any torn-but-newline-terminated or bit-flipped
     // record is rejected before field parsing.
@@ -218,28 +204,13 @@ fn decode_record(line: &str) -> Result<StoreRecord, String> {
         alus: t.keyed("alus")?.value,
         fpus: t.keyed("fpus")?.value,
     };
-    let freq_khz = t.keyed("freq_khz")?.value;
-    let vdd_uv = t.keyed("vdd_uv")?.value;
-    let freq_bits = t.keyed::<Hex64>("freq_bits")?.value.0;
-    let vdd_bits = t.keyed::<Hex64>("vdd_bits")?.value.0;
+    let dvs = DvsPoint {
+        frequency: Hertz(t.keyed::<Hex64>("freq_bits")?.value.to_f64()),
+        vdd: Volts(t.keyed::<Hex64>("vdd_bits")?.value.to_f64()),
+    };
+    let digest = RunDigest(t.keyed::<Hex64>("digest")?.value.0);
     let wall_ns = t.keyed("wall_ns")?.value;
     let intervals: u64 = t.keyed("intervals")?.value;
-
-    // Embedded-key verification: the fixed-point key tokens must match
-    // the key recomputed from the raw DVS bits, like `CheckpointStore`
-    // rejecting a checkpoint whose embedded key disagrees with its file.
-    let dvs = DvsPoint {
-        frequency: Hertz(f64::from_bits(freq_bits)),
-        vdd: Volts(f64::from_bits(vdd_bits)),
-    };
-    let recomputed = EvalKey::new(app, arch, dvs);
-    if recomputed.freq_khz != freq_khz || recomputed.vdd_uv != vdd_uv {
-        return Err(format!(
-            "embedded key (freq_khz={freq_khz}, vdd_uv={vdd_uv}) does not match the \
-             raw operating point (freq_khz={}, vdd_uv={})",
-            recomputed.freq_khz, recomputed.vdd_uv
-        ));
-    }
 
     // The interval count is checked against the tokens present before
     // anything is sized from it.
@@ -273,25 +244,21 @@ fn decode_record(line: &str) -> Result<StoreRecord, String> {
     }
 
     Ok(StoreRecord {
-        key: EvalKey {
-            app,
-            arch,
-            freq_khz,
-            vdd_uv,
-        },
-        freq_bits,
-        vdd_bits,
+        digest,
+        app,
+        arch,
+        dvs,
         run: TimingRun::from_parts(ivs, Duration::from_nanos(wall_ns)),
     })
 }
 
 /// Parses one segment's complete lines (header + records) into `into`,
-/// last-write-wins on duplicate keys.
+/// last-write-wins on duplicate digests.
 fn load_segment(
     path: &Path,
     lines: &[&str],
     into: &mut Vec<StoreRecord>,
-    by_key: &mut HashMap<EvalKey, usize>,
+    by_digest: &mut HashMap<RunDigest, usize>,
 ) -> Result<(), SimError> {
     for (i, line) in lines.iter().enumerate() {
         if i == 0 {
@@ -308,10 +275,10 @@ fn load_segment(
             continue;
         }
         let rec = decode_record(line).map_err(|msg| parse_err(path, i + 1, &msg))?;
-        match by_key.get(&rec.key) {
+        match by_digest.get(&rec.digest) {
             Some(&at) => into[at] = rec,
             None => {
-                by_key.insert(rec.key, into.len());
+                by_digest.insert(rec.digest, into.len());
                 into.push(rec);
             }
         }
@@ -357,56 +324,49 @@ fn open_segment(path: &Path) -> Result<(File, String), SimError> {
 }
 
 impl EvalStore {
-    /// Opens (creating if needed) a single segment at `path`, rebuilding
-    /// the in-memory index by scanning every complete record.
+    /// Opens a shared store directory, creating it if needed: reads every
+    /// `*.evalstore` segment (sorted by file name, last-write-wins across
+    /// segments, this process's own segment last) for pre-warming, but
+    /// appends only to this process's own segment `<label>.evalstore`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] on I/O failure, a bad header,
-    /// or any complete record that fails to parse, checksum, or verify
-    /// its embedded key. A torn tail record is *not* an error: it is
-    /// dropped and the segment truncated back to the last complete line.
-    pub fn open(path: &Path) -> Result<EvalStore, SimError> {
-        EvalStore::open_segments(path, &[])
-    }
-
-    /// Opens a shared store directory: reads every `*.evalstore` segment
-    /// (sorted by file name, last-write-wins across segments) for
-    /// pre-warming, but appends only to this process's own segment
-    /// `<label>.evalstore` — concurrent shards sharing `dir` never
-    /// interleave writes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] on I/O failure or any corrupt
-    /// complete record in any segment.
+    /// Returns [`SimError::InvalidConfig`] on I/O failure, a bad header
+    /// (a segment of another format version), or any complete record in
+    /// any segment that fails to parse or checksum. A torn tail record is
+    /// *not* an error: it is dropped, and in the own segment truncated
+    /// back to the last complete line.
     pub fn open_dir(dir: &Path, label: &str) -> Result<EvalStore, SimError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create dir", &e))?;
         let own = dir.join(format!("{label}.{STORE_EXTENSION}"));
-        let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
+        let mut shared: Vec<PathBuf> = std::fs::read_dir(dir)
             .map_err(|e| io_err(dir, "scan dir", &e))?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| {
                 p != &own && p.extension().and_then(|e| e.to_str()) == Some(STORE_EXTENSION)
             })
             .collect();
-        segments.sort();
-        EvalStore::open_segments(&own, &segments)
-    }
-
-    /// Loads the read-only `shared` segments in order, then `own` — the
-    /// segment this store appends to — last, so its records win ties.
-    fn open_segments(own: &Path, shared: &[PathBuf]) -> Result<EvalStore, SimError> {
+        shared.sort();
         let mut loaded = Vec::new();
-        let mut by_key = HashMap::new();
-        for seg in shared {
+        let mut by_digest = HashMap::new();
+        for seg in &shared {
             let raw = std::fs::read(seg).map_err(|e| io_err(seg, "read", &e))?;
             let content = String::from_utf8_lossy(&raw);
-            load_segment(seg, &complete_lines(&content).0, &mut loaded, &mut by_key)?;
+            load_segment(
+                seg,
+                &complete_lines(&content).0,
+                &mut loaded,
+                &mut by_digest,
+            )?;
         }
-        let (file, content) = open_segment(own)?;
-        load_segment(own, &complete_lines(&content).0, &mut loaded, &mut by_key)?;
-        let index = by_key.into_keys().collect();
+        let (file, content) = open_segment(&own)?;
+        load_segment(
+            &own,
+            &complete_lines(&content).0,
+            &mut loaded,
+            &mut by_digest,
+        )?;
+        let index = by_digest.into_keys().collect();
         sim_obs::counter!("drm.store.opens", 1);
         sim_obs::counter!("drm.store.records_loaded", loaded.len() as u64);
         sim_obs::log_debug!(
@@ -417,7 +377,7 @@ impl EvalStore {
             loaded.len()
         );
         Ok(EvalStore {
-            path: own.to_path_buf(),
+            path: own,
             file: Mutex::new((file, index)),
             loaded: Mutex::new(loaded),
         })
@@ -428,7 +388,7 @@ impl EvalStore {
         &self.path
     }
 
-    /// Number of distinct keys known to be durable (across every
+    /// Number of distinct digests known to be durable (across every
     /// segment read at open, plus appends since).
     pub fn len(&self) -> usize {
         self.file.lock().expect("store file lock poisoned").1.len()
@@ -445,7 +405,7 @@ impl EvalStore {
         std::mem::take(&mut self.loaded.lock().expect("store load lock poisoned"))
     }
 
-    /// Appends one timing run, fsync'd before return. A key already
+    /// Appends one record, fsync'd before return. A digest already
     /// durable (loaded at open or appended earlier) is skipped — the
     /// payload is deterministic, so rewriting it would only grow the
     /// segment.
@@ -453,25 +413,19 @@ impl EvalStore {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the write or sync fails.
-    pub fn append(
-        &self,
-        key: EvalKey,
-        freq_bits: u64,
-        vdd_bits: u64,
-        run: &TimingRun,
-    ) -> Result<(), SimError> {
+    pub fn append(&self, rec: &StoreRecord) -> Result<(), SimError> {
         let mut guard = self.file.lock().expect("store file lock poisoned");
         let (file, index) = &mut *guard;
-        if index.contains(&key) {
+        if index.contains(&rec.digest) {
             return Ok(());
         }
-        let mut line = encode_record(key, freq_bits, vdd_bits, run);
+        let mut line = encode_record(rec);
         line.push('\n');
         file.write_all(line.as_bytes())
             .map_err(|e| io_err(&self.path, "append", &e))?;
         file.sync_data()
             .map_err(|e| io_err(&self.path, "sync", &e))?;
-        index.insert(key);
+        index.insert(rec.digest);
         sim_obs::counter!("drm.store.appends", 1);
         Ok(())
     }
@@ -508,21 +462,31 @@ mod tests {
     }
 
     fn sample_record(seed_tweak: u64) -> StoreRecord {
-        let evaluator = Evaluator::ibm_65nm(EvalParams {
+        let params = EvalParams {
             seed: 3 + seed_tweak,
             ..tiny_params()
-        })
-        .unwrap();
+        };
+        let evaluator = Evaluator::ibm_65nm(params).unwrap();
         let arch = ArchPoint::most_aggressive();
         let dvs = DvsPoint::base();
         let config = arch.apply(&sim_cpu::CoreConfig::base(), dvs).unwrap();
-        let run = evaluator.timing_run(&App::Gzip.profile(), &config).unwrap();
+        let profile = App::Gzip.profile();
+        let run = evaluator.timing_run(&profile, &config).unwrap();
         StoreRecord {
-            key: EvalKey::new(App::Gzip, arch, dvs),
-            freq_bits: config.frequency.0.to_bits(),
-            vdd_bits: config.vdd.0.to_bits(),
+            digest: RunDigest::new(&profile, &config, &params),
+            app: App::Gzip,
+            arch,
+            dvs,
             run,
         }
+    }
+
+    fn assert_records_equal(a: &StoreRecord, b: &StoreRecord) {
+        assert_eq!(a.digest, b.digest);
+        assert_eq!((a.app, a.arch), (b.app, b.arch));
+        assert_eq!(a.dvs.frequency.0.to_bits(), b.dvs.frequency.0.to_bits());
+        assert_eq!(a.dvs.vdd.0.to_bits(), b.dvs.vdd.0.to_bits());
+        assert_runs_equal(&a.run, &b.run);
     }
 
     fn assert_runs_equal(a: &TimingRun, b: &TimingRun) {
@@ -536,26 +500,20 @@ mod tests {
         let path = dir.join("seg.evalstore");
         let rec = sample_record(0);
         {
-            let store = EvalStore::open(&path).unwrap();
+            let store = EvalStore::open_dir(&dir, "seg").unwrap();
+            assert_eq!(store.path(), path);
             assert!(store.is_empty());
-            store
-                .append(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
-                .unwrap();
+            store.append(&rec).unwrap();
             assert_eq!(store.len(), 1);
             // A duplicate append is a no-op on disk.
             let size = std::fs::metadata(&path).unwrap().len();
-            store
-                .append(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
-                .unwrap();
+            store.append(&rec).unwrap();
             assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
         }
-        let store = EvalStore::open(&path).unwrap();
+        let store = EvalStore::open_dir(&dir, "seg").unwrap();
         let records = store.take_records();
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].key, rec.key);
-        assert_eq!(records[0].freq_bits, rec.freq_bits);
-        assert_eq!(records[0].vdd_bits, rec.vdd_bits);
-        assert_runs_equal(&records[0].run, &rec.run);
+        assert_records_equal(&records[0], &rec);
         // Drained once: a second take yields nothing.
         assert!(store.take_records().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -567,10 +525,8 @@ mod tests {
         let path = dir.join("seg.evalstore");
         let rec = sample_record(0);
         {
-            let store = EvalStore::open(&path).unwrap();
-            store
-                .append(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
-                .unwrap();
+            let store = EvalStore::open_dir(&dir, "seg").unwrap();
+            store.append(&rec).unwrap();
         }
         // Simulate a torn write: half a record, no trailing newline.
         let clean_len = std::fs::metadata(&path).unwrap().len();
@@ -578,7 +534,7 @@ mod tests {
         f.write_all(b"run app=gzip window=128 alus=6 fp").unwrap();
         drop(f);
 
-        let store = EvalStore::open(&path).unwrap();
+        let store = EvalStore::open_dir(&dir, "seg").unwrap();
         let records = store.take_records();
         assert_eq!(records.len(), 1, "torn tail must be dropped, not fatal");
         assert_runs_equal(&records[0].run, &rec.run);
@@ -597,25 +553,15 @@ mod tests {
             run: sample_record(7).run,
             ..first.clone()
         };
-        // append() dedupes, so hand-write two records with the same key.
-        let mut text = format!("{STORE_HEADER}\n");
-        text.push_str(&encode_record(
-            first.key,
-            first.freq_bits,
-            first.vdd_bits,
-            &first.run,
-        ));
-        text.push('\n');
-        text.push_str(&encode_record(
-            second.key,
-            second.freq_bits,
-            second.vdd_bits,
-            &second.run,
-        ));
-        text.push('\n');
+        // append() dedupes, so hand-write two records with the same digest.
+        let text = format!(
+            "{STORE_HEADER}\n{}\n{}\n",
+            encode_record(&first),
+            encode_record(&second)
+        );
         std::fs::write(&path, text).unwrap();
 
-        let store = EvalStore::open(&path).unwrap();
+        let store = EvalStore::open_dir(&dir, "seg").unwrap();
         assert_eq!(store.len(), 1);
         let records = store.take_records();
         assert_eq!(records.len(), 1);
@@ -627,12 +573,15 @@ mod tests {
     fn corrupt_records_are_rejected_with_positions() {
         let dir = temp_dir("corrupt");
         let rec = sample_record(0);
-        let line = encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run);
+        let line = encode_record(&rec);
 
+        // Each case is the own segment of a directory of its own.
         let open_with = |tag: &str, record_line: &str| {
-            let path = dir.join(format!("{tag}.evalstore"));
+            let seg_dir = dir.join(tag);
+            std::fs::create_dir_all(&seg_dir).unwrap();
+            let path = seg_dir.join(format!("seg.{STORE_EXTENSION}"));
             std::fs::write(&path, format!("{STORE_HEADER}\n{record_line}\n")).unwrap();
-            EvalStore::open(&path)
+            EvalStore::open_dir(&seg_dir, "seg")
         };
 
         // A flipped payload byte fails the checksum.
@@ -653,23 +602,18 @@ mod tests {
         assert!(err.contains("token 2"), "{err}");
         assert!(err.contains("expected app=..."), "{err}");
 
-        // An embedded key that disagrees with the raw DVS bits is
-        // rejected even when the checksum passes.
-        let body = line[..line.rfind(" sum=").unwrap()].replace(
-            &format!("freq_khz={}", rec.key.freq_khz),
-            &format!("freq_khz={}", rec.key.freq_khz + 1),
-        );
-        let resummed = format!("{body} sum={:016x}", fnv1a64(body.as_bytes()));
-        let err = open_with("key", &resummed).unwrap_err().to_string();
-        assert!(err.contains("embedded key"), "{err}");
-        assert!(err.contains("does not match"), "{err}");
-
-        // A bad header is fatal at line 1.
-        let path = dir.join("header.evalstore");
-        std::fs::write(&path, "ramp-evalstore/999\n").unwrap();
-        let err = EvalStore::open(&path).unwrap_err().to_string();
-        assert!(err.contains("line 1"), "{err}");
-        assert!(err.contains("bad header"), "{err}");
+        // A bad header is fatal at line 1, and so is a segment of the
+        // previous format version.
+        for header in ["ramp-evalstore/999", "ramp-evalstore/1"] {
+            let seg_dir = dir.join(header.replace('/', "-"));
+            std::fs::create_dir_all(&seg_dir).unwrap();
+            std::fs::write(seg_dir.join("seg.evalstore"), format!("{header}\n")).unwrap();
+            let err = EvalStore::open_dir(&seg_dir, "seg")
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("line 1"), "{err}");
+            assert!(err.contains("bad header"), "{err}");
+        }
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -680,22 +624,20 @@ mod tests {
         let rec = sample_record(0);
         {
             let a = EvalStore::open_dir(&dir, "shard-0").unwrap();
-            a.append(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
-                .unwrap();
+            a.append(&rec).unwrap();
         }
         // A different shard opening the same directory sees shard-0's
-        // record, and its own append of the same key dedupes.
+        // record, and its own append of the same digest dedupes.
         let b = EvalStore::open_dir(&dir, "shard-1").unwrap();
         assert_eq!(b.len(), 1);
         let records = b.take_records();
         assert_eq!(records.len(), 1);
-        assert_runs_equal(&records[0].run, &rec.run);
-        b.append(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
-            .unwrap();
+        assert_records_equal(&records[0], &rec);
+        b.append(&rec).unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join("shard-1.evalstore")).unwrap(),
             format!("{STORE_HEADER}\n"),
-            "a key already durable in another segment must not be rewritten"
+            "a digest already durable in another segment must not be rewritten"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -705,16 +647,19 @@ mod tests {
     #[test]
     fn encoded_record_matches_the_golden_digest() {
         let rec = sample_record(0);
-        let run = TimingRun::from_parts(
-            rec.run.intervals().to_vec(),
-            Duration::from_nanos(1_234_567),
-        );
-        let line = encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &run);
-        assert_eq!(line.len(), 1481);
-        assert_eq!(fnv1a64(line.as_bytes()), 0x05b3_c878_013a_0563);
+        let rec = StoreRecord {
+            run: TimingRun::from_parts(
+                rec.run.intervals().to_vec(),
+                Duration::from_nanos(1_234_567),
+            ),
+            ..rec
+        };
+        let line = encode_record(&rec);
+        assert_eq!(line.len(), 1473);
+        assert_eq!(fnv1a64(line.as_bytes()), 0x9c84_0858_7ddd_8eb9);
     }
 
-    /// Loads one segment's text in memory, as `EvalStore::open` would.
+    /// Loads one segment's text in memory, as `EvalStore::open_dir` would.
     fn load_text(text: &str) -> Result<Vec<StoreRecord>, SimError> {
         let (lines, _) = complete_lines(text);
         let mut records = Vec::new();
@@ -725,7 +670,7 @@ mod tests {
     #[test]
     fn an_overflowing_interval_count_is_an_error() {
         let rec = sample_record(0);
-        let line = encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run);
+        let line = encode_record(&rec);
         let mut body = unseal(&line).unwrap().replace(
             &format!("intervals={}", rec.run.intervals().len()),
             "intervals=636094623231363848",
@@ -746,10 +691,7 @@ mod tests {
     #[test]
     fn corrupted_segments_never_panic() {
         let rec = sample_record(0);
-        let text = format!(
-            "{STORE_HEADER}\n{}\n",
-            encode_record(rec.key, rec.freq_bits, rec.vdd_bits, &rec.run)
-        );
+        let text = format!("{STORE_HEADER}\n{}\n", encode_record(&rec));
         assert_eq!(load_text(&text).unwrap().len(), 1);
         for seed in 0..500 {
             let bad = sim_common::textfmt::corrupt(&text, seed);

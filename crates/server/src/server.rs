@@ -88,9 +88,9 @@ pub struct ServerConfig {
     /// `--quick`).
     pub eval: Option<EvalParams>,
     /// Append-only evaluation-store directory (`drm::store`) for the
-    /// startup scenario's engine: its timing cache pre-warms from every
-    /// segment there and appends its own. Uploaded scenarios never
-    /// attach it.
+    /// startup scenario's engine: its timing cache pre-warms from the
+    /// records there whose run digest it shares, and appends its own.
+    /// Uploaded scenarios never attach it.
     pub store_dir: Option<PathBuf>,
     /// Telemetry tick: how often the window ring snapshots the metric
     /// registry and the scenario's SLOs are re-evaluated. `None`

@@ -92,12 +92,21 @@ echo "$server_report" | grep -q 'service-level objectives' \
 
 echo "== store smoke: a restarted server answers a stored sweep without simulating =="
 store_dir="$(mktemp -d -t ramp-check-store-XXXXXX)"
+fresh_dir="$(mktemp -d -t ramp-check-store-XXXXXX)"
 store_log="$(mktemp -t ramp-check-store-XXXXXX.log)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log"; rm -rf "$store_dir"' EXIT
-# Serves on the store, sweeps once, prints the sweep reply and the stats
-# reply, then shuts the server down.
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log"; rm -rf "$store_dir" "$fresh_dir"' EXIT
+# Serves on store directory $1 at run length $2 (quick or standard),
+# sends the client request in the remaining words, prints its reply and
+# the stats reply, then shuts the server down.
 store_round() {
-  ./target/release/ramp serve --addr 127.0.0.1:0 --quick --store-dir "$store_dir" >"$store_log" &
+  local dir="$1" length="$2"
+  shift 2
+  local opts=(--addr 127.0.0.1:0 --store-dir "$dir")
+  if [ "$length" = quick ]; then opts+=(--quick); fi
+  # Empty the log first: the background redirect may truncate it only
+  # after the loop below has read the previous round's address.
+  : >"$store_log"
+  ./target/release/ramp serve "${opts[@]}" >"$store_log" &
   local pid=$! addr=""
   for _ in $(seq 1 100); do
     addr="$(sed -n 's/^ramp-serve\/1 listening on //p' "$store_log")"
@@ -105,24 +114,32 @@ store_round() {
     sleep 0.1
   done
   [ -n "$addr" ] || { echo "error: store server never reported its address" >&2; exit 1; }
-  ./target/release/ramp client --addr "$addr" sweep gzip --strategy dvs
+  ./target/release/ramp client --addr "$addr" "$@"
   ./target/release/ramp client --addr "$addr" stats
   ./target/release/ramp client --addr "$addr" shutdown >/dev/null
   wait "$pid"
 }
-cold="$(store_round)"
-warm="$(store_round)"
+cold="$(store_round "$store_dir" quick sweep gzip --strategy dvs)"
+warm="$(store_round "$store_dir" quick sweep gzip --strategy dvs)"
 echo "$cold" | grep -q ' store_records=[1-9]' \
   || { echo "error: the cold server stored no timing runs: $cold" >&2; exit 1; }
 echo "$warm" | grep -q ' timing_runs=0 ' \
   || { echo "error: the restarted server re-simulated stored points: $warm" >&2; exit 1; }
 [ "$(echo "$cold" | head -n 1)" = "$(echo "$warm" | head -n 1)" ] \
   || { echo "error: the restarted server answered the sweep differently" >&2; exit 1; }
+# A standard-length server on the quick store must not be served the
+# quick runs: it simulates its own and answers as a fresh server does.
+shaped="$(store_round "$store_dir" standard eval gzip)"
+fresh="$(store_round "$fresh_dir" standard eval gzip)"
+echo "$shaped" | grep -q ' timing_runs=1 ' \
+  || { echo "error: the standard-length server was served a quick run: $shaped" >&2; exit 1; }
+[ "$(echo "$shaped" | head -n 1)" = "$(echo "$fresh" | head -n 1)" ] \
+  || { echo "error: the standard-length server answered differently on the quick store" >&2; exit 1; }
 
 echo "== checkpoint smoke: cut checkpoints, inspect them, run a sliced fit =="
 ckpt_dir="$(mktemp -d -t ramp-check-ckpt-XXXXXX)"
 slice_scn="$(mktemp -t ramp-check-slice-XXXXXX.scn)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn"; rm -rf "$store_dir" "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn"; rm -rf "$store_dir" "$fresh_dir" "$ckpt_dir"' EXIT
 # A slice-enabled scenario: the paper default plus a [slice] section
 # pointing at a scratch checkpoint directory.
 ./target/release/ramp scenario print > "$slice_scn"
@@ -156,7 +173,7 @@ table2_a="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
 table2_b="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
 table2_err="$(mktemp -t ramp-check-table2-XXXXXX.err)"
 fig4_out="$(mktemp -t ramp-check-fig4-XXXXXX.txt)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn" "$table2_a" "$table2_b" "$table2_err" "$fig4_out"; rm -rf "$store_dir" "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn" "$table2_a" "$table2_b" "$table2_err" "$fig4_out"; rm -rf "$store_dir" "$fresh_dir" "$ckpt_dir"' EXIT
 RAMP_FAST=1 ./target/release/table2 >"$table2_a" 2>"$table2_err"
 RAMP_FAST=1 ./target/release/table2 >"$table2_b" 2>/dev/null
 cmp "$table2_a" "$table2_b" \

@@ -539,6 +539,39 @@ fn restarted_server_prewarms_from_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A server of another run shape on the same `store_dir` serves none of
+/// the stored runs: it simulates and answers exactly as a fresh server.
+#[test]
+fn a_store_of_another_run_shape_answers_as_a_fresh_server() {
+    let dir = std::env::temp_dir().join(format!("ramp-server-shape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let longer = EvalParams {
+        measure_instructions: 2 * TINY.measure_instructions,
+        ..TINY
+    };
+    let eval_once = |eval: EvalParams, store_dir: Option<std::path::PathBuf>| {
+        let server = start_server(ServerConfig {
+            eval: Some(eval),
+            store_dir,
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let reply = client.request_raw("eval gzip").expect("eval");
+        let stats = client.request("stats").expect("stats");
+        client.request("shutdown").expect("shutdown");
+        server.join();
+        (reply, stats.u64("timing_runs").expect("timing_runs"))
+    };
+
+    let (written, _) = eval_once(TINY, Some(dir.clone()));
+    assert!(written.starts_with("ok eval "), "{written}");
+    let (stored, runs) = eval_once(longer, Some(dir.clone()));
+    let (fresh, _) = eval_once(longer, None);
+    assert_eq!(stored, fresh, "a run of another shape was served");
+    assert_eq!(runs, 1, "the longer server must simulate its own run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An uploaded scenario is a first-class engine: evaluating through it
 /// returns the same bits as the built-in default built from the same
 /// text, and re-uploading identical text is idempotent.
