@@ -173,7 +173,9 @@ table2_a="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
 table2_b="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
 table2_err="$(mktemp -t ramp-check-table2-XXXXXX.err)"
 fig4_out="$(mktemp -t ramp-check-fig4-XXXXXX.txt)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn" "$table2_a" "$table2_b" "$table2_err" "$fig4_out"; rm -rf "$store_dir" "$fresh_dir" "$ckpt_dir"' EXIT
+fig1_out="$(mktemp -t ramp-check-fig1-XXXXXX.txt)"
+fig3_out="$(mktemp -t ramp-check-fig3-XXXXXX.txt)"
+trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn" "$table2_a" "$table2_b" "$table2_err" "$fig4_out" "$fig1_out" "$fig3_out"; rm -rf "$store_dir" "$fresh_dir" "$ckpt_dir"' EXIT
 RAMP_FAST=1 ./target/release/table2 >"$table2_a" 2>"$table2_err"
 RAMP_FAST=1 ./target/release/table2 >"$table2_b" 2>/dev/null
 cmp "$table2_a" "$table2_b" \
@@ -184,9 +186,11 @@ awk '/^sweep:/ { found = 1; jobs = $2; speedup = $NF; sub(/x$/, "", speedup)
        if (speedup + 0 > jobs + 0) { print "error: table2 " $0 ": speedup exceeds the job count" > "/dev/stderr"; exit 1 } }
      END { if (!found) { print "error: table2 printed no sweep: line" > "/dev/stderr"; exit 1 } }' "$table2_err"
 
-echo "== paper artifact pins: RAMP_FAST stdout of table2 and fig4 matches the recorded digests =="
+echo "== paper artifact pins: RAMP_FAST stdout of table2, fig1, fig3 and fig4 matches the recorded digests =="
 # A change to a paper number fails here until the digest is re-recorded
 # with the reason in CHANGES.md.
+RAMP_FAST=1 ./target/release/fig1 >"$fig1_out" 2>/dev/null
+RAMP_FAST=1 ./target/release/fig3 >"$fig3_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/fig4 >"$fig4_out" 2>/dev/null
 check_digest() {
   local got
@@ -195,6 +199,8 @@ check_digest() {
     || { echo "error: RAMP_FAST=1 $1 stdout digest $got, recorded $3" >&2; exit 1; }
 }
 check_digest table2 "$table2_a" fc3288538e4f045127119122aa5ca1971dca8ad91c0da3ae5b1a8623659e01af
+check_digest fig1 "$fig1_out" ce2e4259d2557f3a680a82b2507bf74bee4ee434054f620373b017dee3c2cb73
+check_digest fig3 "$fig3_out" 79e1a575eb45df596f108d298e8b04847e5dc0f3f58877ef153bc38091e8f755
 check_digest fig4 "$fig4_out" ee846b353b247c427dde2974e734cee6162658946caf2a6082ee52be51082dc3
 
 echo "== clippy (warnings are errors) =="
