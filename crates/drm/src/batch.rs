@@ -656,6 +656,13 @@ impl BatchEngine {
         self.store.as_ref()
     }
 
+    /// Stored runs this engine can serve, pre-warmed or appended: with a
+    /// store every cached timing run is durable (appended before it is
+    /// published), and records of other run shapes are not counted.
+    pub fn store_records(&self) -> usize {
+        self.store.as_ref().map_or(0, |_| self.timing.len())
+    }
+
     /// The base configuration adaptation points are applied to.
     pub fn base_config(&self) -> &CoreConfig {
         &self.base_config

@@ -19,6 +19,7 @@ use workload::{App, SyntheticStream, DATA_BASE};
 
 use crate::dvs::{DVS_MAX_GHZ, DVS_MIN_GHZ};
 use crate::sensors::{SensorBank, SensorParams};
+use crate::solve::{Solver, MAX_JUNCTION_K};
 
 /// Parameters of the reactive controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,21 +233,20 @@ impl ReactiveDrm {
 
             // Power/temperature for the epoch (sink pinned at the running
             // estimate, leakage fixed point).
-            let mut breakdown = self.power.power(&config, &stats.activity, &temps);
-            for _ in 0..self.params.leakage_iterations {
-                temps = self
-                    .thermal
-                    .steady_state_with_sink(&breakdown.per_structure(), sink)
-                    .map(|_, t| Kelvin(t.0.min(500.0)));
-                breakdown = self.power.power(&config, &stats.activity, &temps);
-            }
+            let solver = Solver {
+                power: &self.power,
+                thermal: &self.thermal,
+                config: &config,
+                iterations: self.params.leakage_iterations,
+            };
+            let (breakdown, _) = solver.pinned(&stats.activity, sink, &mut temps);
             let duration = Seconds(stats.cycles as f64 / config.frequency.0);
             total_energy += breakdown.total().0 * duration.0;
             total_time += duration.0;
             sink = self
                 .thermal
                 .steady_sink_temperature(Watts(total_energy / total_time))
-                .min(Kelvin(500.0));
+                .min(Kelvin(MAX_JUNCTION_K));
 
             let conditions = StructureMap::from_fn(|s| StructureConditions {
                 temperature: temps[s],

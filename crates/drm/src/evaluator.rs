@@ -7,14 +7,10 @@
 //! evaluation can be scored against any [`ReliabilityModel`] (any
 //! `T_qual`), which is what makes the oracular DRM sweeps affordable.
 //!
-//! The thermal methodology follows §6.3 exactly:
-//!
-//! 1. the simulation is effectively run twice — a first pass computes
-//!    average power to fix the steady-state heat-sink temperature, and the
-//!    per-interval temperatures of the second pass are solved with the sink
-//!    pinned at that value;
-//! 2. leakage power depends on temperature and temperature on power, so
-//!    each pass iterates the leakage/temperature fixed point.
+//! The thermal methodology follows §6.3: a first pass fixes the
+//! steady-state heat-sink temperature from average power, the second
+//! solves per-interval temperatures with the sink pinned there, and both
+//! iterate the leakage/temperature fixed point ([`crate::solve`]).
 
 use std::fmt;
 use std::path::PathBuf;
@@ -26,22 +22,13 @@ use std::time::{Duration, Instant};
 use ramp::{ApplicationFit, ReliabilityModel, StructureConditions};
 use sim_common::{fnv1a64, Kelvin, Seconds, SimError, Structure, StructureMap, Watts};
 use sim_cpu::{Checkpoint, CoreConfig, IntervalStats, Processor};
-use sim_obs::{Histogram, StageTimes};
+use sim_obs::StageTimes;
 use sim_power::PowerModel;
 use sim_thermal::ThermalModel;
 use workload::{App, AppProfile, OpTape, SyntheticStream, DATA_BASE};
 
 use crate::slice::{slice_lengths, CheckpointStore, SliceParams};
-
-/// Ceiling applied to solved temperatures. The leakage/temperature fixed
-/// point has no physical solution for configurations past thermal runaway
-/// (e.g. 5 GHz at 1.11 V on a hot workload); clamping keeps the iteration
-/// finite and such configurations simply report enormous (infeasible) FIT.
-const MAX_JUNCTION_K: f64 = 500.0;
-
-fn clamp_temps(map: StructureMap<Kelvin>) -> StructureMap<Kelvin> {
-    map.map(|_, t| Kelvin(t.0.min(MAX_JUNCTION_K)))
-}
+use crate::solve::{SolveReport, Solver};
 
 /// Simulation lengths and seeds for one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,10 +144,10 @@ impl fmt::Display for RunDigest {
     }
 }
 
-/// Wall-time and work diagnostics for one evaluation, carried on the
-/// `sim-obs` types: per-stage wall times in a [`StageTimes`] (keyed by
-/// the same names the evaluation's spans use) and the per-solve
-/// leakage/temperature fixed-point iteration counts in a [`Histogram`].
+/// Wall-time and solver diagnostics for one evaluation: per-stage wall
+/// times in a [`StageTimes`] (keyed by the same names the evaluation's
+/// spans use) and the leakage/temperature fixed point's [`SolveReport`]
+/// over both passes.
 ///
 /// Diagnostics only: two evaluations of the same (workload, config) pair
 /// are *equal* even when their wall times differ, so `EvalStats` compares
@@ -172,9 +159,9 @@ pub struct EvalStats {
     /// cycle simulation), `eval.sink` (pass 1, the §6.3 sink fixed
     /// point), and `eval.thermal` (pass 2, per-interval solves).
     pub stages: StageTimes,
-    /// Fixed-point iteration counts, one sample per solve (the pass-1
-    /// sink loop contributes one sample, each pass-2 interval another).
-    pub fixed_point: Histogram,
+    /// The fixed point over the pass-1 sink solve and every pass-2
+    /// interval: worst final residual, clamped temperatures, iterations.
+    pub fixed_point: SolveReport,
 }
 
 impl EvalStats {
@@ -201,7 +188,7 @@ impl EvalStats {
     /// passes.
     #[must_use]
     pub fn fixed_point_iterations(&self) -> u64 {
-        self.fixed_point.sum() as u64
+        self.fixed_point.iterations
     }
 }
 
@@ -418,6 +405,16 @@ impl Evaluator {
     /// The simulation parameters.
     pub fn params(&self) -> &EvalParams {
         &self.params
+    }
+
+    /// The leakage/temperature fixed point at `config`.
+    pub(crate) fn solver<'a>(&'a self, config: &'a CoreConfig) -> Solver<'a> {
+        Solver {
+            power: &self.power,
+            thermal: &self.thermal,
+            config,
+            iterations: self.params.leakage_iterations,
+        }
     }
 
     /// Enables sliced timing: every timing run of this evaluator — and of
@@ -762,44 +759,31 @@ impl Evaluator {
         timing_run: &TimingRun,
     ) -> Result<Evaluation, SimError> {
         let mut stages = StageTimes::new();
-        let mut fixed_point = Histogram::new();
         stages.record("eval.timing", timing_run.wall);
         let timing = &timing_run.intervals;
 
         // Pass 1 (§6.3): iterate average power ↔ sink temperature to find
-        // the steady-state heat-sink operating point.
+        // the steady-state heat-sink operating point; the sink follows the
+        // duration-weighted average power over the intervals.
         let sink_start = Instant::now();
         let sink_span = sim_obs::span!("eval.sink");
-        let mut sink = self.thermal.params().ambient;
-        let mut temps_guess: Vec<StructureMap<Kelvin>> =
-            vec![StructureMap::splat(Kelvin(345.0)); timing.len()];
-        for _ in 0..self.params.leakage_iterations {
-            let mut energy = 0.0;
-            let mut time = 0.0;
-            for (iv, temps) in timing.iter().zip(&temps_guess) {
-                let breakdown = self.power.power(config, &iv.activity, temps);
-                let dt = iv.cycles as f64 / config.frequency.0;
-                energy += breakdown.total().0 * dt;
-                time += dt;
-            }
-            let avg_power = Watts(if time > 0.0 { energy / time } else { 0.0 });
-            let prev_sink = sink;
-            sink = self
-                .thermal
-                .steady_sink_temperature(avg_power)
-                .min(Kelvin(MAX_JUNCTION_K));
-            // Convergence residual of the sink fixed point, in Kelvin.
-            sim_obs::hist!("eval.sink.residual_k", (sink.0 - prev_sink.0).abs());
-            // Refresh the temperature guesses under the new sink.
-            for (iv, temps) in timing.iter().zip(temps_guess.iter_mut()) {
-                let breakdown = self.power.power(config, &iv.activity, temps);
-                *temps = clamp_temps(
-                    self.thermal
-                        .steady_state_with_sink(&breakdown.per_structure(), sink),
-                );
-            }
-        }
-        fixed_point.record(f64::from(self.params.leakage_iterations));
+        let solver = self.solver(config);
+        let mut temps_guess = vec![StructureMap::splat(Kelvin(345.0)); timing.len()];
+        let dt = |iv: &IntervalStats| iv.cycles as f64 / config.frequency.0;
+        let time: f64 = timing.iter().map(dt).sum();
+        let (sink, mut fixed_point) = solver.sink_pass(
+            timing.iter().map(|iv| &iv.activity),
+            &mut temps_guess,
+            |powers| {
+                let energy: f64 = powers
+                    .iter()
+                    .zip(timing)
+                    .map(|(p, iv)| p.total().0 * dt(iv))
+                    .sum();
+                Watts(if time > 0.0 { energy / time } else { 0.0 })
+            },
+        );
+        sim_obs::hist!("eval.sink.residual_k", fixed_point.residual_k);
         drop(sink_span);
         stages.record("eval.sink", sink_start.elapsed());
 
@@ -813,38 +797,23 @@ impl Evaluator {
         // is the whole cost of instrumentation here, and when they are on
         // the histogram names are formatted once per evaluation instead
         // of once per structure per interval.
-        let obs_on = sim_obs::enabled();
-        let temp_metric_names: Option<Vec<String>> = obs_on.then(|| {
+        let temp_metric_names: Option<Vec<String>> = sim_obs::enabled().then(|| {
             Structure::ALL
                 .into_iter()
                 .map(|s| format!("thermal.temp.{}", s.name()))
                 .collect()
         });
         for iv in timing {
-            let mut breakdown = self.power.power(config, &iv.activity, &temps);
-            for _ in 0..self.params.leakage_iterations {
-                let prev = temps;
-                temps = clamp_temps(
-                    self.thermal
-                        .steady_state_with_sink(&breakdown.per_structure(), sink),
-                );
-                if obs_on {
-                    let residual = Structure::ALL
-                        .into_iter()
-                        .map(|s| (temps[s].0 - prev[s].0).abs())
-                        .fold(0.0, f64::max);
-                    sim_obs::hist!("eval.thermal.residual_k", residual);
-                }
-                breakdown = self.power.power(config, &iv.activity, &temps);
-            }
-            fixed_point.record(f64::from(self.params.leakage_iterations));
+            let (breakdown, report) = solver.pinned(&iv.activity, sink, &mut temps);
+            sim_obs::hist!("eval.thermal.residual_k", report.residual_k);
+            fixed_point.merge(report);
             if let Some(names) = &temp_metric_names {
                 // Per-structure temperature distributions over intervals.
                 for (s, t) in temps.iter() {
                     sim_obs::hist!(names[s.index()], t.0);
                 }
             }
-            let duration = Seconds(iv.cycles as f64 / config.frequency.0);
+            let duration = Seconds(dt(iv));
             let conditions = StructureMap::from_fn(|s| StructureConditions {
                 temperature: temps[s],
                 vdd: config.vdd,
@@ -867,23 +836,9 @@ impl Evaluator {
             stages,
             fixed_point,
         };
-        sim_obs::counter!("drm.evals", 1);
-        sim_obs::hist!("drm.eval.wall_ms", stats.wall().as_secs_f64() * 1e3);
-        sim_obs::log_debug!(
-            "drm.eval",
-            "{} @ {:.2} GHz: IPC {:.3}, peak {:.1} K, {:.1} ms",
-            profile.name,
-            config.frequency.to_ghz(),
-            timing_run.ipc(),
-            intervals
-                .iter()
-                .flat_map(|iv| iv.conditions.iter().map(|(_, c)| c.temperature.0))
-                .fold(0.0, f64::max),
-            stats.wall().as_secs_f64() * 1e3
-        );
-
+        let wall_ms = stats.wall().as_secs_f64() * 1e3;
         let ipc = timing_run.ipc();
-        Ok(Evaluation {
+        let ev = Evaluation {
             workload: profile.name.clone(),
             config: config.clone(),
             ipc,
@@ -891,7 +846,18 @@ impl Evaluator {
             sink_temperature: sink,
             intervals,
             stats,
-        })
+        };
+        sim_obs::counter!("drm.evals", 1);
+        sim_obs::hist!("drm.eval.wall_ms", wall_ms);
+        sim_obs::log_debug!(
+            "drm.eval",
+            "{} @ {:.2} GHz: IPC {ipc:.3}, peak {:.1} K, {:?}, {wall_ms:.1} ms",
+            profile.name,
+            config.frequency.to_ghz(),
+            ev.max_temperature().0,
+            ev.stats.fixed_point,
+        );
+        Ok(ev)
     }
 }
 
@@ -928,7 +894,7 @@ mod tests {
     use crate::dvs::DvsPoint;
     use crate::space::ArchPoint;
     use ramp::{FailureParams, QualificationPoint, ReliabilityModel};
-    use sim_common::Floorplan;
+    use sim_common::{Floorplan, Hertz, Volts};
 
     fn evaluator() -> Evaluator {
         Evaluator::ibm_65nm(EvalParams::quick()).unwrap()
@@ -1029,10 +995,11 @@ mod tests {
         assert!(a.stats.timing() > Duration::ZERO);
         assert!(a.stats.wall() >= a.stats.timing());
         assert!(a.stats.power_thermal() > Duration::ZERO);
-        // One fixed-point sample for the pass-1 sink loop plus one per
-        // interval (quick(): 4 intervals), 3 iterations each.
-        assert_eq!(a.stats.fixed_point.count(), 1 + 4);
+        // The pass-1 sink solve plus one solve per interval (quick(): 4
+        // intervals), 3 iterations each; the base point never clamps.
         assert_eq!(a.stats.fixed_point_iterations(), 3 * (1 + 4));
+        assert_eq!(a.stats.fixed_point.clamped, 0);
+        assert!(a.stats.fixed_point.residual_k > 0.0);
         // Stage names line up with the emitted span names.
         let stages: Vec<_> = a.stats.stages.iter().map(|(n, _)| n).collect();
         assert_eq!(stages, ["eval.timing", "eval.sink", "eval.thermal"]);
@@ -1041,6 +1008,33 @@ mod tests {
         let mut b = a.clone();
         b.stats = EvalStats::default();
         assert_eq!(a, b);
+    }
+
+    /// At the paper's default lengths and base point no app's fixed
+    /// point reaches the junction ceiling.
+    #[test]
+    fn paper_default_base_points_never_clamp() {
+        let e = Evaluator::ibm_65nm(EvalParams::standard()).unwrap();
+        for app in App::ALL {
+            let ev = e.evaluate(app, &CoreConfig::base()).unwrap();
+            let report = ev.stats.fixed_point;
+            assert_eq!(report.clamped, 0, "{app}: {report:?}");
+            assert!(ev.max_temperature().0 < crate::solve::MAX_JUNCTION_K);
+        }
+    }
+
+    /// 5 GHz at 1.11 V on the hottest app is past thermal runaway: the
+    /// ceiling clamps, and the report says so.
+    #[test]
+    fn a_runaway_point_reports_its_clamps() {
+        let hot = CoreConfig::base().with_dvs(Hertz::from_ghz(5.0), Volts(1.11));
+        let ev = evaluator().evaluate(App::MpgDec, &hot).unwrap();
+        assert!(
+            ev.stats.fixed_point.clamped > 0,
+            "{:?}",
+            ev.stats.fixed_point
+        );
+        assert_eq!(ev.max_temperature(), Kelvin(crate::solve::MAX_JUNCTION_K));
     }
 
     #[test]
@@ -1066,7 +1060,6 @@ mod tests {
 
     #[test]
     fn timing_reuse_is_bit_identical_across_a_voltage_grid() {
-        use sim_common::{Hertz, Volts};
         let e = evaluator();
         let profile = App::H263Enc.profile();
         let freq = Hertz::from_ghz(3.5);

@@ -494,6 +494,7 @@ impl<'a> FleetBaseline<'a> {
         // prefactored pinned-sink solve; the solve is affine in power and
         // sink, so subtracting the baseline solve gives the exact linear
         // response. Two passes close the leakage-heats-itself loop.
+        // Not `crate::solve`: a clamp or residual of this delta means nothing.
         let mut dt: StructureMap<f64> = StructureMap::splat(0.0);
         for _ in 0..FIXED_POINT_ITERS {
             let mut load = self.base_leak;

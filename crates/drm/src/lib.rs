@@ -68,6 +68,7 @@ pub mod oracle;
 pub mod scaling;
 pub mod sensors;
 pub mod slice;
+pub mod solve;
 pub mod space;
 pub mod store;
 pub mod surrogate;
@@ -92,6 +93,7 @@ pub use scaling::{scaling_study, ScalingRow, TechnologyNode};
 pub use sensors::{SensorBank, SensorParams};
 pub use sim_common::fnv1a64;
 pub use slice::{slice_lengths, CheckpointStore, SliceParams};
+pub use solve::{SolveReport, MAX_JUNCTION_K};
 pub use space::{ArchPoint, Strategy};
 pub use store::{EvalStore, StoreRecord, STORE_EXTENSION, STORE_HEADER};
 pub use surrogate::{AppTable, ErrorBounds, Surrogate, SurrogateParams, SurrogateScore};

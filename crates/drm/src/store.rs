@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use sim_common::textfmt::{seal, unseal, Hex64, TokenError, Tokens};
@@ -391,7 +391,8 @@ impl EvalStore {
     /// Number of distinct digests known to be durable (across every
     /// segment read at open, plus appends since).
     pub fn len(&self) -> usize {
-        self.file.lock().expect("store file lock poisoned").1.len()
+        let (_, index) = &*self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        index.len()
     }
 
     /// True when no record is stored.
@@ -402,7 +403,7 @@ impl EvalStore {
     /// Drains the records loaded at open (in last-write-wins replay
     /// order) — the pre-warm feed. Subsequent calls return nothing.
     pub fn take_records(&self) -> Vec<StoreRecord> {
-        std::mem::take(&mut self.loaded.lock().expect("store load lock poisoned"))
+        std::mem::take(&mut self.loaded.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Appends one record, fsync'd before return. A digest already
@@ -414,7 +415,7 @@ impl EvalStore {
     ///
     /// Returns [`SimError::InvalidConfig`] when the write or sync fails.
     pub fn append(&self, rec: &StoreRecord) -> Result<(), SimError> {
-        let mut guard = self.file.lock().expect("store file lock poisoned");
+        let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let (file, index) = &mut *guard;
         if index.contains(&rec.digest) {
             return Ok(());

@@ -40,7 +40,7 @@
 //! by default everywhere.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ramp::{Fit, ReliabilityModel, StructureConditions};
 use sim_common::{Hertz, Kelvin, SimError, Structure, StructureMap};
@@ -63,8 +63,6 @@ const RIDGE: f64 = 1e-9;
 const SAFETY: f64 = 1.5;
 /// Minimum relative error bound, however well the anchors fit.
 const EPS_FLOOR: f64 = 0.02;
-/// Junction clamp mirrored from the exact evaluator.
-const MAX_JUNCTION_K: f64 = 500.0;
 
 /// Tuning knobs for the two-phase search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,21 +227,13 @@ impl AppTable {
             (self.epi[s] * ipc / peak.max(1e-9)).clamp(0.0, 1.0)
         });
 
-        let power = evaluator.power_model();
-        let thermal = evaluator.thermal_model();
+        // One point whose sink follows its own total power.
         let mut temps = StructureMap::splat(Kelvin(345.0));
-        let mut breakdown = power.power(config, &activity, &temps);
-        let mut sink = thermal
-            .steady_sink_temperature(breakdown.total())
-            .min(Kelvin(MAX_JUNCTION_K));
-        for _ in 0..evaluator.params().leakage_iterations {
-            let solved = thermal.steady_state_with_sink(&breakdown.per_structure(), sink);
-            temps = StructureMap::from_fn(|s| Kelvin(solved[s].0.min(MAX_JUNCTION_K)));
-            breakdown = power.power(config, &activity, &temps);
-            sink = thermal
-                .steady_sink_temperature(breakdown.total())
-                .min(Kelvin(MAX_JUNCTION_K));
-        }
+        evaluator.solver(config).sink_pass(
+            std::iter::once(&activity),
+            std::slice::from_mut(&mut temps),
+            |powers| powers[0].total(),
+        );
 
         let conditions = StructureMap::from_fn(|s| StructureConditions {
             temperature: temps[s],
@@ -312,9 +302,15 @@ impl Surrogate {
         self.params.top_k
     }
 
+    /// The shared state; a panicking holder leaves it consistent (one
+    /// insert or max per update), so a poisoned lock is recovered.
+    fn state(&self) -> MutexGuard<'_, SurrogateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of applications with calibrated tables.
     pub fn calibrated_apps(&self) -> usize {
-        self.state.lock().expect("surrogate lock").tables.len()
+        self.state().tables.len()
     }
 
     /// True once enough applications are calibrated for promotion
@@ -338,7 +334,7 @@ impl Surrogate {
         candidates: &[(ArchPoint, DvsPoint)],
         base: (ArchPoint, DvsPoint),
     ) -> Result<Arc<AppTable>, SimError> {
-        if let Some(table) = self.state.lock().expect("surrogate lock").tables.get(&app) {
+        if let Some(table) = self.state().tables.get(&app) {
             return Ok(table.clone());
         }
         let _span = sim_obs::span!("surrogate.calibrate");
@@ -379,7 +375,7 @@ impl Surrogate {
         probe.coeffs = solve_normal_equations(&rows, &cpis);
         let table = Arc::new(probe);
 
-        let mut state = self.state.lock().expect("surrogate lock");
+        let mut state = self.state();
         let entry = state.tables.entry(app).or_insert_with(|| {
             sim_obs::counter!("surrogate.calibrations", 1);
             table
@@ -420,7 +416,7 @@ impl Surrogate {
                 ));
             }
         }
-        let observed = self.state.lock().expect("surrogate lock").observed;
+        let observed = self.state().observed;
         let widen = |r: f64, o: f64| (SAFETY * r.max(o)).max(EPS_FLOOR);
         let bounds = ErrorBounds {
             perf: widen(raw.perf, observed.perf),
@@ -461,7 +457,7 @@ impl Surrogate {
             sim_obs::hist!("surrogate.error.rel_fit", e);
             e
         });
-        let mut state = self.state.lock().expect("surrogate lock");
+        let mut state = self.state();
         state.observed.perf = state.observed.perf.max(e_perf);
         state.observed.temp = state.observed.temp.max(e_temp);
         if let Some(e) = e_fit {

@@ -7,7 +7,7 @@
 //! observe shutdown promptly even when no traffic arrives.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Why a `try_push` was refused.
@@ -46,6 +46,13 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// The queue state. Every operation leaves it consistent (one push,
+    /// pop or flag write), so a lock poisoned by a thread that panicked
+    /// while holding it is recovered, not propagated.
+    fn inner(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues without blocking.
     ///
     /// # Errors
@@ -54,7 +61,7 @@ impl<T> BoundedQueue<T> {
     /// [`close`](Self::close). The item rides back in the error so the
     /// caller can answer the client.
     pub fn try_push(&self, item: T) -> Result<(), (PushError, T)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         if inner.closed {
             return Err((PushError::Closed, item));
         }
@@ -70,7 +77,7 @@ impl<T> BoundedQueue<T> {
     /// Dequeues, blocking up to `timeout`. `None` means the timeout
     /// elapsed (or the queue closed) with nothing available.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -78,7 +85,10 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
-            let (next, wait) = self.ready.wait_timeout(inner, timeout).unwrap();
+            let (next, wait) = self
+                .ready
+                .wait_timeout(inner, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
             inner = next;
             if wait.timed_out() {
                 return inner.items.pop_front();
@@ -88,26 +98,26 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues without blocking.
     pub fn try_pop(&self) -> Option<T> {
-        self.inner.lock().unwrap().items.pop_front()
+        self.inner().items.pop_front()
     }
 
     /// Closes the queue: pushes fail from now on; already-queued items
     /// remain poppable so shutdown can drain in-flight work.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.inner().closed = true;
         self.ready.notify_all();
     }
 
     /// True once [`close`](Self::close) has been called.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        self.inner().closed
     }
 
     /// Current occupancy.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        self.inner().items.len()
     }
 
     /// True when nothing is queued.
@@ -160,6 +170,28 @@ mod tests {
         let started = Instant::now();
         assert_eq!(q.pop_timeout(Duration::from_millis(20)), None);
         assert!(started.elapsed() >= Duration::from_millis(15));
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_lock_leaves_the_queue_usable() {
+        let q = Arc::new(BoundedQueue::new(4));
+        q.try_push(1).unwrap();
+        let poisoner = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let _guard = q.inner.lock().unwrap();
+                panic!("worker panics while holding the queue lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(q.inner.is_poisoned());
+        q.try_push(2).unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
+        q.close();
+        assert!(q.is_closed());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -136,7 +136,10 @@ impl Telemetry {
     /// first tick or when the scenario declares no objectives).
     #[must_use]
     pub fn latest_slo(&self) -> Vec<SloStatus> {
-        self.latest.lock().expect("telemetry lock poisoned").clone()
+        self.latest
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -376,7 +379,7 @@ impl ServerState {
     /// `ramp serve` prints the standard "timing N runs, M reused" line
     /// at exit and `ramp report` sees the familiar cache counters.
     pub fn sweep_summary(&self) -> SweepSummary {
-        let registry = self.registry.lock().expect("registry lock poisoned");
+        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         let mut summary = SweepSummary {
             workers: self.default_slot.engine.workers(),
             ..SweepSummary::default()
@@ -400,7 +403,7 @@ impl ServerState {
             Some(name) => self
                 .registry
                 .lock()
-                .expect("registry lock poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .get(name)
                 .cloned(),
         }
@@ -421,7 +424,7 @@ impl ServerState {
                 "uploaded scenarios may not set slice.checkpoint_dir",
             ));
         }
-        let mut registry = self.registry.lock().expect("registry lock poisoned");
+        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(existing) = registry.get(name) {
             if existing.text == text {
                 return Ok(Arc::clone(existing));
@@ -534,7 +537,7 @@ impl Server {
                 let tel = Arc::clone(tel);
                 Some(Ticker::start(Arc::clone(&tel.ring), tick, move |ring| {
                     let statuses = tel.slo.evaluate(ring);
-                    *tel.latest.lock().expect("telemetry lock poisoned") = statuses;
+                    *tel.latest.lock().unwrap_or_else(PoisonError::into_inner) = statuses;
                 }))
             }
             _ => None,
@@ -966,11 +969,7 @@ fn stats_line(state: &Arc<ServerState>) -> String {
         .u64("timing_reuses", summary.timing_reuses)
         .u64(
             "store_records",
-            state
-                .default_slot
-                .engine
-                .store()
-                .map_or(0, |s| s.len() as u64),
+            state.default_slot.engine.store_records() as u64,
         );
     ok.finish()
 }

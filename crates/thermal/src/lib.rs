@@ -7,13 +7,11 @@
 //! heat-sink node, which convects to ambient — the same lumped-RC
 //! abstraction HotSpot uses at block granularity.
 //!
-//! Two solvers are provided:
-//!
-//! * [`ThermalModel::steady_state`] — the equilibrium temperatures for a
-//!   constant power map (dense Gaussian elimination over the small node
-//!   system);
-//! * [`ThermalModel::transient_step`] — explicit integration for
-//!   time-varying power.
+//! [`ThermalModel::steady_state`] gives the equilibrium temperatures for
+//! a constant power map (LU factors of the small node system, computed at
+//! construction); [`ThermalModel::transient_step`] integrates explicitly
+//! for time-varying power. Neither iterates: the leakage ↔ temperature
+//! fixed point over these solves lives in `drm::solve`.
 //!
 //! The heat sink's thermal time constant (tens of seconds) is far larger
 //! than anything a simulation can cover, so the paper runs every experiment

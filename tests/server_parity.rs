@@ -560,15 +560,20 @@ fn a_store_of_another_run_shape_answers_as_a_fresh_server() {
         let stats = client.request("stats").expect("stats");
         client.request("shutdown").expect("shutdown");
         server.join();
-        (reply, stats.u64("timing_runs").expect("timing_runs"))
+        let count = |key| stats.u64(key).expect(key);
+        (reply, count("timing_runs"), count("store_records"))
     };
 
-    let (written, _) = eval_once(TINY, Some(dir.clone()));
+    let (written, _, records) = eval_once(TINY, Some(dir.clone()));
     assert!(written.starts_with("ok eval "), "{written}");
-    let (stored, runs) = eval_once(longer, Some(dir.clone()));
-    let (fresh, _) = eval_once(longer, None);
+    assert_eq!(records, 1, "the writer stored its one run");
+    let (stored, runs, records) = eval_once(longer, Some(dir.clone()));
+    let (fresh, _, _) = eval_once(longer, None);
     assert_eq!(stored, fresh, "a run of another shape was served");
     assert_eq!(runs, 1, "the longer server must simulate its own run");
+    // The writer's record stays in the directory, but this server can
+    // serve only its own.
+    assert_eq!(records, 1, "store_records counted a foreign record");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
