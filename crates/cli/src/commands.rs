@@ -1030,7 +1030,10 @@ fn print_stats_summary(reply: &Reply) {
     } else {
         0.0
     };
-    println!("  batching      {batches} batches, {occupancy:.2} req/batch");
+    println!(
+        "  batching      {batches} batches, {occupancy:.2} req/batch, {} inline",
+        u64_of("inline")
+    );
 }
 
 /// `ramp top`: live dashboard over a running server's `watch` stream.

@@ -744,6 +744,20 @@ impl BatchEngine {
         Ok(Arc::new(ev))
     }
 
+    /// True when the timing run [`evaluation`](BatchEngine::evaluation)
+    /// needs at this point is cached, so evaluating it simulates nothing.
+    /// Counts neither a hit nor a miss; a run still in flight is not
+    /// timed, and neither is a point that cannot be applied.
+    ///
+    /// The answer stays true only because timing-cache entries are never
+    /// evicted: a caller that checks here and then calls `evaluation`
+    /// relies on the run still being cached. Eviction must keep that
+    /// rule, e.g. by making the check and the read one lookup.
+    pub fn is_timed(&self, app: App, arch: ArchPoint, dvs: DvsPoint) -> bool {
+        self.config_for(arch, dvs)
+            .is_ok_and(|config| self.timing.contains(&TimingCacheKey::new(app, &config)))
+    }
+
     /// The timing run for `config` from the single-flight timing cache:
     /// on a miss, `simulate` runs and the runner appends its result to the
     /// attached evaluation store before publishing it.
@@ -1078,6 +1092,27 @@ mod tests {
         let summary = e.evaluate_all(&[job]).unwrap();
         assert_eq!(summary.evaluations, 0);
         assert_eq!(summary.cache_hits, 1);
+    }
+
+    #[test]
+    fn is_timed_counts_nothing_and_covers_every_voltage() {
+        use sim_common::Volts;
+        let e = engine(1);
+        let (app, arch, dvs) = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
+        let other_vdd = DvsPoint {
+            vdd: Volts(dvs.vdd.0 - 0.05),
+            ..dvs
+        };
+        assert!(!e.is_timed(app, arch, dvs));
+        let timing = e.timing_cache();
+        assert_eq!((timing.hits(), timing.misses()), (0, 0));
+        e.evaluation(app, arch, dvs).unwrap();
+        assert!(e.is_timed(app, arch, dvs));
+        assert!(
+            e.is_timed(app, arch, other_vdd),
+            "timing is voltage-invariant"
+        );
+        assert_eq!((timing.hits(), timing.misses()), (0, 1));
     }
 
     #[test]

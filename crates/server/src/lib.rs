@@ -15,8 +15,9 @@
 //!   (versioned greeting, unknown-key/arity rejection, 1-based error
 //!   positions — read with the shared token cursor of `sim_common::textfmt`).
 //! - [`queue`] — the bounded request queue behind admission control.
-//! - [`server`] — accept loop, one-request-at-a-time drain workers, scenario
-//!   registry, and drain-then-exit shutdown.
+//! - [`server`] — accept loop, inline answers for requests that need no
+//!   simulation, one-request-at-a-time drain workers for the rest,
+//!   scenario registry, and drain-then-exit shutdown.
 //! - [`client`] — the blocking client the CLI, tests, and load bench
 //!   all share.
 //!

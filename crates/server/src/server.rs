@@ -12,17 +12,38 @@
 //! Connection threads parse and *resolve* requests (application lookup,
 //! DVS-range checks, reliability-model qualification) so protocol and
 //! semantic errors are answered immediately without touching the queue.
-//! Resolved work is `try_push`ed onto a bounded queue — a full queue is
-//! answered with `busy` (admission control sheds load; nothing blocks).
-//! Drain workers pop one request at a time and answer it at once; no
-//! worker waits for more requests to arrive. Concurrent cold requests
-//! still share work through the engine: the timing cache is
-//! single-flight, so requests that need the same cycle-level timing run
-//! while it is being simulated wait for it and share it. A `sweep` runs
-//! its candidates as one batch pass, and only batch passes fill the
-//! evaluation cache: an `eval` or `fit` at a point no sweep covered is
-//! finished from the cached timing run (tens of microseconds) and not
-//! stored, so the distinct `vdd=` values a client sends grow no cache.
+//!
+//! The rule for resolved work: a connection thread answers every request
+//! that needs no cycle-level timing run itself, and only work that
+//! simulates, or is heavy by nature, goes through the queue.
+//!
+//! - `eval` and `fit` are answered inline when their point's timing run
+//!   is cached, `vdd=` variants included (they are finished from the
+//!   cached run).
+//! - `sweep` is answered inline when the base point and every candidate
+//!   are timed and the scenario has no surrogate (a surrogate may
+//!   calibrate, and calibration simulates).
+//! - `fleet` and `sleep` always queue.
+//!
+//! Queued work is `try_push`ed onto a bounded queue — a full queue is
+//! answered with `busy` (admission control sheds load; nothing blocks) —
+//! and drain workers pop one request at a time and answer it at once.
+//! So [`ServerConfig::queue_depth`] and [`ServerConfig::drain_workers`]
+//! bound simulation work only: cache reads are never shed and never wait
+//! behind a timing run.
+//! Both paths answer through the same function, so a verb has one answer
+//! whichever thread gives it, and a job that panics answers `err`
+//! without taking its thread down.
+//!
+//! Concurrent cold requests still share work through the engine: the
+//! timing cache is single-flight, so requests that need the same
+//! cycle-level timing run while it is being simulated wait for it and
+//! share it (a run in flight is not "timed", so those requests queue). A
+//! `sweep` runs its candidates as one batch pass, and only batch passes
+//! fill the evaluation cache: an `eval` or `fit` at a point no sweep
+//! covered is finished from the cached timing run (tens of microseconds)
+//! and not stored, so the distinct `vdd=` values a client sends grow no
+//! cache.
 //!
 //! ## Shutdown
 //!
@@ -36,6 +57,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -71,6 +93,8 @@ pub struct ServerConfig {
     /// Evaluation worker threads per engine (`0` = all cores).
     pub jobs: usize,
     /// Bounded queue capacity; a full queue sheds with `busy` (≥ 1).
+    /// Only work that simulates queues: requests that need no timing
+    /// run are answered on their connection thread and never shed.
     pub queue_depth: usize,
     /// Drain-worker threads answering queued requests.
     pub drain_workers: usize,
@@ -183,9 +207,11 @@ pub struct ServerStats {
     pub errors: u64,
     /// Drain passes: a drain worker answers one queued request per pass,
     /// so this equals `batched_requests` (the key stays for clients that
-    /// read it).
+    /// read it). Requests answered inline on their connection thread are
+    /// not counted here (see the `inline` key of the `stats` reply).
     pub batches: u64,
-    /// Queued requests answered by drain passes.
+    /// Queued requests answered by drain passes; inline answers are not
+    /// counted.
     pub batched_requests: u64,
 }
 
@@ -300,6 +326,7 @@ enum Job {
         app: App,
         strategy: Strategy,
         candidates: Vec<(ArchPoint, DvsPoint)>,
+        base: (ArchPoint, DvsPoint),
         model: ReliabilityModel,
     },
     Fleet {
@@ -313,6 +340,50 @@ enum Job {
     Sleep {
         ms: u64,
     },
+    /// Panics when run; `inline` picks the path it takes.
+    #[cfg(test)]
+    Panic {
+        inline: bool,
+    },
+}
+
+impl Job {
+    /// True when answering needs no cycle-level timing run, so the
+    /// connection thread answers it instead of queueing it. The check
+    /// counts no timing-cache hit or miss (the answer then counts the
+    /// hit, as a queued one would).
+    fn is_warm(&self) -> bool {
+        match self {
+            Job::Eval {
+                slot,
+                app,
+                arch,
+                dvs,
+            }
+            | Job::Fit {
+                slot,
+                app,
+                arch,
+                dvs,
+                ..
+            } => slot.engine.is_timed(*app, *arch, *dvs),
+            Job::Sweep {
+                slot,
+                app,
+                candidates,
+                base,
+                ..
+            } => {
+                slot.surrogate.is_none()
+                    && std::iter::once(base)
+                        .chain(candidates)
+                        .all(|&(arch, dvs)| slot.engine.is_timed(*app, arch, dvs))
+            }
+            Job::Fleet { .. } | Job::Sleep { .. } => false,
+            #[cfg(test)]
+            Job::Panic { inline } => *inline,
+        }
+    }
 }
 
 /// One queued request: the work plus its reply channel.
@@ -339,6 +410,10 @@ pub struct ServerState {
     errors: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
+    /// Requests answered on their connection thread. Kept out of
+    /// [`ServerStats`] (whose fields callers list exhaustively); the
+    /// `stats` reply carries it as `inline`.
+    inline: AtomicU64,
 }
 
 impl ServerState {
@@ -507,6 +582,7 @@ impl Server {
             errors: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
         });
 
         let mut workers = Vec::with_capacity(drain_workers);
@@ -788,8 +864,8 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Produces the response line for one request line. Inline verbs are
-/// answered here; evaluation work is resolved, queued, and awaited.
+/// Produces the response line for one request line. Control verbs are
+/// answered here; evaluation work is resolved and then [`serve`]d.
 fn respond(state: &Arc<ServerState>, reader: &mut LineReader<'_>, line: &str) -> String {
     let request = match parse_request(line) {
         Ok(request) => request,
@@ -830,27 +906,36 @@ fn respond(state: &Arc<ServerState>, reader: &mut LineReader<'_>, line: &str) ->
             let stats = state.stats();
             watch_frame(state, 1, interval_ms, &stats, &stats)
         }
-        Request::Sleep { ms } => match enqueue(state, Job::Sleep { ms }) {
-            Ok(response) => response,
-            Err(response) => response,
-        },
+        Request::Sleep { ms } => serve(state, Job::Sleep { ms }),
         Request::Eval(eval) => match resolve_eval(state, &eval) {
-            Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
+            Ok(job) => serve(state, job),
             Err(e) => e.to_line(),
         },
         Request::Fit(fit) => match resolve_fit(state, &fit) {
-            Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
+            Ok(job) => serve(state, job),
             Err(e) => e.to_line(),
         },
         Request::Sweep(sweep) => match resolve_sweep(state, &sweep) {
-            Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
+            Ok(job) => serve(state, job),
             Err(e) => e.to_line(),
         },
         Request::Fleet(fleet) => match resolve_fleet(state, &fleet) {
-            Ok(job) => enqueue(state, job).unwrap_or_else(|busy| busy),
+            Ok(job) => serve(state, job),
             Err(e) => e.to_line(),
         },
     }
+}
+
+/// Answers resolved work: on the calling connection thread when it needs
+/// no timing run ([`Job::is_warm`]), through the bounded queue (and so
+/// subject to `busy`) otherwise.
+fn serve(state: &Arc<ServerState>, job: Job) -> String {
+    if job.is_warm() {
+        state.inline.fetch_add(1, Ordering::Relaxed);
+        sim_obs::counter!("server.inline", 1);
+        return answer(&job, Instant::now());
+    }
+    enqueue(state, job).unwrap_or_else(|busy| busy)
 }
 
 /// Flattens an error to one response-safe line.
@@ -962,6 +1047,7 @@ fn stats_line(state: &Arc<ServerState>) -> String {
         .u64("errors", stats.errors)
         .u64("batches", stats.batches)
         .u64("batched_requests", stats.batched_requests)
+        .u64("inline", state.inline.load(Ordering::Relaxed))
         .u64("queue_len", state.queue.len() as u64)
         .u64("evaluations", summary.evaluations)
         .u64("cache_hits", summary.cache_hits)
@@ -1160,11 +1246,13 @@ fn resolve_sweep(state: &Arc<ServerState>, sweep: &SweepRequest) -> Result<Job, 
     let model = slot
         .model_for(&sweep.qual)
         .map_err(|e| ProtoError::new(qual_pos(&sweep.qual), one_line(&e)))?;
+    let base = (slot.scenario.base_arch(), slot.scenario.base_dvs());
     Ok(Job::Sweep {
         slot,
         app,
         strategy,
         candidates,
+        base,
         model,
     })
 }
@@ -1242,12 +1330,24 @@ fn process(state: &Arc<ServerState>, request: QueuedRequest) {
     state.batches.fetch_add(1, Ordering::Relaxed);
     state.batched_requests.fetch_add(1, Ordering::Relaxed);
     sim_obs::hist!("server.batch.size", 1.0);
-    let response = run_job(&request.job);
-    let latency_ms = request.enqueued.elapsed().as_secs_f64() * 1e3;
-    sim_obs::hist!("server.request.latency_ms", latency_ms);
-    sim_obs::hist!(verb_latency_metric(&request.job), latency_ms);
+    let response = answer(&request.job, request.enqueued);
     // A vanished client is not an error; its timing run stays cached.
     let _ = request.reply.send(response);
+}
+
+/// Answers one job on the calling thread — the one function both the
+/// inline and the queued path answer through — and records its latency
+/// since `since`. A job that panics answers one `err` line (counted
+/// under `errors` like any other) and the thread keeps serving; the
+/// engine's caches stay consistent, since the timing cache clears a run
+/// that panicked in flight and every lock recovers from poisoning.
+fn answer(job: &Job, since: Instant) -> String {
+    let response = panic::catch_unwind(AssertUnwindSafe(|| run_job(job)))
+        .unwrap_or_else(|_| ProtoError::new(1, "internal error: the request panicked").to_line());
+    let latency_ms = since.elapsed().as_secs_f64() * 1e3;
+    sim_obs::hist!("server.request.latency_ms", latency_ms);
+    sim_obs::hist!(verb_latency_metric(job), latency_ms);
+    response
 }
 
 /// The per-verb latency histogram recorded alongside the global one —
@@ -1259,6 +1359,8 @@ fn verb_latency_metric(job: &Job) -> &'static str {
         Job::Sweep { .. } => "server.request.latency_ms.sweep",
         Job::Fleet { .. } => "server.request.latency_ms.fleet",
         Job::Sleep { .. } => "server.request.latency_ms.sleep",
+        #[cfg(test)]
+        Job::Panic { .. } => "server.request.latency_ms.panic",
     }
 }
 
@@ -1325,14 +1427,14 @@ fn run_job(job: &Job) -> String {
             app,
             strategy,
             candidates,
+            base,
             model,
         } => {
             let mut oracle = Oracle::from_engine(slot.engine.clone());
             if let Some(surrogate) = &slot.surrogate {
                 oracle = oracle.with_shared_surrogate(Arc::clone(surrogate));
             }
-            let base = (slot.scenario.base_arch(), slot.scenario.base_dvs());
-            match oracle.best_among(*app, candidates, base, model) {
+            match oracle.best_among(*app, candidates, *base, model) {
                 Ok(choice) => {
                     let mut ok = ResponseLine::ok("sweep");
                     ok.str("app", app.name())
@@ -1379,5 +1481,102 @@ fn run_job(job: &Job) -> String {
             }
             Err(e) => ProtoError::new(1, one_line(&e)).to_line(),
         },
+        #[cfg(test)]
+        Job::Panic { .. } => panic!("test job panics"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// Run lengths small enough that a warm-up sweep takes milliseconds.
+    const TINY: EvalParams = EvalParams {
+        warmup_instructions: 5_000,
+        measure_instructions: 20_000,
+        interval_instructions: 5_000,
+        seed: 3,
+        leakage_iterations: 2,
+        prewarm_bytes: 1 << 20,
+    };
+
+    fn start(queue_depth: usize, drain_workers: usize) -> Server {
+        let config = ServerConfig {
+            queue_depth,
+            drain_workers,
+            eval: Some(TINY),
+            ..ServerConfig::default()
+        };
+        Server::start(Scenario::paper_default(), config, "127.0.0.1:0").expect("server start")
+    }
+
+    fn connect(server: &Server) -> Client {
+        Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).expect("connect")
+    }
+
+    /// A job that panics answers one `err` line on the inline path and
+    /// on the queued one, and the single drain worker survives its panic
+    /// to answer the next queued request.
+    #[test]
+    fn a_panicking_job_answers_err_and_kills_no_thread() {
+        let server = start(1, 1);
+        for inline in [true, false] {
+            let reply = serve(server.state(), Job::Panic { inline });
+            assert!(reply.starts_with("err "), "{reply}");
+        }
+        let mut client = connect(&server);
+        client.ping().expect("ping after the panics");
+        let slept = client.request("sleep ms=1").expect("queued sleep");
+        assert!(slept.is_ok(), "{}", slept.raw);
+        let stats = client.request("stats").expect("stats");
+        assert_eq!(stats.u64("inline").unwrap(), 1, "{}", stats.raw);
+        assert_eq!(stats.u64("batches").unwrap(), 2, "{}", stats.raw);
+        server.shutdown();
+        server.join();
+    }
+
+    /// Inline answers land in the request-latency histograms scenario
+    /// SLOs and `ramp report` read, exactly as queued ones do.
+    #[test]
+    fn inline_answers_record_request_latency() {
+        sim_obs::set_enabled(true);
+        let hist_count = |name: &str| {
+            sim_obs::flush()
+                .into_iter()
+                .find_map(|m| match m.value {
+                    sim_obs::MetricValue::Histogram(h) if m.name == name => Some(h.count()),
+                    _ => None,
+                })
+                .unwrap_or(0)
+        };
+        let server = start(64, 1);
+        let mut client = connect(&server);
+        let warm = client.request("sweep gzip strategy=dvs").expect("sweep");
+        assert!(warm.is_ok(), "{}", warm.raw);
+        let before = [
+            "server.request.latency_ms",
+            "server.request.latency_ms.eval",
+            "server.request.latency_ms.fit",
+        ]
+        .map(hist_count);
+        for line in ["eval gzip", "fit gzip tqual=400"] {
+            let reply = client.request(line).expect(line);
+            assert!(reply.is_ok(), "{}", reply.raw);
+        }
+        let after = [
+            "server.request.latency_ms",
+            "server.request.latency_ms.eval",
+            "server.request.latency_ms.fit",
+        ]
+        .map(hist_count);
+        assert!(after[0] >= before[0] + 2, "{before:?} -> {after:?}");
+        assert_eq!(after[1], before[1] + 1, "{before:?} -> {after:?}");
+        assert_eq!(after[2], before[2] + 1, "{before:?} -> {after:?}");
+        let stats = client.request("stats").expect("stats");
+        assert_eq!(stats.u64("inline").unwrap(), 2, "{}", stats.raw);
+        assert_eq!(stats.u64("batches").unwrap(), 1, "{}", stats.raw);
+        server.shutdown();
+        server.join();
     }
 }

@@ -87,7 +87,7 @@ impl Default for ThermalParams {
 /// Transient thermal state: one temperature per network node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalState {
-    temps: Vec<f64>,
+    temps: [f64; N_NODES],
 }
 
 impl ThermalState {
@@ -215,7 +215,7 @@ impl ThermalModel {
     /// A state with every node at ambient temperature.
     pub fn ambient_state(&self) -> ThermalState {
         ThermalState {
-            temps: vec![self.params.ambient.0; N_NODES],
+            temps: [self.params.ambient.0; N_NODES],
         }
     }
 
@@ -288,9 +288,7 @@ impl ThermalModel {
         let temps = factors.solve(b);
         sim_obs::counter!("thermal.solves", 1);
         sim_obs::counter!("thermal.factor_reuse", 1);
-        ThermalState {
-            temps: temps.to_vec(),
-        }
+        ThermalState { temps }
     }
 
     /// Reference steady solve that assembles `A` and runs Gaussian
@@ -306,9 +304,7 @@ impl ThermalModel {
         let b = self.steady_rhs(power, pinned_sink);
         let temps = solve_dense(a, b);
         sim_obs::counter!("thermal.solves", 1);
-        ThermalState {
-            temps: temps.to_vec(),
-        }
+        ThermalState { temps }
     }
 
     /// Advances the transient state by `dt` seconds under constant `power`,

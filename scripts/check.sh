@@ -71,6 +71,13 @@ done
 [ -n "$addr" ] || { echo "error: server never reported its address" >&2; cat "$server_log" >&2; exit 1; }
 ./target/release/ramp client --addr "$addr" eval gzip | grep -q '^ok eval' \
   || { echo "error: server eval did not answer ok" >&2; exit 1; }
+# The same eval again is warm: its connection thread answers it, so it
+# never queues (one drain pass, one inline answer).
+./target/release/ramp client --addr "$addr" eval gzip | grep -q '^ok eval' \
+  || { echo "error: warm server eval did not answer ok" >&2; exit 1; }
+routing="$(./target/release/ramp client --addr "$addr" stats)"
+echo "$routing" | grep -q ' batches=1 ' && echo "$routing" | grep -q ' inline=1 ' \
+  || { echo "error: the warm eval was not answered inline: $routing" >&2; exit 1; }
 # A malformed request must answer one err line (non-zero client exit) and
 # must not take the server down.
 malformed="$(./target/release/ramp client --addr "$addr" raw eval gzip frq=1 2>/dev/null || true)"

@@ -412,6 +412,102 @@ fn distinct_vdd_requests_grow_no_cache() {
     server.join();
 }
 
+/// After a warm-up sweep, warm `eval`, `fit`, `vdd=` and DVS `sweep`
+/// requests are answered on their connection thread: no drain pass and
+/// no timing run, and each reply is byte-identical to the one a fresh
+/// server gives for the same line through its queue.
+#[test]
+fn warm_requests_are_answered_inline_with_queued_bytes() {
+    let grid = Scenario::paper_default()
+        .dvs
+        .at_ghz(3.5)
+        .expect("grid point");
+    let freq = grid.frequency.0;
+    let lines = [
+        format!("eval gzip freq={freq}"),
+        format!("fit gzip freq={freq} tqual=400"),
+        format!("eval gzip freq={freq} vdd={:.4}", grid.vdd.0 - 0.01),
+        "sweep gzip strategy=dvs tqual=400".to_owned(),
+    ];
+    let stats = |client: &mut Client| client.request("stats").expect("stats");
+    let count = |reply: &Reply, key: &str| reply.u64(key).expect(key);
+
+    let server = start_server(tiny_config());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let warm = client
+        .request_raw("sweep gzip strategy=dvs")
+        .expect("sweep");
+    assert!(warm.starts_with("ok sweep "), "{warm}");
+    let before = stats(&mut client);
+    let inline: Vec<String> = lines
+        .iter()
+        .map(|line| client.request_raw(line).expect("request"))
+        .collect();
+    let after = stats(&mut client);
+    for key in ["batches", "batched_requests", "timing_runs"] {
+        assert_eq!(count(&after, key), count(&before, key), "`{key}` moved");
+    }
+    assert_eq!(count(&after, "inline"), count(&before, "inline") + 4);
+    server.shutdown();
+    server.join();
+
+    for (line, inline) in lines.iter().zip(&inline) {
+        let fresh = start_server(tiny_config());
+        let mut client = Client::connect(fresh.local_addr()).expect("connect");
+        let queued = client.request_raw(line).expect("request");
+        let s = stats(&mut client);
+        assert_eq!(
+            (count(&s, "batches"), count(&s, "inline")),
+            (1, 0),
+            "{line}"
+        );
+        assert!(queued.starts_with("ok "), "{line}: {queued}");
+        assert_eq!(&queued, inline, "`{line}` answered differently inline");
+        fresh.shutdown();
+        fresh.join();
+    }
+}
+
+/// Admission control sheds only work that simulates: with the single
+/// drain worker busy and the single queue slot taken, an `eval` whose
+/// timing run is cached still answers `ok`, while a cold one is `busy`.
+#[test]
+fn a_full_queue_sheds_cold_work_but_answers_warm_reads() {
+    let server = start_server(ServerConfig {
+        queue_depth: 1,
+        drain_workers: 1,
+        eval: Some(TINY),
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let warm = client.request("eval gzip").expect("warm-up eval");
+    assert!(warm.is_ok(), "{}", warm.raw);
+
+    let sleeper = |ms: u64| {
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            let reply = c.request(&format!("sleep ms={ms}")).expect("sleep");
+            assert!(reply.is_ok(), "{}", reply.raw);
+        })
+    };
+    let t1 = sleeper(600);
+    std::thread::sleep(Duration::from_millis(150));
+    let t2 = sleeper(600);
+    std::thread::sleep(Duration::from_millis(150));
+
+    let hit = client.request("eval gzip").expect("warm eval");
+    assert!(hit.is_ok(), "{}", hit.raw);
+    assert_eq!(hit.raw, warm.raw);
+    let cold = client.request("eval mpgdec").expect("cold eval");
+    assert_eq!(cold.status, Status::Busy, "{}", cold.raw);
+    t1.join().expect("sleeper 1");
+    t2.join().expect("sleeper 2");
+    assert_eq!(server.stats().shed, 1);
+    server.shutdown();
+    server.join();
+}
+
 /// A full queue answers `busy` (with the configured depth) instead of
 /// blocking, and the connection stays usable for later requests.
 #[test]
