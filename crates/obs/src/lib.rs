@@ -72,7 +72,7 @@ pub mod window;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 pub use metrics::{Histogram, Metric, MetricValue, StageTimes};
@@ -187,7 +187,10 @@ pub fn log_enabled(level: Level) -> bool {
 /// Installing a sink does *not* flip [`enabled`] — callers decide
 /// (`RAMP_LOG` wants logs without span/metric overhead).
 pub fn install_sink(sink: Arc<dyn Sink>) {
-    SINKS.write().expect("sink registry poisoned").push(sink);
+    SINKS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(sink);
 }
 
 /// Nanoseconds since the process epoch (first call wins the zero point).
@@ -198,7 +201,7 @@ pub fn since_epoch_ns() -> u64 {
 
 /// Runs `f` over every installed sink.
 pub(crate) fn each_sink(f: impl Fn(&dyn Sink)) {
-    let sinks = SINKS.read().expect("sink registry poisoned");
+    let sinks = SINKS.read().unwrap_or_else(PoisonError::into_inner);
     for sink in sinks.iter() {
         f(sink.as_ref());
     }
@@ -248,7 +251,10 @@ pub fn init_log_from_env() -> Level {
 pub fn reset_for_tests() {
     set_enabled(false);
     set_log_level(Level::Off);
-    SINKS.write().expect("sink registry poisoned").clear();
+    SINKS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
     metrics::reset();
 }
 
@@ -344,14 +350,13 @@ macro_rules! log_debug {
 
 #[cfg(test)]
 pub(crate) mod test_lock {
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// Serializes tests that touch the global dispatcher/registry.
     static LOCK: Mutex<()> = Mutex::new(());
 
     pub fn hold() -> MutexGuard<'static, ()> {
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

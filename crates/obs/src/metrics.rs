@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Power-of-two histogram buckets: bucket `i` holds values in
@@ -362,7 +362,7 @@ fn with_cell(name: &str, kind: MetricKind, f: impl FnOnce(&Cell)) {
         let cell = Arc::new(Cell::new(kind));
         REGISTRY
             .lock()
-            .expect("metric registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(Entry {
                 name: name.to_owned(),
                 cell: Arc::clone(&cell),
@@ -401,7 +401,7 @@ pub fn hist_record(name: &str, value: f64) {
 /// cell; no read-modify-write races across threads).
 #[must_use]
 pub fn snapshot() -> Vec<Metric> {
-    let registry = REGISTRY.lock().expect("metric registry poisoned");
+    let registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
     let mut merged: BTreeMap<String, (MetricKind, MetricValue, u64)> = BTreeMap::new();
     for entry in registry.iter() {
         let cell = &entry.cell;
@@ -450,7 +450,10 @@ pub fn snapshot() -> Vec<Metric> {
 
 /// Clears every registered cell and invalidates thread-local caches.
 pub fn reset() {
-    REGISTRY.lock().expect("metric registry poisoned").clear();
+    REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
     EPOCH.fetch_add(1, Ordering::SeqCst);
 }
 
@@ -466,6 +469,34 @@ mod tests {
                 MetricValue::Counter(v) => Some(v),
                 _ => None,
             })
+    }
+
+    /// A thread that panics while holding the sink and metric registry
+    /// locks poisons them; later `counter!` and `flush()` calls on other
+    /// threads still record and deliver.
+    #[test]
+    fn a_panic_holding_the_registry_locks_leaves_recording_working() {
+        let _guard = test_lock::hold();
+        crate::reset_for_tests();
+        let sink = Arc::new(crate::MemorySink::new());
+        crate::install_sink(sink.clone());
+        crate::set_enabled(true);
+        let panicked = std::thread::spawn(|| {
+            let _sinks = crate::SINKS.write().unwrap_or_else(PoisonError::into_inner);
+            let _registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poison the registries");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(crate::SINKS.is_poisoned() && REGISTRY.is_poisoned());
+
+        crate::counter!("m.test.after_poison", 2);
+        crate::flush();
+        assert!(sink
+            .metrics()
+            .iter()
+            .any(|m| m.name == "m.test.after_poison" && m.value == MetricValue::Counter(2)));
+        crate::reset_for_tests();
     }
 
     #[test]

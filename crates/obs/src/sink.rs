@@ -7,7 +7,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::json::JsonObject;
 use crate::metrics::{Metric, MetricValue};
@@ -88,19 +88,28 @@ impl MemorySink {
     /// All spans received so far.
     #[must_use]
     pub fn spans(&self) -> Vec<SpanEvent> {
-        self.spans.lock().expect("memory sink poisoned").clone()
+        self.spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// All diagnostics received so far.
     #[must_use]
     pub fn logs(&self) -> Vec<LogEvent> {
-        self.logs.lock().expect("memory sink poisoned").clone()
+        self.logs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The most recent metric snapshot (empty before the first flush).
     #[must_use]
     pub fn metrics(&self) -> Vec<Metric> {
-        self.metrics.lock().expect("memory sink poisoned").clone()
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The latest value of one counter, if present in the last snapshot.
@@ -132,9 +141,18 @@ impl MemorySink {
 
     /// Drops all buffered events.
     pub fn clear(&self) {
-        self.spans.lock().expect("memory sink poisoned").clear();
-        self.logs.lock().expect("memory sink poisoned").clear();
-        self.metrics.lock().expect("memory sink poisoned").clear();
+        self.spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.logs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 }
 
@@ -142,19 +160,19 @@ impl Sink for MemorySink {
     fn on_span(&self, event: &SpanEvent) {
         self.spans
             .lock()
-            .expect("memory sink poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(event.clone());
     }
 
     fn on_log(&self, event: &LogEvent) {
         self.logs
             .lock()
-            .expect("memory sink poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(event.clone());
     }
 
     fn on_metrics(&self, snapshot: &[Metric]) {
-        *self.metrics.lock().expect("memory sink poisoned") = snapshot.to_vec();
+        *self.metrics.lock().unwrap_or_else(PoisonError::into_inner) = snapshot.to_vec();
     }
 }
 
@@ -242,7 +260,7 @@ impl JsonlSink {
     }
 
     fn write_line(&self, line: &str) {
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         // Tracing must never take the simulation down with it.
         let _ = writeln!(out, "{line}");
     }
@@ -299,7 +317,7 @@ impl Sink for JsonlSink {
     }
 
     fn on_flush(&self) {
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = out.flush();
     }
 }

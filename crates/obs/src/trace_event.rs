@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::json::JsonObject;
 use crate::sink::{Sink, SpanEvent};
@@ -141,7 +141,7 @@ impl TraceEventSink {
     }
 
     fn write_file(&self) -> std::io::Result<()> {
-        let state = self.state.lock().expect("trace-event sink poisoned");
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = BufWriter::new(File::create(&state.path)?);
         out.write_all(Self::render(&state).as_bytes())?;
         out.flush()
@@ -150,7 +150,7 @@ impl TraceEventSink {
 
 impl Sink for TraceEventSink {
     fn on_span(&self, event: &SpanEvent) {
-        let mut state = self.state.lock().expect("trace-event sink poisoned");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // `on_span` runs on the thread that owned the span, so the OS
         // thread name seen here names the lane.
         state.lane_names.entry(event.thread).or_insert_with(|| {

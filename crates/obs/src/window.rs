@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -81,7 +81,10 @@ impl WindowRing {
     /// Number of snapshots currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("window ring poisoned").len()
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True before the first tick.
@@ -99,7 +102,7 @@ impl WindowRing {
             metrics: metrics::snapshot(),
         });
         let seq = snap.seq;
-        let mut slots = self.slots.lock().expect("window ring poisoned");
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots.len() == self.capacity {
             slots.pop_front();
         }
@@ -112,7 +115,7 @@ impl WindowRing {
     pub fn latest(&self) -> Option<Arc<TickSnapshot>> {
         self.slots
             .lock()
-            .expect("window ring poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .back()
             .cloned()
     }
@@ -128,7 +131,7 @@ impl WindowRing {
     /// two ticks have landed.
     #[must_use]
     pub fn window_over(&self, ticks: usize) -> Option<WindowDelta> {
-        let slots = self.slots.lock().expect("window ring poisoned");
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots.len() < 2 {
             return None;
         }
@@ -283,11 +286,11 @@ impl Ticker {
             .name("obs-ticker".to_owned())
             .spawn(move || {
                 let (stop, cv) = &*thread_shared;
-                let mut stopped = stop.lock().expect("ticker stop flag poisoned");
+                let mut stopped = stop.lock().unwrap_or_else(PoisonError::into_inner);
                 loop {
                     let (guard, timeout) = cv
                         .wait_timeout(stopped, interval)
-                        .expect("ticker stop flag poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     stopped = guard;
                     if *stopped {
                         return;
@@ -296,7 +299,7 @@ impl Ticker {
                         drop(stopped);
                         ring.tick();
                         on_tick(&ring);
-                        stopped = stop.lock().expect("ticker stop flag poisoned");
+                        stopped = stop.lock().unwrap_or_else(PoisonError::into_inner);
                     }
                 }
             })
@@ -314,7 +317,7 @@ impl Ticker {
 
     fn halt(&mut self) {
         let (stop, cv) = &*self.shared;
-        *stop.lock().expect("ticker stop flag poisoned") = true;
+        *stop.lock().unwrap_or_else(PoisonError::into_inner) = true;
         cv.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();

@@ -7,13 +7,16 @@ use std::time::Duration;
 
 use sim_common::SimError;
 
-use crate::protocol::{Reply, PROTOCOL_VERSION};
+use crate::protocol::{write_line, Reply, PROTOCOL_VERSION};
 
 /// A connected client. One request/response exchange per
 /// [`Client::request`]; the connection persists across requests.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The connection's one line buffer: each request line is framed in
+    /// it and each response line is read into it.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -54,6 +57,7 @@ impl Client {
         let mut client = Client {
             reader,
             writer: stream,
+            line: Vec::new(),
         };
         let greeting = client.read_line()?;
         let expected = format!("ok {PROTOCOL_VERSION}");
@@ -65,16 +69,21 @@ impl Client {
         Ok(client)
     }
 
-    fn read_line(&mut self) -> Result<String, SimError> {
-        let mut line = String::new();
+    /// Reads the next response line into the line buffer and returns it
+    /// without its line ending.
+    fn read_line(&mut self) -> Result<&str, SimError> {
+        self.line.clear();
         let n = self
             .reader
-            .read_line(&mut line)
+            .read_until(b'\n', &mut self.line)
             .map_err(|e| SimError::invalid_config(format!("read failed: {e}")))?;
         if n == 0 {
             return Err(SimError::invalid_config("server closed the connection"));
         }
-        Ok(line.trim_end_matches(['\r', '\n']).to_owned())
+        let line = std::str::from_utf8(&self.line).map_err(|_| {
+            SimError::invalid_config("read failed: stream did not contain valid UTF-8")
+        })?;
+        Ok(line.trim_end_matches(['\r', '\n']))
     }
 
     /// Sends one raw request line and returns the raw response line.
@@ -85,13 +94,8 @@ impl Client {
     /// protocol-level `err` response is *not* a transport failure — it
     /// comes back as the response line.
     pub fn request_raw(&mut self, line: &str) -> Result<String, SimError> {
-        debug_assert!(!line.contains('\n'), "request must be a single line");
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| SimError::invalid_config(format!("write failed: {e}")))?;
-        self.read_line()
+        self.send_line(line)?;
+        self.read_line().map(str::to_owned)
     }
 
     /// Sends one request line and parses the response.
@@ -101,8 +105,8 @@ impl Client {
     /// Returns [`SimError::InvalidConfig`] on transport failure or an
     /// unparsable response line.
     pub fn request(&mut self, line: &str) -> Result<Reply, SimError> {
-        let response = self.request_raw(line)?;
-        Reply::parse(&response)
+        self.send_line(line)?;
+        Reply::parse(self.read_line()?)
     }
 
     /// Sends one request line *without* waiting for a response — the
@@ -113,11 +117,7 @@ impl Client {
     ///
     /// Returns [`SimError::InvalidConfig`] on transport failure.
     pub fn send_line(&mut self, line: &str) -> Result<(), SimError> {
-        debug_assert!(!line.contains('\n'), "request must be a single line");
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+        write_line(&mut self.writer, &mut self.line, line)
             .map_err(|e| SimError::invalid_config(format!("write failed: {e}")))
     }
 
@@ -129,8 +129,7 @@ impl Client {
     /// Returns [`SimError::InvalidConfig`] on transport failure (which
     /// includes the read timeout elapsing) or an unparsable line.
     pub fn next_reply(&mut self) -> Result<Reply, SimError> {
-        let line = self.read_line()?;
-        Reply::parse(&line)
+        Reply::parse(self.read_line()?)
     }
 
     /// Uploads a scenario text under `name` (the `scenario <name> <n>`
@@ -150,8 +149,7 @@ impl Client {
             .write_all(payload.as_bytes())
             .and_then(|()| self.writer.flush())
             .map_err(|e| SimError::invalid_config(format!("write failed: {e}")))?;
-        let response = self.read_line()?;
-        Reply::parse(&response)
+        Reply::parse(self.read_line()?)
     }
 
     /// `ping` — liveness check.
@@ -169,6 +167,44 @@ impl Client {
                 "unexpected ping response: {}",
                 reply.raw
             )))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    use super::*;
+
+    /// A request line reaches the peer as one send: each first `read` on
+    /// the accepting side returns the whole `ping\n`, never `ping` and
+    /// then its newline. It takes many round trips because on loopback a
+    /// line written in two pieces arrives split only about half the time.
+    #[test]
+    fn a_request_line_arrives_in_one_read() {
+        const PINGS: usize = 100;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.write_all(b"ok ramp-serve/1\n").expect("greet");
+            let mut reads = Vec::with_capacity(PINGS);
+            for _ in 0..PINGS {
+                let mut buf = [0u8; 64];
+                let n = stream.read(&mut buf).expect("read");
+                reads.push(buf[..n].to_vec());
+                stream.write_all(b"ok pong\n").expect("reply");
+            }
+            reads
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        for _ in 0..PINGS {
+            client.ping().expect("ping");
+        }
+        for read in peer.join().expect("peer thread") {
+            assert_eq!(String::from_utf8_lossy(&read), "ping\n");
         }
     }
 }

@@ -22,10 +22,16 @@
 //! The server greets every connection with [`GREETING`] so clients can
 //! reject a version mismatch before sending anything.
 //!
+//! Both ends send every line, request or reply, through [`write_line`]:
+//! the line and its `\n` leave in one `write_all`, so on a `TCP_NODELAY`
+//! socket a line is one segment and its reader wakes once.
+//!
 //! Floats are serialized with Rust's shortest-round-trip `Display`
 //! formatting (the same convention as the `.scn` format and the JSONL
 //! trace sink), so parsing a response recovers bit-identical values —
 //! which is what makes the socket-vs-direct parity tests exact.
+
+use std::io::{self, Write};
 
 use sim_common::textfmt::{Field, KeyValues, TokenError, Tokens};
 use sim_common::SimError;
@@ -44,6 +50,23 @@ pub const GREETING: &str = "ok ramp-serve/1";
 /// mid-line is answered with an error and closed — the stream cannot be
 /// resynchronized.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Sends `line` as one protocol line: frames `line` and its `\n` in
+/// `buf` (a buffer its connection keeps and reuses) and writes the frame
+/// with one `write_all`, so a `TCP_NODELAY` socket sends it as one
+/// segment and the reader wakes once for it.
+///
+/// # Errors
+///
+/// Returns the stream's write error.
+pub fn write_line(out: &mut impl Write, buf: &mut Vec<u8>, line: &str) -> io::Result<()> {
+    debug_assert!(!line.contains('\n'), "a protocol line holds no newline");
+    buf.clear();
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(buf)?;
+    out.flush()
+}
 
 /// Hard cap on the line count of an inline-scenario upload.
 pub const MAX_SCENARIO_LINES: usize = 4096;
@@ -554,6 +577,29 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records each `write` call as one chunk.
+    #[derive(Default)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Write for Chunks {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_each_line_in_one_write() {
+        let mut out = Chunks::default();
+        let mut buf = Vec::new();
+        write_line(&mut out, &mut buf, "eval gzip").unwrap();
+        write_line(&mut out, &mut buf, "ok pong").unwrap();
+        assert_eq!(out.0, [b"eval gzip\n".to_vec(), b"ok pong\n".to_vec()]);
+    }
 
     #[test]
     fn parses_the_issue_example() {

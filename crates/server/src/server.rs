@@ -54,8 +54,9 @@
 //! closed and the drain workers finish everything still queued before
 //! exiting — in-flight work is drained, never dropped.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -76,8 +77,9 @@ use workload::App;
 use sim_obs::{FitBurnObjective, SloObjective, SloSet, SloStatus, Ticker, WindowRing};
 
 use crate::protocol::{
-    busy_line, parse_request, EvalRequest, FitRequest, FleetRequest, OpPoint, ProtoError,
-    QualOverride, Request, ResponseLine, SweepRequest, GREETING, MAX_LINE_BYTES, WATCH_FRAME_KIND,
+    busy_line, parse_request, write_line, EvalRequest, FitRequest, FleetRequest, OpPoint,
+    ProtoError, QualOverride, Request, ResponseLine, SweepRequest, GREETING, MAX_LINE_BYTES,
+    WATCH_FRAME_KIND,
 };
 use crate::queue::{BoundedQueue, PushError};
 
@@ -717,9 +719,10 @@ fn accept_loop(state: &Arc<ServerState>, listener: TcpListener) {
 }
 
 /// What one attempt to read a request line produced.
-enum ReadLine {
-    /// A complete line (delimiter stripped).
-    Line(String),
+enum ReadLine<'a> {
+    /// A complete line (delimiter stripped), borrowed from the
+    /// connection's line buffer.
+    Line(Cow<'a, str>),
     /// The peer closed the connection (or shutdown/idle ended it).
     Closed,
     /// The line exceeded [`MAX_LINE_BYTES`]; the stream cannot be
@@ -727,46 +730,50 @@ enum ReadLine {
     Oversize,
 }
 
-/// Reads request lines off one connection, preserving partial data
-/// across read-timeout polls (the polls are what let idle connections
-/// observe shutdown).
-struct LineReader<'a> {
+/// One client connection. Request lines are read off `reader`,
+/// preserving partial data across read-timeout polls (the polls are what
+/// let idle connections observe shutdown); reply lines go out on
+/// `writer`. `line` is the connection's one line buffer: each request
+/// line is read into it and each reply line is framed in it.
+struct Connection<'a> {
     reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    line: Vec<u8>,
     state: &'a Arc<ServerState>,
     eof: bool,
 }
 
-impl LineReader<'_> {
-    fn next_line(&mut self) -> ReadLine {
+impl Connection<'_> {
+    fn next_line(&mut self) -> ReadLine<'_> {
         if self.eof {
             return ReadLine::Closed;
         }
-        let mut buf: Vec<u8> = Vec::new();
+        self.line.clear();
         let idle_started = Instant::now();
         loop {
             match self.reader.fill_buf() {
                 Ok([]) => {
                     // EOF. A trailing unterminated line still counts.
                     self.eof = true;
-                    return if buf.is_empty() {
+                    return if self.line.is_empty() {
                         ReadLine::Closed
                     } else {
-                        ReadLine::Line(String::from_utf8_lossy(&buf).into_owned())
+                        ReadLine::Line(String::from_utf8_lossy(&self.line))
                     };
                 }
                 Ok(available) => {
                     if let Some(i) = available.iter().position(|&b| b == b'\n') {
-                        buf.extend_from_slice(&available[..i]);
+                        self.line.extend_from_slice(&available[..i]);
                         self.reader.consume(i + 1);
-                        if buf.last() == Some(&b'\r') {
-                            buf.pop();
+                        if self.line.last() == Some(&b'\r') {
+                            self.line.pop();
                         }
-                        return ReadLine::Line(String::from_utf8_lossy(&buf).into_owned());
+                        return ReadLine::Line(String::from_utf8_lossy(&self.line));
                     }
-                    buf.extend_from_slice(available);
+                    self.line.extend_from_slice(available);
                     let n = available.len();
                     self.reader.consume(n);
-                    if buf.len() > MAX_LINE_BYTES {
+                    if self.line.len() > MAX_LINE_BYTES {
                         return ReadLine::Oversize;
                     }
                 }
@@ -788,6 +795,11 @@ impl LineReader<'_> {
             }
         }
     }
+
+    /// Sends one reply line (see [`write_line`]).
+    fn send(&mut self, line: &str) -> std::io::Result<()> {
+        write_line(&mut self.writer, &mut self.line, line)
+    }
 }
 
 /// Serves one connection: greeting, then a request/response loop.
@@ -798,54 +810,53 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut writer = stream;
-    if write_line(&mut writer, GREETING).is_err() {
-        return;
-    }
-    let mut reader = LineReader {
+    let mut conn = Connection {
         reader: BufReader::new(read_half),
+        writer: stream,
+        line: Vec::new(),
         state,
         eof: false,
     };
+    if conn.send(GREETING).is_err() {
+        return;
+    }
     loop {
-        let line = match reader.next_line() {
-            ReadLine::Line(line) => line,
+        let request = match conn.next_line() {
+            ReadLine::Line(line) => parse_request(&line),
             ReadLine::Closed => return,
             ReadLine::Oversize => {
                 state.errors.fetch_add(1, Ordering::Relaxed);
                 let message =
                     ProtoError::new(1, format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                let _ = write_line(&mut writer, &message.to_line());
+                let _ = conn.send(&message.to_line());
                 return;
             }
         };
         state.requests.fetch_add(1, Ordering::Relaxed);
         sim_obs::counter!("server.requests", 1);
-        let parsed = parse_request(&line);
-        let shutdown_after = matches!(parsed, Ok(Request::Shutdown));
+        let shutdown_after = matches!(request, Ok(Request::Shutdown));
         if let Ok(Request::Watch {
             interval_ms,
             frames,
-        }) = parsed
+        }) = request
         {
             // Streaming verb: frames go straight to the writer. A write
             // failure is the client unsubscribing (disconnect), not an
             // error; either way this connection is done with the stream.
             sim_obs::counter!("server.watchers", 1);
-            if run_watch(state, &mut writer, interval_ms, frames).is_err() || state.shutting_down()
-            {
+            if run_watch(&mut conn, interval_ms, frames).is_err() || state.shutting_down() {
                 return;
             }
             continue;
         }
-        let response = respond(state, &mut reader, &line);
+        let response = respond(&mut conn, request);
         if !response.starts_with("ok") {
             state.errors.fetch_add(1, Ordering::Relaxed);
             if response.starts_with("err") {
                 sim_obs::counter!("server.protocol_errors", 1);
             }
         }
-        if write_line(&mut writer, &response).is_err() {
+        if conn.send(&response).is_err() {
             return;
         }
         if shutdown_after {
@@ -858,16 +869,11 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Produces the response line for one request line. Control verbs are
-/// answered here; evaluation work is resolved and then [`serve`]d.
-fn respond(state: &Arc<ServerState>, reader: &mut LineReader<'_>, line: &str) -> String {
-    let request = match parse_request(line) {
+/// Produces the response line for one parsed request line. Control verbs
+/// are answered here; evaluation work is resolved and then [`serve`]d.
+fn respond(conn: &mut Connection<'_>, request: Result<Request, ProtoError>) -> String {
+    let state = conn.state;
+    let request = match request {
         Ok(request) => request,
         Err(e) => return e.to_line(),
     };
@@ -878,7 +884,7 @@ fn respond(state: &Arc<ServerState>, reader: &mut LineReader<'_>, line: &str) ->
         Request::Scenario { name, lines } => {
             let mut payload = String::new();
             for _ in 0..lines {
-                match reader.next_line() {
+                match conn.next_line() {
                     ReadLine::Line(line) => {
                         payload.push_str(&line);
                         payload.push('\n');
@@ -949,12 +955,8 @@ fn one_line(e: &SimError) -> String {
 /// their deltas since the previous frame, so a client can integrate
 /// rates without keeping state; the closing `watch-end` line repeats the
 /// final totals.
-fn run_watch(
-    state: &Arc<ServerState>,
-    writer: &mut TcpStream,
-    interval_ms: u64,
-    frames: u64,
-) -> std::io::Result<()> {
+fn run_watch(conn: &mut Connection<'_>, interval_ms: u64, frames: u64) -> std::io::Result<()> {
+    let state = conn.state;
     let interval = Duration::from_millis(interval_ms);
     let mut prev = state.stats();
     let mut seq = 0u64;
@@ -970,13 +972,13 @@ fn run_watch(
         }
         let now = state.stats();
         if state.shutting_down() {
-            return write_line(writer, &watch_end(seq, &now));
+            return conn.send(&watch_end(seq, &now));
         }
         seq += 1;
-        write_line(writer, &watch_frame(state, seq, interval_ms, &prev, &now))?;
+        conn.send(&watch_frame(state, seq, interval_ms, &prev, &now))?;
         prev = now;
         if frames != 0 && seq >= frames {
-            return write_line(writer, &watch_end(seq, &now));
+            return conn.send(&watch_end(seq, &now));
         }
     }
 }

@@ -78,6 +78,23 @@ done
 routing="$(./target/release/ramp client --addr "$addr" stats)"
 echo "$routing" | grep -q ' batches=1 ' && echo "$routing" | grep -q ' inline=1 ' \
   || { echo "error: the warm eval was not answered inline: $routing" >&2; exit 1; }
+# Framing over a raw socket: a request sent in two pieces (the second
+# after the server's 200 ms read-timeout poll) and two requests pipelined
+# in one write are each answered whole and in order.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+framed=1
+read -r -t 10 line <&3 && [ "$line" = "ok ramp-serve/1" ] || framed=0
+printf 'eval gz' >&3
+sleep 0.3
+printf 'ip\n' >&3
+read -r -t 10 line <&3 && [[ "$line" == "ok eval "* ]] || framed=0
+printf 'ping\nping\n' >&3
+for _ in 1 2; do
+  read -r -t 10 line <&3 && [ "$line" = "ok pong" ] || framed=0
+done
+exec 3<&-
+[ "$framed" = 1 ] \
+  || { echo "error: a split or pipelined request was not answered whole and in order" >&2; exit 1; }
 # A malformed request must answer one err line (non-zero client exit) and
 # must not take the server down.
 malformed="$(./target/release/ramp client --addr "$addr" raw eval gzip frq=1 2>/dev/null || true)"

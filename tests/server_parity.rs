@@ -4,7 +4,7 @@
 //! evaluator in-process, whatever the concurrency, and no byte sequence
 //! a client sends may take the server down.
 
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -592,6 +592,53 @@ fn protocol_fuzz_never_kills_the_connection() {
     // The connection and the server both survived the abuse.
     client.ping().expect("ping after fuzzing");
     assert_eq!(server.stats().connections, 1);
+}
+
+/// A raw connection past the greeting: the write half and a line reader.
+fn raw_connect(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    assert_eq!(raw_line(&mut reader), "ok ramp-serve/1\n");
+    (stream, reader)
+}
+
+/// The next raw response line, newline included.
+fn raw_line(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    line
+}
+
+/// A request line that arrives in two writes, the second after a pause
+/// longer than the server's read-timeout poll and ending in CRLF, is
+/// answered exactly as the same line sent whole.
+#[test]
+fn a_request_split_across_writes_gets_the_unsplit_reply() {
+    let server = start_server(tiny_config());
+    let (mut stream, mut reader) = raw_connect(&server);
+    stream.write_all(b"eval gz").expect("first piece");
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(b"ip\r\n").expect("second piece");
+    let split = raw_line(&mut reader);
+    assert!(split.starts_with("ok eval "), "{split}");
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let whole = client.request_raw("eval gzip").expect("request");
+    assert_eq!(split, format!("{whole}\n"));
+}
+
+/// Two requests pipelined in one write get two replies, in order.
+#[test]
+fn pipelined_requests_get_replies_in_order() {
+    let server = start_server(tiny_config());
+    let (mut stream, mut reader) = raw_connect(&server);
+    stream.write_all(b"eval gzip\nping\n").expect("write");
+    let first = raw_line(&mut reader);
+    assert!(first.starts_with("ok eval app=gzip "), "{first}");
+    assert_eq!(raw_line(&mut reader), "ok pong\n");
 }
 
 /// A server restarted on the same `store_dir` pre-warms its timing cache
