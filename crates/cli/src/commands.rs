@@ -9,8 +9,8 @@
 
 use drm::scaling::{required_qualification_temperature, scaling_study, TechnologyNode};
 use drm::{
-    intra_app_best, BatchEngine, CheckpointStore, ControllerParams, EvalParams, FleetConfig,
-    Oracle, ReactiveDrm, RunDigest, SensorParams, SliceParams, Strategy,
+    intra_app_best, BatchEngine, ControllerParams, EvalParams, FleetConfig, Oracle, ReactiveDrm,
+    RunDigest, RunStore, SensorParams, SliceParams, Strategy,
 };
 use ramp::{Mechanism, QualificationPoint, ReliabilityModel};
 use scenario::{Qualification, Scenario};
@@ -758,7 +758,7 @@ fn scenario_cmd(args: &Args) -> Result<(), SimError> {
 }
 
 /// `ramp checkpoint <save|info>`: cut the slice checkpoints for an
-/// operating point, or summarize a checkpoint directory.
+/// operating point, or summarize the cuts under a store root.
 fn checkpoint_cmd(args: &Args) -> Result<(), SimError> {
     args.expect_options(&[
         "app", "profile", "scenario", "slice", "dir", "ghz", "window", "alus", "fpus", "prefetch",
@@ -779,7 +779,7 @@ fn checkpoint_cmd(args: &Args) -> Result<(), SimError> {
     }
 }
 
-/// The checkpoint directory for `ramp checkpoint`: `--dir` wins over the
+/// The store root for `ramp checkpoint`: `--dir` wins over the
 /// scenario's `slice.checkpoint_dir`.
 fn checkpoint_dir_from<'a>(args: &'a Args, scn: &'a Scenario) -> Result<&'a str, SimError> {
     args.get("dir")
@@ -816,11 +816,15 @@ fn checkpoint_save(args: &Args) -> Result<(), SimError> {
         .with_dir(dir)
         .with_workers(workers);
     let evaluator = scn.evaluator_with(params)?;
-    let store = CheckpointStore::new(dir)?;
+    let store = RunStore::open_shape(Path::new(dir), &params)?;
     for profile in workloads_from(args, &scn)? {
         let run = evaluator.timing_run_sliced(&profile, &cfg, &slice)?;
         let digest = RunDigest::new(&profile, &cfg, &params);
-        let files = store.run_files(digest, instructions);
+        // The run just cut or resumed every slice, so each cut exists.
+        let files: Vec<_> = (0..drm::slice_lengths(params.measure_instructions, instructions)
+            .len())
+            .map(|k| store.cut_path(digest, instructions, k))
+            .collect();
         let bytes: u64 = files
             .iter()
             .map(|path| std::fs::metadata(path).map_or(0, |m| m.len()))
@@ -841,8 +845,8 @@ fn checkpoint_save(args: &Args) -> Result<(), SimError> {
     Ok(())
 }
 
-/// `ramp checkpoint info`: parse and summarize every checkpoint in a
-/// directory.
+/// `ramp checkpoint info`: parse, verify and summarize every checkpoint
+/// in every shape directory of a store root.
 fn checkpoint_info(args: &Args) -> Result<(), SimError> {
     let scn = scenario_from(args)?;
     let dir = checkpoint_dir_from(args, &scn)?;
@@ -851,8 +855,7 @@ fn checkpoint_info(args: &Args) -> Result<(), SimError> {
             "checkpoint directory `{dir}` does not exist"
         )));
     }
-    let store = CheckpointStore::new(dir)?;
-    let entries = store.list()?;
+    let entries = RunStore::list_cuts(Path::new(dir))?;
     let mut bytes = 0u64;
     for (path, _) in &entries {
         bytes += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -864,7 +867,7 @@ fn checkpoint_info(args: &Args) -> Result<(), SimError> {
     for (path, chk) in &entries {
         println!(
             "  {}  cut @ {} instructions (workload {}, seed {})",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("?"),
+            path.strip_prefix(dir).unwrap_or(path).display(),
             chk.instructions(),
             chk.workload,
             chk.seed

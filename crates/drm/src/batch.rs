@@ -40,7 +40,7 @@ use workload::{App, OpTape};
 use crate::dvs::DvsPoint;
 use crate::evaluator::{Evaluation, Evaluator, RunDigest, TimingRun};
 use crate::space::ArchPoint;
-use crate::store::{EvalStore, StoreRecord};
+use crate::store::{RunStore, StoreRecord};
 
 /// Number of independently locked cache shards. Shard contention is the
 /// only synchronization between workers, and evaluations take O(100 ms)
@@ -278,7 +278,7 @@ impl TimingCache {
         Ok(done)
     }
 
-    /// Caches a run loaded from elsewhere (the evaluation store) without
+    /// Caches a run loaded from elsewhere (the run store) without
     /// counting a hit or a miss. A run already cached or in flight for
     /// `key` is kept: timing is deterministic, so both are equal.
     pub fn insert(&self, key: TimingCacheKey, run: TimingRun) {
@@ -581,7 +581,7 @@ pub struct BatchEngine {
     cache: Arc<EvalCache>,
     timing: Arc<TimingCache>,
     workers: usize,
-    store: Option<Arc<EvalStore>>,
+    store: Option<Arc<RunStore>>,
 }
 
 impl BatchEngine {
@@ -617,18 +617,19 @@ impl BatchEngine {
         self
     }
 
-    /// Attaches a persistent evaluation store: every record loaded from
-    /// disk that this engine would have simulated itself pre-warms the
+    /// Attaches a run store opened on this engine's run shape
+    /// ([`RunStore::open`]): every record loaded from its shape directory
+    /// that this engine would have simulated itself pre-warms the
     /// shared [`TimingCache`] (so already-stored points cost zero timing
     /// runs), and every fresh timing run is appended write-through. Call
     /// *after* [`with_base_config`](BatchEngine::with_base_config): each
     /// record's point is rebuilt on the engine's base configuration and
     /// served only when the engine's [`RunDigest`] for it equals the
-    /// stored one. Any other record (another run shape, base core or
-    /// profile) is skipped and counted under `drm.store.foreign` — the
-    /// store is a cache, not a source of truth.
+    /// stored one. Any other record (another base core or profile) is
+    /// skipped and counted under `drm.store.foreign` — the store is a
+    /// cache, not a source of truth.
     #[must_use]
-    pub fn with_store(mut self, store: EvalStore) -> BatchEngine {
+    pub fn with_store(mut self, store: RunStore) -> BatchEngine {
         let (mut warmed, mut foreign) = (0u64, 0u64);
         for rec in store.take_records() {
             match rec.arch.apply(&self.base_config, rec.dvs) {
@@ -645,14 +646,14 @@ impl BatchEngine {
         sim_obs::log_debug!(
             "drm.store",
             "pre-warmed timing cache with {warmed} stored run(s) from {}, skipped {foreign} foreign",
-            store.path().display()
+            store.dir().display()
         );
         self.store = Some(Arc::new(store));
         self
     }
 
-    /// The attached evaluation store, if any.
-    pub fn store(&self) -> Option<&Arc<EvalStore>> {
+    /// The attached run store, if any.
+    pub fn store(&self) -> Option<&Arc<RunStore>> {
         self.store.as_ref()
     }
 
@@ -760,7 +761,7 @@ impl BatchEngine {
 
     /// The timing run for `config` from the single-flight timing cache:
     /// on a miss, `simulate` runs and the runner appends its result to the
-    /// attached evaluation store before publishing it.
+    /// attached run store before publishing it.
     fn timing_run(
         &self,
         key: EvalKey,
@@ -774,7 +775,7 @@ impl BatchEngine {
     }
 
     /// Write-through: appends a fresh timing run to the attached
-    /// evaluation store under its digest (no-op without one).
+    /// run store under its digest (no-op without one).
     fn persist(
         &self,
         key: EvalKey,
@@ -1278,19 +1279,20 @@ mod tests {
 
     #[test]
     fn store_prewarms_a_restarted_engine() {
-        use crate::store::EvalStore;
+        use crate::store::RunStore;
         let dir = std::env::temp_dir().join(format!("ramp-batch-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let job = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
 
-        let first = engine(2).with_store(EvalStore::open_dir(&dir, "seg").unwrap());
+        let open = || RunStore::open(&dir, &EvalParams::quick(), "seg").unwrap();
+        let first = engine(2).with_store(open());
         let summary = first.evaluate_all(&[job]).unwrap();
         assert_eq!(summary.timing_runs, 1, "cold store must simulate");
         let reference = first.evaluation(job.0, job.1, job.2).unwrap();
 
         // "Restart": a fresh engine with cold in-memory caches, attached
         // to the now-populated store.
-        let restarted = engine(2).with_store(EvalStore::open_dir(&dir, "seg").unwrap());
+        let restarted = engine(2).with_store(open());
         assert_eq!(restarted.timing_cache().len(), 1);
         let summary = restarted.evaluate_all(&[job]).unwrap();
         assert_eq!(summary.evaluations, 1);
@@ -1303,11 +1305,12 @@ mod tests {
     }
 
     /// A store written under one run shape serves nothing to an engine of
-    /// another: the second engine skips the record as foreign and answers
-    /// exactly as an engine with no store.
+    /// another shape (it never reads the record) or of another base core
+    /// (it skips the record as foreign); each answers exactly as an engine
+    /// with no store.
     #[test]
     fn a_store_of_another_run_shape_is_not_served() {
-        use crate::store::EvalStore;
+        use crate::store::RunStore;
         let dir = std::env::temp_dir().join(format!("ramp-batch-foreign-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let job = (App::Gzip, ArchPoint::most_aggressive(), DvsPoint::base());
@@ -1318,12 +1321,33 @@ mod tests {
         let engine_with =
             |params| BatchEngine::with_workers(Evaluator::ibm_65nm(params).unwrap(), 1);
 
-        let writer = engine_with(EvalParams::quick())
-            .with_store(EvalStore::open_dir(&dir, "quick").unwrap());
+        let quick = EvalParams::quick();
+        let writer = engine_with(quick).with_store(RunStore::open(&dir, &quick, "quick").unwrap());
         writer.evaluate_all(&[job]).unwrap();
         assert_eq!(writer.store().unwrap().len(), 1);
 
-        let reader = engine_with(longer).with_store(EvalStore::open_dir(&dir, "longer").unwrap());
+        // Another base core on the same shape loads the record and
+        // refuses it.
+        let mut core = CoreConfig::base();
+        core.mispredict_redirect += 1;
+        let other_core = engine_with(quick)
+            .with_base_config(core.clone())
+            .with_store(RunStore::open(&dir, &quick, "core").unwrap());
+        assert_eq!(other_core.store().unwrap().len(), 1);
+        assert_eq!(
+            other_core.timing_cache().len(),
+            0,
+            "a foreign core pre-warmed"
+        );
+        let served = other_core.evaluation(job.0, job.1, job.2).unwrap();
+        let fresh = engine_with(quick)
+            .with_base_config(core)
+            .evaluation(job.0, job.1, job.2)
+            .unwrap();
+        assert_eq!(*served, *fresh);
+
+        let reader =
+            engine_with(longer).with_store(RunStore::open(&dir, &longer, "longer").unwrap());
         assert_eq!(
             reader.timing_cache().len(),
             0,
@@ -1334,8 +1358,9 @@ mod tests {
         assert_eq!(*served, *fresh);
         assert_eq!(served.ipc.to_bits(), fresh.ipc.to_bits());
         assert_eq!(served.intervals.len(), fresh.intervals.len());
-        // The reader's own run is stored next to the writer's.
-        assert_eq!(reader.store().unwrap().len(), 2);
+        // The reader's own run is stored in a shape directory of its own.
+        assert_eq!(reader.store().unwrap().len(), 1);
+        assert_ne!(reader.store().unwrap().dir(), writer.store().unwrap().dir());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

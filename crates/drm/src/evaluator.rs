@@ -25,10 +25,11 @@ use sim_cpu::{Checkpoint, CoreConfig, IntervalStats, Processor};
 use sim_obs::StageTimes;
 use sim_power::PowerModel;
 use sim_thermal::ThermalModel;
-use workload::{App, AppProfile, OpTape, SyntheticStream, DATA_BASE};
+use workload::{App, AppProfile, InstructionSource, OpTape, SyntheticStream, DATA_BASE};
 
-use crate::slice::{slice_lengths, CheckpointStore, SliceParams};
+use crate::slice::{slice_lengths, SliceParams};
 use crate::solve::{SolveReport, Solver};
+use crate::store::RunStore;
 
 /// Simulation lengths and seeds for one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +101,20 @@ impl EvalParams {
         }
         Ok(())
     }
+
+    /// The run shape: every field a timing run depends on besides the
+    /// profile and the core, as the canonical text [`RunDigest`] folds in
+    /// and the store names a shape directory by.
+    pub(crate) fn run_shape(&self) -> String {
+        format!(
+            "warmup={}|measure={}|interval={}|seed={}|prewarm={}",
+            self.warmup_instructions,
+            self.measure_instructions,
+            self.interval_instructions,
+            self.seed,
+            self.prewarm_bytes,
+        )
+    }
 }
 
 impl Default for EvalParams {
@@ -126,13 +141,9 @@ impl RunDigest {
     #[must_use]
     pub fn new(profile: &AppProfile, config: &CoreConfig, params: &EvalParams) -> RunDigest {
         let canonical = format!(
-            "ramp-run/1|{profile:?}|{:?}|warmup={}|measure={}|interval={}|seed={}|prewarm={}",
+            "ramp-run/1|{profile:?}|{:?}|{}",
             config.timing_key(),
-            params.warmup_instructions,
-            params.measure_instructions,
-            params.interval_instructions,
-            params.seed,
-            params.prewarm_bytes,
+            params.run_shape()
         );
         RunDigest(fnv1a64(canonical.as_bytes()))
     }
@@ -327,7 +338,7 @@ pub struct TimingRun {
 
 impl TimingRun {
     /// Reassembles a run from its parts — the deserialization entry
-    /// point for the persistent evaluation store, which reconstructs
+    /// point for the persistent run store, which reconstructs
     /// runs bit-identically from disk records.
     #[must_use]
     pub fn from_parts(intervals: Vec<IntervalStats>, wall: Duration) -> TimingRun {
@@ -514,11 +525,12 @@ impl Evaluator {
     /// Runs the timing stage sliced, regardless of whether this evaluator
     /// was built [`with_slice`](Evaluator::with_slice): the measured run
     /// is cut into `slice.instructions`-sized slices at interval
-    /// boundaries. When `slice.checkpoint_dir` holds a complete persisted
-    /// cut set for this run's [`RunDigest`] and slice length the slices are
-    /// restored and simulated in parallel on `slice.workers` threads;
-    /// otherwise a sequential cut pass runs the workload once, persisting
-    /// a checkpoint at every cut so later runs can resume in parallel.
+    /// boundaries. When the store root `slice.dir` holds a complete cut
+    /// set for this run's [`RunDigest`] and slice length (in the run
+    /// shape's directory, see [`crate::store`]) the slices are restored
+    /// and simulated in parallel on `slice.workers` threads; otherwise a
+    /// sequential cut pass runs the workload once, persisting a
+    /// checkpoint at every cut so later runs can resume in parallel.
     ///
     /// Either path returns a [`TimingRun`] bit-identical to
     /// [`timing_run`](Evaluator::timing_run).
@@ -551,10 +563,28 @@ impl Evaluator {
         }
     }
 
-    /// The unsliced timing stage: tape source → prewarm → warmup →
-    /// measured cycle simulation. The core replays the tape and continues
-    /// the live stream past its end, so the run is bit-identical at any
-    /// tape length; a batch pass records one tape per app and hands it to
+    /// The steady-state warm start every timing path shares: a core on
+    /// `source` with the resident footprint prefilled and the warmup run,
+    /// its statistics discarded.
+    fn warm_core<S: InstructionSource>(
+        &self,
+        profile: &AppProfile,
+        config: &CoreConfig,
+        source: S,
+    ) -> Result<Processor<S>, SimError> {
+        let mut cpu = Processor::new(config.clone(), source)?;
+        let resident = profile.data_working_set.min(self.params.prewarm_bytes);
+        cpu.prewarm(DATA_BASE, resident, 0, profile.code_footprint);
+        if self.params.warmup_instructions > 0 {
+            let _ = cpu.run_instructions(self.params.warmup_instructions);
+        }
+        Ok(cpu)
+    }
+
+    /// The unsliced timing stage: tape source → warm start → measured
+    /// cycle simulation. The core replays the tape and continues the live
+    /// stream past its end, so the run is bit-identical at any tape
+    /// length; a batch pass records one tape per app and hands it to
     /// every run. Opens the `eval.timing` span but not the outer `eval`
     /// span, so callers control the nesting.
     pub(crate) fn run_timing_tape(
@@ -565,18 +595,7 @@ impl Evaluator {
         debug_assert_eq!(tape.seed(), self.params.seed, "tape from another seed");
         let start = Instant::now();
         let _timing_span = sim_obs::span!("eval.timing");
-        let profile = tape.profile();
-        let mut cpu = Processor::new(config.clone(), tape.source())?;
-
-        // Steady-state warm start: prefill the resident footprint and run
-        // the warmup, discarding its statistics.
-        let resident = profile.data_working_set.min(self.params.prewarm_bytes);
-        cpu.prewarm(DATA_BASE, resident, 0, profile.code_footprint);
-        if self.params.warmup_instructions > 0 {
-            let _ = cpu.run_instructions(self.params.warmup_instructions);
-        }
-
-        // Timing pass: collect per-interval activity.
+        let mut cpu = self.warm_core(tape.profile(), config, tape.source())?;
         let run = cpu.run(
             self.params.measure_instructions,
             self.params.interval_instructions,
@@ -600,80 +619,49 @@ impl Evaluator {
         let start = Instant::now();
         let _timing_span = sim_obs::span!("eval.timing");
         let lens = slice_lengths(self.params.measure_instructions, slice.instructions);
-        // The digest is computed only when a checkpoint directory can use it.
-        let store = match &slice.checkpoint_dir {
-            Some(dir) => Some((
-                CheckpointStore::new(dir)?,
-                RunDigest::new(profile, config, &self.params),
-            )),
-            None => None,
+        let store = RunStore::open_shape(&slice.dir, &self.params)?;
+        let digest = RunDigest::new(profile, config, &self.params);
+        let intervals = match store.load_cuts(digest, slice.instructions, lens.len())? {
+            Some(cuts) => self.run_slices(profile, config, &cuts, &lens, slice.workers)?,
+            None => self.run_timing_cut(profile, config, &lens, &store, digest, slice)?,
         };
-        if let Some((store, digest)) = &store {
-            if let Some(cuts) = store.load_run(*digest, slice.instructions, lens.len())? {
-                let intervals = self.run_slices(profile, config, &cuts, &lens, slice.workers)?;
-                return Ok(TimingRun {
-                    intervals,
-                    wall: start.elapsed(),
-                });
-            }
-        }
-        self.run_timing_cut(
-            profile,
-            config,
-            &lens,
-            store.as_ref(),
-            slice.instructions,
-            start,
-        )
+        Ok(TimingRun {
+            intervals,
+            wall: start.elapsed(),
+        })
     }
 
     /// The sequential cut pass: one full-length run, persisting a
     /// checkpoint at every slice boundary (cut `k` is the state *before*
-    /// slice `k`, i.e. after warmup plus `k` slices of measurement). The
-    /// per-interval statistics come out of the same `run_instructions`
-    /// call sequence the unsliced path makes, so the result is
-    /// bit-identical by construction.
+    /// slice `k`, i.e. after warmup plus `k` slices of measurement).
+    /// Slice lengths are multiples of the interval, so the per-interval
+    /// statistics come out of the same `run_instructions` call sequence
+    /// the unsliced path makes: bit-identical by construction.
     fn run_timing_cut(
         &self,
         profile: &AppProfile,
         config: &CoreConfig,
         lens: &[u64],
-        store: Option<&(CheckpointStore, RunDigest)>,
-        slice_instructions: u64,
-        start: Instant,
-    ) -> Result<TimingRun, SimError> {
+        store: &RunStore,
+        digest: RunDigest,
+        slice: &SliceParams,
+    ) -> Result<Vec<IntervalStats>, SimError> {
         let stream = SyntheticStream::new(profile.clone(), self.params.seed);
-        let mut cpu = Processor::new(config.clone(), stream)?;
-        let resident = profile.data_working_set.min(self.params.prewarm_bytes);
-        cpu.prewarm(DATA_BASE, resident, 0, profile.code_footprint);
-        if self.params.warmup_instructions > 0 {
-            let _ = cpu.run_instructions(self.params.warmup_instructions);
-        }
-        let mut intervals = Vec::with_capacity(
-            (self.params.measure_instructions / self.params.interval_instructions + 1) as usize,
-        );
+        let mut cpu = self.warm_core(profile, config, stream)?;
+        let mut intervals = Vec::new();
         for (k, &len) in lens.iter().enumerate() {
-            if let Some((store, digest)) = store {
-                let checkpoint = Checkpoint {
-                    workload: profile.name.clone(),
-                    seed: self.params.seed,
-                    fingerprint: digest.0,
-                    stream: cpu.source().state(),
-                    pipeline: cpu.state(),
-                };
-                store.save(&checkpoint, slice_instructions, k)?;
-            }
-            let mut remaining = len;
-            while remaining > 0 {
-                let n = remaining.min(self.params.interval_instructions);
-                intervals.push(cpu.run_instructions(n));
-                remaining -= n;
-            }
+            let checkpoint = Checkpoint {
+                workload: profile.name.clone(),
+                seed: self.params.seed,
+                fingerprint: digest.0,
+                stream: cpu.source().state(),
+                pipeline: cpu.state(),
+            };
+            store.save_cut(&checkpoint, slice.instructions, k)?;
+            let run = cpu.run(len, self.params.interval_instructions);
+            intervals.extend_from_slice(run.intervals());
         }
-        Ok(TimingRun {
-            intervals,
-            wall: start.elapsed(),
-        })
+        Ok(intervals)
     }
 
     /// The parallel resume path: every slice restores its checkpoint and
@@ -729,24 +717,14 @@ impl Evaluator {
                     .expect("failed to spawn slice worker");
             }
         });
+        // The scope has joined every worker (a panic propagates), so
+        // every slice sent its result.
         drop(tx);
-        let mut per_slice: Vec<Option<Vec<IntervalStats>>> = vec![None; count];
+        let mut per_slice = vec![Vec::new(); count];
         for (k, result) in rx {
-            per_slice[k] = Some(result?);
+            per_slice[k] = result?;
         }
-        let mut intervals =
-            Vec::with_capacity((self.params.measure_instructions / interval + 1) as usize);
-        for (k, stats) in per_slice.into_iter().enumerate() {
-            match stats {
-                Some(stats) => intervals.extend(stats),
-                None => {
-                    return Err(SimError::invalid_config(format!(
-                        "slice {k} produced no result"
-                    )))
-                }
-            }
-        }
-        Ok(intervals)
+        Ok(per_slice.concat())
     }
 
     /// The power/thermal stages (§6.3 passes 1 and 2) over a finished
@@ -862,11 +840,9 @@ impl Evaluator {
 }
 
 /// Restores one checkpoint and simulates its slice, returning the slice's
-/// interval statistics. The restored processor replays exactly the
-/// `run_instructions` call sequence the sequential run makes over the same
-/// instructions (slice lengths are multiples of the interval length, so
-/// interval boundaries coincide), which is what makes slice parity
-/// bit-exact.
+/// interval statistics: the `run_instructions` call sequence the
+/// sequential run makes over the same instructions, which is what makes
+/// slice parity bit-exact.
 fn run_one_slice(
     profile: &AppProfile,
     seed: u64,
@@ -878,14 +854,7 @@ fn run_one_slice(
     let stream = SyntheticStream::restore(profile.clone(), seed, &cut.stream)?;
     let mut cpu = Processor::new(config.clone(), stream)?;
     cpu.restore_state(&cut.pipeline)?;
-    let mut out = Vec::with_capacity((len / interval + 1) as usize);
-    let mut remaining = len;
-    while remaining > 0 {
-        let n = remaining.min(interval);
-        out.push(cpu.run_instructions(n));
-        remaining -= n;
-    }
-    Ok(out)
+    Ok(cpu.run(len, interval).intervals().to_vec())
 }
 
 #[cfg(test)]
@@ -1145,17 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn sliced_timing_without_checkpoints_is_bit_identical() {
-        // No checkpoint directory: the cut pass still partitions the run
-        // into slices but persists nothing; parity must hold regardless.
-        let e = evaluator();
-        let sliced = e.clone().with_slice(SliceParams::new(30_000)).unwrap();
-        let plain = e.evaluate(App::Art, &CoreConfig::base()).unwrap();
-        let cut = sliced.evaluate(App::Art, &CoreConfig::base()).unwrap();
-        assert_eq!(plain, cut);
-    }
-
-    #[test]
     fn sliced_resume_is_bit_identical_at_any_worker_count() {
         let dir = temp_dir("resume");
         let e = evaluator();
@@ -1166,8 +1124,7 @@ mod tests {
         let sliced = e.clone().with_slice(slice.clone()).unwrap();
         let cut = sliced.evaluate(App::MpgDec, &CoreConfig::base()).unwrap();
         assert_eq!(plain, cut);
-        let store = CheckpointStore::new(&dir).unwrap();
-        assert_eq!(store.list().unwrap().len(), 4);
+        assert_eq!(RunStore::list_cuts(&dir).unwrap().len(), 4);
         // Later runs restore the cuts and fan the slices out in parallel.
         for workers in [1, 4] {
             let resumed = e
@@ -1191,7 +1148,16 @@ mod tests {
             .evaluate(App::MpgDec, &CoreConfig::base())
             .unwrap();
         assert_eq!(short_plain, short_sliced);
-        assert_eq!(store.list().unwrap().len(), 4 + 2);
+        // 4 cuts in the first shape's directory, 2 in the second's.
+        let mut per_shape = std::collections::BTreeMap::new();
+        for (path, _) in RunStore::list_cuts(&dir).unwrap() {
+            *per_shape
+                .entry(path.parent().unwrap().to_owned())
+                .or_insert(0) += 1;
+        }
+        let mut counts: Vec<usize> = per_shape.into_values().collect();
+        counts.sort_unstable();
+        assert_eq!(counts, [2, 4]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1201,15 +1167,12 @@ mod tests {
         let slice = SliceParams::new(30_000).with_dir(&dir);
         let sliced = evaluator().with_slice(slice).unwrap();
         sliced.evaluate(App::Gzip, &CoreConfig::base()).unwrap();
-        // One integer unit short: the file parses, the processor refuses it.
-        let (path, _) = CheckpointStore::new(&dir)
-            .unwrap()
-            .list()
-            .unwrap()
-            .pop()
-            .unwrap();
+        // One integer unit short, re-sealed: the file parses, the
+        // processor refuses it.
+        let (path, _) = RunStore::list_cuts(&dir).unwrap().pop().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let misfit: String = text
+        let body = sim_common::textfmt::unseal(text.trim_end()).unwrap();
+        let mut misfit: String = body
             .lines()
             .map(|l| {
                 let l = if l.starts_with("pipe.int_free ") {
@@ -1220,7 +1183,8 @@ mod tests {
                 format!("{l}\n")
             })
             .collect();
-        std::fs::write(&path, misfit).unwrap();
+        sim_common::textfmt::seal(&mut misfit);
+        std::fs::write(&path, misfit + "\n").unwrap();
         let err = sliced
             .evaluate(App::Gzip, &CoreConfig::base())
             .unwrap_err()
@@ -1344,8 +1308,10 @@ mod tests {
     #[test]
     fn with_slice_rejects_unaligned_slices() {
         // quick(): interval 30k — a 45k slice cannot cut on a boundary.
-        assert!(evaluator().with_slice(SliceParams::new(45_000)).is_err());
-        assert!(evaluator().with_slice(SliceParams::new(0)).is_err());
+        for slice in [45_000, 0] {
+            let slice = SliceParams::new(slice).with_dir(temp_dir("unaligned"));
+            assert!(evaluator().with_slice(slice).is_err());
+        }
     }
 
     #[test]

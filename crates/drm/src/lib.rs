@@ -92,8 +92,8 @@ pub use oracle::{DrmChoice, Oracle};
 pub use scaling::{scaling_study, ScalingRow, TechnologyNode};
 pub use sensors::{SensorBank, SensorParams};
 pub use sim_common::fnv1a64;
-pub use slice::{slice_lengths, CheckpointStore, SliceParams};
+pub use slice::{slice_lengths, SliceParams};
 pub use solve::{SolveReport, MAX_JUNCTION_K};
 pub use space::{ArchPoint, Strategy};
-pub use store::{EvalStore, StoreRecord, STORE_EXTENSION, STORE_HEADER};
+pub use store::{RunStore, StoreRecord, STORE_EXTENSION, STORE_HEADER};
 pub use surrogate::{AppTable, ErrorBounds, Surrogate, SurrogateParams, SurrogateScore};

@@ -1,44 +1,56 @@
-//! Disk-backed, append-only evaluation store: persists cycle-level
-//! timing runs across process restarts so a restarted engine's timing
-//! cache can be pre-warmed from a shared directory.
+//! The on-disk run store: the cycle-level timing runs and slice
+//! checkpoint cuts that outlive a process, under one store root with one
+//! directory per run shape:
 //!
-//! The expensive stage of every evaluation is the cycle-level timing
-//! run; power/thermal finishing is cheap and qualification-dependent.
-//! The store therefore persists [`TimingRun`]s, keyed and deduped by
-//! their [`RunDigest`] — the workload profile's content, the
-//! timing-relevant configuration and the run shape, the same key as slice
-//! checkpoints. Each record also carries its operating point (app,
-//! [`ArchPoint`], and the raw `f64` bits of its [`DvsPoint`]), so an
-//! engine rebuilds the record's configuration on its own base
-//! configuration and serves the record only when its own digest for that
-//! point equals the stored one (`BatchEngine::with_store`).
+//! ```text
+//! <root>/<shape>/<label>.evalstore               timing runs, one segment per writer
+//! <root>/<shape>/<digest>-n<slice>-k<index>.ckpt  checkpoint cuts
+//! ```
 //!
-//! Format (`ramp-evalstore/2`): a text segment with one record per
-//! line, read with the token cursor of [`sim_common::textfmt`]. Each
-//! record carries keyed header tokens, a fixed-width positional payload
-//! (58 values per interval, `u64`s in decimal and `f64`s as 16-digit hex
-//! bit patterns), and is sealed with the trailing FNV-1a checksum token
-//! over everything before it. Appends are fsync'd; the
-//! index is rebuilt by scanning on open. A truncated tail record (torn
-//! write on crash) is silently dropped and the segment truncated back
-//! to the last complete line; a *complete* record that fails to parse
-//! or checksum is a hard error with 1-based line/token positions.
-//! Duplicate digests are last-write-wins, matching replay order.
+//! `<shape>` digests the run-shape fields of [`EvalParams`] (warmup,
+//! measurement, interval, seed, prewarm), so an engine or a sliced
+//! evaluator opens only its own shape's directory and never reads a
+//! record of another length; deleting a shape's directory prunes it.
+//! Records and cuts are keyed by their [`RunDigest`], and an engine serves
+//! a record only when its own digest for the record's point equals the
+//! stored one (`BatchEngine::with_store`).
+//!
+//! Timing runs (`ramp-evalstore/2`): one record per line, read with the
+//! token cursor of [`sim_common::textfmt`]: keyed header tokens (app,
+//! [`ArchPoint`], the raw `f64` bits of the [`DvsPoint`], digest), 58
+//! positional values per interval (`u64`s in decimal, `f64`s as hex bit
+//! patterns) and the trailing FNV-1a checksum token. Every process reads
+//! all segments of its shape and appends, fsync'd, only to its own. A torn
+//! tail record is dropped (and truncated from the own segment); a
+//! *complete* record that fails to parse or checksum is a hard error with
+//! 1-based line/token positions. Duplicate digests are last-write-wins.
+//!
+//! Cuts: the text of `sim_cpu::checkpoint` plus one trailing ` sum=` line
+//! over everything before it. A cut that fails its checksum, parse or
+//! digest is refused, naming its file.
+//!
+//! Every byte goes through one durable write (write, fsync). Appends go
+//! to the writer's own segment; every file is created whole through a
+//! temp file of its own (`*.tmp`, which no scan reads) and a rename, so
+//! no crash and no reader meets half a file. A root still holding segments or cuts of the
+//! flat layout is refused with one error naming them: a flat file does
+//! not say which shape it belongs to.
 
 use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use sim_common::textfmt::{seal, unseal, Hex64, TokenError, Tokens};
-use sim_common::{Hertz, SimError, Structure, Volts};
-use sim_cpu::IntervalStats;
+use sim_common::{fnv1a64, Hertz, SimError, Structure, Volts};
+use sim_cpu::{checkpoint_from_text, checkpoint_to_text, Checkpoint, IntervalStats};
 use workload::App;
 
 use crate::dvs::DvsPoint;
-use crate::evaluator::{RunDigest, TimingRun};
+use crate::evaluator::{EvalParams, RunDigest, TimingRun};
 use crate::space::ArchPoint;
 
 /// First line of every store segment.
@@ -46,6 +58,9 @@ pub const STORE_HEADER: &str = "ramp-evalstore/2";
 
 /// File extension for store segments.
 pub const STORE_EXTENSION: &str = "evalstore";
+
+/// File extension for checkpoint cuts.
+const CUT_EXTENSION: &str = "ckpt";
 
 /// Values per interval in a record's positional payload:
 /// cycles + instructions, 9 activity factors, 25 pipeline counters,
@@ -72,28 +87,25 @@ pub struct StoreRecord {
     pub run: TimingRun,
 }
 
-/// A disk-backed, append-only store of timing runs over a shared
-/// directory of segments ([`EvalStore::open_dir`]): every process reads
-/// all segments but appends only to its own, so concurrent writers never
-/// interleave. Loaded records are drained once via
-/// [`EvalStore::take_records`] to pre-warm a timing cache; fresh runs
-/// are persisted with [`EvalStore::append`].
+/// One run shape's directory of a store root, holding that shape's
+/// timing-run segments and checkpoint cuts (see the module docs).
 #[derive(Debug)]
-pub struct EvalStore {
-    path: PathBuf,
-    /// The segment file, and the digests known to be durable in any
-    /// segment (appends dedupe on them).
-    file: Mutex<(File, HashSet<RunDigest>)>,
+pub struct RunStore {
+    /// `<root>/<shape>`.
+    dir: PathBuf,
+    /// The own segment (`None` when opened for cuts only), and the digests
+    /// durable in any segment of the shape (appends dedupe on them).
+    segment: Mutex<(Option<File>, HashSet<RunDigest>)>,
     /// Records loaded at open, in last-write-wins replay order.
     loaded: Mutex<Vec<StoreRecord>>,
 }
 
 fn io_err(path: &Path, op: &str, e: &std::io::Error) -> SimError {
-    SimError::invalid_config(format!("eval store {op} {}: {e}", path.display()))
+    SimError::invalid_config(format!("run store {op} {}: {e}", path.display()))
 }
 
 fn parse_err(path: &Path, line: usize, msg: &str) -> SimError {
-    SimError::invalid_config(format!("eval store {}: line {line}: {msg}", path.display()))
+    SimError::invalid_config(format!("run store {}: line {line}: {msg}", path.display()))
 }
 
 /// Splits `content` into complete lines, dropping a torn final line
@@ -252,17 +264,17 @@ fn decode_record(line: &str) -> Result<StoreRecord, String> {
     })
 }
 
-/// Parses one segment's complete lines (header + records) into `into`,
-/// last-write-wins on duplicate digests.
+/// Parses one segment's content (header + records) into `into`,
+/// last-write-wins on duplicate digests; a torn final line is ignored.
 fn load_segment(
     path: &Path,
-    lines: &[&str],
+    content: &str,
     into: &mut Vec<StoreRecord>,
     by_digest: &mut HashMap<RunDigest, usize>,
 ) -> Result<(), SimError> {
-    for (i, line) in lines.iter().enumerate() {
+    for (i, line) in complete_lines(content).0.into_iter().enumerate() {
         if i == 0 {
-            if *line != STORE_HEADER {
+            if line != STORE_HEADER {
                 return Err(parse_err(
                     path,
                     1,
@@ -286,87 +298,164 @@ fn load_segment(
     Ok(())
 }
 
-/// Opens `path` read+append, truncating a torn tail record, creating
-/// the file (with header) when absent or empty. Returns the open file
-/// positioned at the end and the complete content.
-fn open_segment(path: &Path) -> Result<(File, String), SimError> {
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)
-        .map_err(|e| io_err(path, "open", &e))?;
-    let mut raw = Vec::new();
-    file.read_to_end(&mut raw)
-        .map_err(|e| io_err(path, "read", &e))?;
-    let content = String::from_utf8_lossy(&raw).into_owned();
-    let (_, valid_len) = complete_lines(&content);
-    if valid_len == 0 {
-        // Fresh segment (or one whose header write was torn): start over.
-        file.set_len(0).map_err(|e| io_err(path, "truncate", &e))?;
-        file.seek(SeekFrom::Start(0))
-            .map_err(|e| io_err(path, "seek", &e))?;
-        file.write_all(format!("{STORE_HEADER}\n").as_bytes())
-            .map_err(|e| io_err(path, "write", &e))?;
-        file.sync_data().map_err(|e| io_err(path, "sync", &e))?;
-        return Ok((file, String::new()));
+/// Reads a file as text; a missing file reads as empty.
+fn read(path: &Path) -> Result<String, SimError> {
+    match fs::read(path) {
+        Ok(raw) => Ok(String::from_utf8_lossy(&raw).into_owned()),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(String::new()),
+        Err(e) => Err(io_err(path, "read", &e)),
     }
-    if valid_len < raw.len() {
-        // Torn tail record: drop it so appends start on a line boundary.
-        file.set_len(valid_len as u64)
-            .map_err(|e| io_err(path, "truncate", &e))?;
-        file.sync_data().map_err(|e| io_err(path, "sync", &e))?;
-    }
-    file.seek(SeekFrom::End(0))
-        .map_err(|e| io_err(path, "seek", &e))?;
-    Ok((file, content[..valid_len].to_string()))
 }
 
-impl EvalStore {
-    /// Opens a shared store directory, creating it if needed: reads every
-    /// `*.evalstore` segment (sorted by file name, last-write-wins across
-    /// segments, this process's own segment last) for pre-warming, but
-    /// appends only to this process's own segment `<label>.evalstore`.
+/// Opens the own segment for appends, creating it (header only) when
+/// absent or without one complete line, and truncating a torn tail
+/// record. Returns the file and the content read.
+fn open_segment(path: &Path) -> Result<(File, String), SimError> {
+    let content = read(path)?;
+    let valid_len = complete_lines(&content).1;
+    if valid_len == 0 {
+        write_file(path, &format!("{STORE_HEADER}\n"))?;
+    }
+    let file = OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err(path, "open", &e))?;
+    if valid_len > 0 && valid_len < content.len() {
+        // Torn tail record: drop it so appends start on a line boundary.
+        file.set_len(valid_len as u64)
+            .and_then(|()| file.sync_data())
+            .map_err(|e| io_err(path, "truncate", &e))?;
+    }
+    Ok((file, content))
+}
+
+/// The one durable write: every byte the store writes is written and
+/// fsync'd here before it counts, a record appended to its writer's own
+/// segment, a whole file to a temp file of its own ([`write_file`]).
+fn write_synced(file: &mut File, text: &str) -> std::io::Result<()> {
+    file.write_all(text.as_bytes())?;
+    file.sync_all()
+}
+
+/// Creates or replaces `path` whole: `text` goes durably to a temp file
+/// of its own next to it, which is then renamed over `path`; the
+/// directory is synced so the rename survives a crash too.
+fn write_file(path: &Path, text: &str) -> Result<(), SimError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".{}-{seq}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    File::create(&tmp)
+        .and_then(|mut file| write_synced(&mut file, text))
+        .and_then(|()| fs::rename(&tmp, path))
+        .and_then(|()| {
+            File::open(path.parent().unwrap_or(Path::new("."))).and_then(|d| d.sync_all())
+        })
+        .map_err(|e| {
+            let _ = fs::remove_file(&tmp);
+            io_err(path, "write", &e)
+        })
+}
+
+/// The one directory scan: every entry of `dir`, sorted by name. A
+/// missing directory has none.
+fn scan(dir: &Path) -> Result<Vec<PathBuf>, SimError> {
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(io_err(dir, "scan", &e)),
+    };
+    let mut paths = entries
+        .map(|entry| entry.map(|e| e.path()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| io_err(dir, "scan", &e))?;
+    paths.sort();
+    Ok(paths)
+}
+
+fn has_extension(path: &Path, extension: &str) -> bool {
+    path.extension().is_some_and(|e| e == extension)
+}
+
+/// Refuses a root that still holds files of the flat layout, naming them.
+fn refuse_flat_layout(root: &Path) -> Result<(), SimError> {
+    let flat: Vec<String> = scan(root)?
+        .iter()
+        .filter(|p| has_extension(p, STORE_EXTENSION) || has_extension(p, CUT_EXTENSION))
+        .filter_map(|p| Some(p.file_name()?.to_string_lossy().into_owned()))
+        .collect();
+    if flat.is_empty() {
+        return Ok(());
+    }
+    Err(SimError::invalid_config(format!(
+        "store root {} holds files of the flat layout, whose run shape is unknown \
+         (each shape now has a directory of its own): delete {}",
+        root.display(),
+        flat.join(", ")
+    )))
+}
+
+/// Reads one cut and verifies its seal, or `None` when the file is
+/// missing or empty. Errors name the file.
+fn read_cut(path: &Path) -> Result<Option<Checkpoint>, SimError> {
+    let text = read(path)?;
+    if text.is_empty() {
+        return Ok(None);
+    }
+    let named = |msg: String| SimError::invalid_config(format!("{}: {msg}", path.display()));
+    let body = unseal(text.strip_suffix('\n').unwrap_or(&text)).map_err(named)?;
+    let checkpoint = checkpoint_from_text(body).map_err(|e| named(e.to_string()))?;
+    sim_obs::counter!("slice.bytes", text.len() as u64);
+    Ok(Some(checkpoint))
+}
+
+impl RunStore {
+    /// Opens the directory of `params`' run shape under `root` for
+    /// checkpoint cuts, creating it if needed. Reads no segment.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] on I/O failure, a bad header
-    /// (a segment of another format version), or any complete record in
-    /// any segment that fails to parse or checksum. A torn tail record is
-    /// *not* an error: it is dropped, and in the own segment truncated
-    /// back to the last complete line.
-    pub fn open_dir(dir: &Path, label: &str) -> Result<EvalStore, SimError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create dir", &e))?;
-        let own = dir.join(format!("{label}.{STORE_EXTENSION}"));
-        let mut shared: Vec<PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| io_err(dir, "scan dir", &e))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| {
-                p != &own && p.extension().and_then(|e| e.to_str()) == Some(STORE_EXTENSION)
-            })
+    /// Returns [`SimError::InvalidConfig`] when the directory cannot be
+    /// created, or the root holds files of the flat layout.
+    pub fn open_shape(root: &Path, params: &EvalParams) -> Result<RunStore, SimError> {
+        refuse_flat_layout(root)?;
+        let shape = fnv1a64(format!("ramp-shape/1|{}", params.run_shape()).as_bytes());
+        let dir = root.join(format!("{shape:016x}"));
+        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create dir", &e))?;
+        Ok(RunStore {
+            dir,
+            segment: Mutex::default(),
+            loaded: Mutex::default(),
+        })
+    }
+
+    /// Opens the directory of `params`' run shape under `root` (see
+    /// [`open_shape`](RunStore::open_shape)) for timing runs too: reads
+    /// every segment of the shape (sorted by file name, last-write-wins
+    /// across segments, the own segment last) for pre-warming, and
+    /// appends only to the own segment `<label>.evalstore`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] on I/O failure, a flat-layout
+    /// root, a bad header (a segment of another format version), or any
+    /// complete record that fails to parse or checksum. A torn tail
+    /// record is *not* an error (see the module docs).
+    pub fn open(root: &Path, params: &EvalParams, label: &str) -> Result<RunStore, SimError> {
+        let store = RunStore::open_shape(root, params)?;
+        let own = store.dir.join(format!("{label}.{STORE_EXTENSION}"));
+        let shared: Vec<PathBuf> = scan(&store.dir)?
+            .into_iter()
+            .filter(|p| p != &own && has_extension(p, STORE_EXTENSION))
             .collect();
-        shared.sort();
         let mut loaded = Vec::new();
         let mut by_digest = HashMap::new();
         for seg in &shared {
-            let raw = std::fs::read(seg).map_err(|e| io_err(seg, "read", &e))?;
-            let content = String::from_utf8_lossy(&raw);
-            load_segment(
-                seg,
-                &complete_lines(&content).0,
-                &mut loaded,
-                &mut by_digest,
-            )?;
+            load_segment(seg, &read(seg)?, &mut loaded, &mut by_digest)?;
         }
         let (file, content) = open_segment(&own)?;
-        load_segment(
-            &own,
-            &complete_lines(&content).0,
-            &mut loaded,
-            &mut by_digest,
-        )?;
-        let index = by_digest.into_keys().collect();
+        load_segment(&own, &content, &mut loaded, &mut by_digest)?;
         sim_obs::counter!("drm.store.opens", 1);
         sim_obs::counter!("drm.store.records_loaded", loaded.len() as u64);
         sim_obs::log_debug!(
@@ -376,22 +465,22 @@ impl EvalStore {
             shared.len(),
             loaded.len()
         );
-        Ok(EvalStore {
-            path: own,
-            file: Mutex::new((file, index)),
+        Ok(RunStore {
+            segment: Mutex::new((Some(file), by_digest.into_keys().collect())),
             loaded: Mutex::new(loaded),
+            ..store
         })
     }
 
-    /// The segment this store appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The shape directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
     /// Number of distinct digests known to be durable (across every
     /// segment read at open, plus appends since).
     pub fn len(&self) -> usize {
-        let (_, index) = &*self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let (_, index) = &*self.segment.lock().unwrap_or_else(PoisonError::into_inner);
         index.len()
     }
 
@@ -413,31 +502,120 @@ impl EvalStore {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the write or sync fails.
+    /// Returns [`SimError::InvalidConfig`] when the write or sync fails,
+    /// or the store was opened for cuts only.
     pub fn append(&self, rec: &StoreRecord) -> Result<(), SimError> {
-        let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.segment.lock().unwrap_or_else(PoisonError::into_inner);
         let (file, index) = &mut *guard;
         if index.contains(&rec.digest) {
             return Ok(());
         }
+        let Some(file) = file else {
+            let msg = format!("run store {} was opened for cuts only", self.dir.display());
+            return Err(SimError::invalid_config(msg));
+        };
         let mut line = encode_record(rec);
         line.push('\n');
-        file.write_all(line.as_bytes())
-            .map_err(|e| io_err(&self.path, "append", &e))?;
-        file.sync_data()
-            .map_err(|e| io_err(&self.path, "sync", &e))?;
+        write_synced(file, &line).map_err(|e| io_err(&self.dir, "append", &e))?;
         index.insert(rec.digest);
         sim_obs::counter!("drm.store.appends", 1);
         Ok(())
+    }
+
+    /// Path of cut `index` of the run `digest` sliced every `slice`
+    /// instructions.
+    #[must_use]
+    pub fn cut_path(&self, digest: RunDigest, slice: u64, index: usize) -> PathBuf {
+        self.dir
+            .join(format!("{digest}-n{slice}-k{index:04}.{CUT_EXTENSION}"))
+    }
+
+    /// Persists `cut`, sealed, as cut `index` of its run (the digest its
+    /// `fingerprint` carries) sliced every `slice` instructions. Counts
+    /// one `slice.cut` and the bytes under `slice.bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when the file cannot be
+    /// written.
+    pub fn save_cut(&self, cut: &Checkpoint, slice: u64, index: usize) -> Result<(), SimError> {
+        let mut text = checkpoint_to_text(cut);
+        seal(&mut text);
+        text.push('\n');
+        write_file(
+            &self.cut_path(RunDigest(cut.fingerprint), slice, index),
+            &text,
+        )?;
+        sim_obs::counter!("slice.cut", 1);
+        sim_obs::counter!("slice.bytes", text.len() as u64);
+        Ok(())
+    }
+
+    /// Loads a run's complete cut set — cuts `0..count`, each with its
+    /// file — or `None` if *any* is missing (a partial set cannot
+    /// reproduce the sequential run). Counts one `slice.resume` per cut.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`], naming the file, when a
+    /// present cut fails its checksum or parse, or carries another
+    /// digest than its file name.
+    pub fn load_cuts(
+        &self,
+        digest: RunDigest,
+        slice: u64,
+        count: usize,
+    ) -> Result<Option<Vec<(PathBuf, Checkpoint)>>, SimError> {
+        let mut cuts = Vec::with_capacity(count);
+        for index in 0..count {
+            let path = self.cut_path(digest, slice, index);
+            let Some(checkpoint) = read_cut(&path)? else {
+                return Ok(None);
+            };
+            if checkpoint.fingerprint != digest.0 {
+                return Err(SimError::invalid_config(format!(
+                    "{}: embedded digest {} does not match the file name",
+                    path.display(),
+                    RunDigest(checkpoint.fingerprint)
+                )));
+            }
+            sim_obs::counter!("slice.resume", 1);
+            cuts.push((path, checkpoint));
+        }
+        Ok(Some(cuts))
+    }
+
+    /// Every cut under a store root, shape directory by shape directory,
+    /// sorted by path (`ramp checkpoint info` summarizes these).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when a directory cannot be
+    /// read, the root holds files of the flat layout, or a cut fails its
+    /// checksum or parse.
+    pub fn list_cuts(root: &Path) -> Result<Vec<(PathBuf, Checkpoint)>, SimError> {
+        refuse_flat_layout(root)?;
+        let mut cuts = Vec::new();
+        for shape in scan(root)?.into_iter().filter(|p| p.is_dir()) {
+            for path in scan(&shape)?
+                .into_iter()
+                .filter(|p| has_extension(p, CUT_EXTENSION))
+            {
+                if let Some(checkpoint) = read_cut(&path)? {
+                    cuts.push((path, checkpoint));
+                }
+            }
+        }
+        Ok(cuts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{EvalParams, Evaluator};
-    use sim_common::fnv1a64;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::evaluator::Evaluator;
+    use sim_cpu::{CoreConfig, Processor};
+    use workload::{InstructionSource, SyntheticStream};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -460,6 +638,18 @@ mod tests {
             leakage_iterations: 2,
             prewarm_bytes: 1 << 20,
         }
+    }
+
+    /// The shape directory of [`tiny_params`] under `root`.
+    fn shape_dir(root: &Path) -> PathBuf {
+        RunStore::open_shape(root, &tiny_params())
+            .unwrap()
+            .dir()
+            .to_owned()
+    }
+
+    fn open(root: &Path, label: &str) -> Result<RunStore, SimError> {
+        RunStore::open(root, &tiny_params(), label)
     }
 
     fn sample_record(seed_tweak: u64) -> StoreRecord {
@@ -498,11 +688,11 @@ mod tests {
     #[test]
     fn round_trips_a_timing_run_bit_identically() {
         let dir = temp_dir("roundtrip");
-        let path = dir.join("seg.evalstore");
+        let path = shape_dir(&dir).join("seg.evalstore");
         let rec = sample_record(0);
         {
-            let store = EvalStore::open_dir(&dir, "seg").unwrap();
-            assert_eq!(store.path(), path);
+            let store = open(&dir, "seg").unwrap();
+            assert!(path.is_file());
             assert!(store.is_empty());
             store.append(&rec).unwrap();
             assert_eq!(store.len(), 1);
@@ -511,7 +701,7 @@ mod tests {
             store.append(&rec).unwrap();
             assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
         }
-        let store = EvalStore::open_dir(&dir, "seg").unwrap();
+        let store = open(&dir, "seg").unwrap();
         let records = store.take_records();
         assert_eq!(records.len(), 1);
         assert_records_equal(&records[0], &rec);
@@ -523,10 +713,10 @@ mod tests {
     #[test]
     fn truncated_tail_is_ignored_on_reopen() {
         let dir = temp_dir("torn");
-        let path = dir.join("seg.evalstore");
+        let path = shape_dir(&dir).join("seg.evalstore");
         let rec = sample_record(0);
         {
-            let store = EvalStore::open_dir(&dir, "seg").unwrap();
+            let store = open(&dir, "seg").unwrap();
             store.append(&rec).unwrap();
         }
         // Simulate a torn write: half a record, no trailing newline.
@@ -535,7 +725,7 @@ mod tests {
         f.write_all(b"run app=gzip window=128 alus=6 fp").unwrap();
         drop(f);
 
-        let store = EvalStore::open_dir(&dir, "seg").unwrap();
+        let store = open(&dir, "seg").unwrap();
         let records = store.take_records();
         assert_eq!(records.len(), 1, "torn tail must be dropped, not fatal");
         assert_runs_equal(&records[0].run, &rec.run);
@@ -548,7 +738,7 @@ mod tests {
     #[test]
     fn duplicate_keys_are_last_write_wins() {
         let dir = temp_dir("lww");
-        let path = dir.join("seg.evalstore");
+        let path = shape_dir(&dir).join("seg.evalstore");
         let first = sample_record(0);
         let second = StoreRecord {
             run: sample_record(7).run,
@@ -562,7 +752,7 @@ mod tests {
         );
         std::fs::write(&path, text).unwrap();
 
-        let store = EvalStore::open_dir(&dir, "seg").unwrap();
+        let store = open(&dir, "seg").unwrap();
         assert_eq!(store.len(), 1);
         let records = store.take_records();
         assert_eq!(records.len(), 1);
@@ -576,13 +766,12 @@ mod tests {
         let rec = sample_record(0);
         let line = encode_record(&rec);
 
-        // Each case is the own segment of a directory of its own.
+        // Each case is the own segment of a store root of its own.
         let open_with = |tag: &str, record_line: &str| {
-            let seg_dir = dir.join(tag);
-            std::fs::create_dir_all(&seg_dir).unwrap();
-            let path = seg_dir.join(format!("seg.{STORE_EXTENSION}"));
+            let root = dir.join(tag);
+            let path = shape_dir(&root).join(format!("seg.{STORE_EXTENSION}"));
             std::fs::write(&path, format!("{STORE_HEADER}\n{record_line}\n")).unwrap();
-            EvalStore::open_dir(&seg_dir, "seg")
+            open(&root, "seg")
         };
 
         // A flipped payload byte fails the checksum.
@@ -606,12 +795,13 @@ mod tests {
         // A bad header is fatal at line 1, and so is a segment of the
         // previous format version.
         for header in ["ramp-evalstore/999", "ramp-evalstore/1"] {
-            let seg_dir = dir.join(header.replace('/', "-"));
-            std::fs::create_dir_all(&seg_dir).unwrap();
-            std::fs::write(seg_dir.join("seg.evalstore"), format!("{header}\n")).unwrap();
-            let err = EvalStore::open_dir(&seg_dir, "seg")
-                .unwrap_err()
-                .to_string();
+            let root = dir.join(header.replace('/', "-"));
+            std::fs::write(
+                shape_dir(&root).join("seg.evalstore"),
+                format!("{header}\n"),
+            )
+            .unwrap();
+            let err = open(&root, "seg").unwrap_err().to_string();
             assert!(err.contains("line 1"), "{err}");
             assert!(err.contains("bad header"), "{err}");
         }
@@ -624,19 +814,19 @@ mod tests {
         let dir = temp_dir("shared");
         let rec = sample_record(0);
         {
-            let a = EvalStore::open_dir(&dir, "shard-0").unwrap();
+            let a = open(&dir, "shard-0").unwrap();
             a.append(&rec).unwrap();
         }
-        // A different shard opening the same directory sees shard-0's
-        // record, and its own append of the same digest dedupes.
-        let b = EvalStore::open_dir(&dir, "shard-1").unwrap();
+        // A different shard opening the same root sees shard-0's record,
+        // and its own append of the same digest dedupes.
+        let b = open(&dir, "shard-1").unwrap();
         assert_eq!(b.len(), 1);
         let records = b.take_records();
         assert_eq!(records.len(), 1);
         assert_records_equal(&records[0], &rec);
         b.append(&rec).unwrap();
         assert_eq!(
-            std::fs::read_to_string(dir.join("shard-1.evalstore")).unwrap(),
+            std::fs::read_to_string(b.dir().join("shard-1.evalstore")).unwrap(),
             format!("{STORE_HEADER}\n"),
             "a digest already durable in another segment must not be rewritten"
         );
@@ -660,11 +850,10 @@ mod tests {
         assert_eq!(fnv1a64(line.as_bytes()), 0x9c84_0858_7ddd_8eb9);
     }
 
-    /// Loads one segment's text in memory, as `EvalStore::open_dir` would.
+    /// Loads one segment's text in memory, as `RunStore::open` would.
     fn load_text(text: &str) -> Result<Vec<StoreRecord>, SimError> {
-        let (lines, _) = complete_lines(text);
         let mut records = Vec::new();
-        load_segment(Path::new("mem"), &lines, &mut records, &mut HashMap::new())?;
+        load_segment(Path::new("mem"), text, &mut records, &mut HashMap::new())?;
         Ok(records)
     }
 
@@ -700,5 +889,165 @@ mod tests {
                 assert!(e.to_string().contains(": line "), "seed {seed}: {e}");
             }
         }
+    }
+
+    /// Every run-shape field moves a store to a directory of its own;
+    /// `leakage_iterations` never moves a cycle, so it does not.
+    #[test]
+    fn each_run_shape_has_a_directory_of_its_own() {
+        let root = temp_dir("shapes");
+        let params = tiny_params();
+        let dir_of = |p: EvalParams| RunStore::open_shape(&root, &p).unwrap().dir().to_owned();
+        let base = dir_of(params);
+        assert_eq!(base.parent(), Some(root.as_path()));
+        for shape in [
+            EvalParams {
+                warmup_instructions: 1,
+                ..params
+            },
+            EvalParams {
+                measure_instructions: 40_000,
+                ..params
+            },
+            EvalParams {
+                interval_instructions: 10_000,
+                ..params
+            },
+            EvalParams { seed: 4, ..params },
+            EvalParams {
+                prewarm_bytes: 1,
+                ..params
+            },
+        ] {
+            assert_ne!(dir_of(shape), base, "{shape:?}");
+        }
+        assert_eq!(
+            dir_of(EvalParams {
+                leakage_iterations: 9,
+                ..params
+            }),
+            base
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    const DIGEST: RunDigest = RunDigest(0xFEED);
+
+    fn cut_checkpoint(fingerprint: u64) -> Checkpoint {
+        let mut cpu = Processor::new(
+            CoreConfig::base(),
+            SyntheticStream::new(App::Gzip.profile(), 7),
+        )
+        .unwrap();
+        cpu.prewarm(0x1000_0000, 128 * 1024, 0, 16 * 1024);
+        let _ = cpu.run_instructions(10_000);
+        Checkpoint {
+            workload: cpu.source().name().to_owned(),
+            seed: 7,
+            fingerprint,
+            stream: cpu.source().state(),
+            pipeline: cpu.state(),
+        }
+    }
+
+    #[test]
+    fn cuts_round_trip() {
+        let root = temp_dir("cuts");
+        let store = RunStore::open_shape(&root, &tiny_params()).unwrap();
+        let chk = cut_checkpoint(DIGEST.0);
+        store.save_cut(&chk, 30_000, 0).unwrap();
+        let loaded = store.load_cuts(DIGEST, 30_000, 1).unwrap().unwrap();
+        assert_eq!(loaded, [(store.cut_path(DIGEST, 30_000, 0), chk.clone())]);
+        // A missing index or another key is a miss, not an error.
+        assert!(store.load_cuts(DIGEST, 30_000, 2).unwrap().is_none());
+        assert!(store
+            .load_cuts(RunDigest(0xBEEF), 30_000, 1)
+            .unwrap()
+            .is_none());
+        assert!(store.load_cuts(DIGEST, 60_000, 1).unwrap().is_none());
+        let listed = RunStore::list_cuts(&root).unwrap();
+        assert_eq!(listed, [(store.cut_path(DIGEST, 30_000, 0), chk)]);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn tampered_cuts_are_refused_naming_their_file() {
+        let root = temp_dir("tamper");
+        let store = RunStore::open_shape(&root, &tiny_params()).unwrap();
+        store
+            .save_cut(&cut_checkpoint(DIGEST.0), 30_000, 0)
+            .unwrap();
+        let path = store.cut_path(DIGEST, 30_000, 0);
+        let refused = |store: &RunStore, digest| {
+            let err = store.load_cuts(digest, 30_000, 1).unwrap_err().to_string();
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            err
+        };
+        // One flipped payload digit still parses, but breaks the seal.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find("checkpoint.seed 7").unwrap() + "checkpoint.seed ".len();
+        std::fs::write(&path, format!("{}8{}", &text[..at], &text[at + 1..])).unwrap();
+        assert!(refused(&store, DIGEST).contains("checksum mismatch"));
+        // A file renamed to another key: its embedded digest no longer
+        // matches the name it is looked up under.
+        std::fs::write(&path, &text).unwrap();
+        let other = RunDigest(0xBEEF);
+        let renamed = store.cut_path(other, 30_000, 0);
+        std::fs::rename(&path, &renamed).unwrap();
+        let err = store.load_cuts(other, 30_000, 1).unwrap_err().to_string();
+        assert!(err.contains("does not match the file name"), "{err}");
+        std::fs::rename(&renamed, &path).unwrap();
+        // An unsealed cut is refused too.
+        std::fs::write(&path, "checkpoint.version 1\n").unwrap();
+        assert!(refused(&store, DIGEST).contains("checksum"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A temp file left by an interrupted write is read by no scan and
+    /// resumed by no run.
+    #[test]
+    fn a_leftover_temp_file_is_ignored() {
+        let root = temp_dir("leftover");
+        let store = RunStore::open_shape(&root, &tiny_params()).unwrap();
+        let chk = cut_checkpoint(DIGEST.0);
+        store.save_cut(&chk, 30_000, 0).unwrap();
+        let path = store.cut_path(DIGEST, 30_000, 0);
+        let torn = std::fs::read_to_string(&path).unwrap();
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".1-0.tmp");
+        std::fs::write(&tmp, &torn[..torn.len() / 2]).unwrap();
+        assert_eq!(RunStore::list_cuts(&root).unwrap().len(), 1);
+        assert_eq!(
+            store.load_cuts(DIGEST, 30_000, 1).unwrap().unwrap().len(),
+            1
+        );
+        assert!(open(&root, "seg").is_ok());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A root of the flat layout is refused with one error naming every
+    /// flat file; nothing is moved.
+    #[test]
+    fn a_flat_layout_root_is_refused_naming_its_files() {
+        let root = temp_dir("flat");
+        let segment = root.join("old.evalstore");
+        let cut = root.join(format!("{DIGEST}-n30000-k0000.ckpt"));
+        std::fs::write(&segment, format!("{STORE_HEADER}\n")).unwrap();
+        std::fs::write(&cut, "checkpoint.version 1\n").unwrap();
+        for err in [
+            open(&root, "seg").unwrap_err(),
+            RunStore::open_shape(&root, &tiny_params()).unwrap_err(),
+            RunStore::list_cuts(&root).unwrap_err(),
+        ] {
+            let err = err.to_string();
+            assert!(err.contains("flat layout"), "{err}");
+            assert!(err.contains("old.evalstore"), "{err}");
+            assert!(
+                err.contains(&format!("{DIGEST}-n30000-k0000.ckpt")),
+                "{err}"
+            );
+        }
+        assert!(segment.is_file() && cut.is_file());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -173,8 +173,9 @@ impl SloPolicy {
 }
 
 /// Sliced-evaluation settings of a scenario's optional `[slice]` section:
-/// every timing run of the scenario's evaluators is cut into checkpointed
-/// slices (see `drm::slice`), bit-identically to the unsliced pipeline.
+/// with a checkpoint directory, every timing run of the scenario's
+/// evaluators is cut into checkpointed slices (see `drm::slice`),
+/// bit-identically to the unsliced pipeline.
 /// Absent in the paper default — a scenario without the section
 /// serializes without `slice.` lines, bit-identically to before the
 /// section existed.
@@ -183,22 +184,25 @@ pub struct SliceSpec {
     /// Instructions per slice (`slice.instructions`); must be a positive
     /// multiple of the evaluation's `interval_instructions`.
     pub instructions: u64,
-    /// Directory persisted checkpoints live in
-    /// (`slice.checkpoint_dir`). Without it the run is still sliced but
-    /// nothing is persisted, so nothing can resume in parallel.
+    /// Store root the checkpoints persist under
+    /// (`slice.checkpoint_dir`). Without it the section still parses and
+    /// prints, but the scenario runs unsliced: slicing that persists
+    /// nothing would only be a slower unsliced run.
     pub checkpoint_dir: Option<String>,
 }
 
 impl SliceSpec {
     /// The [`SliceParams`] this spec resolves to, with `workers` threads
-    /// for the parallel resume path.
+    /// for the parallel resume path, or `None` without a checkpoint
+    /// directory.
     #[must_use]
-    pub fn params(&self, workers: usize) -> SliceParams {
-        let params = SliceParams::new(self.instructions).with_workers(workers);
-        match &self.checkpoint_dir {
-            Some(dir) => params.with_dir(dir),
-            None => params,
-        }
+    pub fn params(&self, workers: usize) -> Option<SliceParams> {
+        let dir = self.checkpoint_dir.as_ref()?;
+        Some(
+            SliceParams::new(self.instructions)
+                .with_dir(dir)
+                .with_workers(workers),
+        )
     }
 
     /// Validates the slice shape against the scenario's evaluation
@@ -211,7 +215,7 @@ impl SliceSpec {
     /// directory is not a single non-empty token (the text format is
     /// whitespace-separated, so such a path could not round-trip).
     pub fn validate(&self, eval: &EvalParams) -> Result<(), SimError> {
-        self.params(1).validate(eval)?;
+        SliceParams::new(self.instructions).validate(eval)?;
         if let Some(dir) = &self.checkpoint_dir {
             if dir.is_empty() || dir.split_whitespace().count() != 1 {
                 return Err(SimError::invalid_config(
@@ -523,12 +527,16 @@ impl Scenario {
     /// invalid.
     pub fn evaluator_with(&self, params: EvalParams) -> Result<Evaluator, SimError> {
         let evaluator = Evaluator::new(self.power_model()?, self.thermal_model()?, params)?;
-        match &self.slice {
-            // The scenario's `[slice]` section makes every evaluator —
-            // and everything built on one (batch engine, oracle, server
-            // verbs) — run sliced, with the default worker count for the
-            // parallel resume path.
-            Some(spec) => evaluator.with_slice(spec.params(drm::default_workers())),
+        // A `[slice]` section with a checkpoint directory makes every
+        // evaluator — and everything built on one (batch engine, oracle,
+        // server verbs) — run sliced, with the default worker count for
+        // the parallel resume path.
+        match self
+            .slice
+            .as_ref()
+            .and_then(|spec| spec.params(drm::default_workers()))
+        {
+            Some(slice) => evaluator.with_slice(slice),
             None => Ok(evaluator),
         }
     }
@@ -661,6 +669,30 @@ mod tests {
     #[test]
     fn paper_default_validates() {
         Scenario::paper_default().validate().unwrap();
+    }
+
+    /// A `[slice]` section without a checkpoint directory still parses
+    /// and prints, and its scenario evaluates unsliced, bit-identically.
+    #[test]
+    fn a_slice_section_without_a_directory_runs_unsliced() {
+        let mut sliced = Scenario::paper_default();
+        sliced.slice = Some(SliceSpec {
+            instructions: 60_000,
+            checkpoint_dir: None,
+        });
+        let text = sliced.to_text();
+        assert!(text.contains("slice.instructions 60000"), "{text}");
+        assert_eq!(Scenario::from_text(&text).unwrap(), sliced);
+        let evaluator = sliced.evaluator_with(EvalParams::quick()).unwrap();
+        assert!(evaluator.slice().is_none());
+        let plain = Scenario::paper_default()
+            .evaluator_with(EvalParams::quick())
+            .unwrap();
+        let (app, config) = (workload::App::Art, CoreConfig::base());
+        assert_eq!(
+            evaluator.evaluate(app, &config).unwrap(),
+            plain.evaluate(app, &config).unwrap()
+        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drm::{
-    ArchPoint, BatchEngine, DvsPoint, EvalParams, EvalStore, FleetConfig, Oracle, Strategy,
+    ArchPoint, BatchEngine, DvsPoint, EvalParams, FleetConfig, Oracle, RunStore, Strategy,
     Surrogate, SweepSummary,
 };
 use ramp::{Mechanism, ReliabilityModel};
@@ -259,9 +259,10 @@ impl EngineSlot {
         let mut engine = BatchEngine::with_workers(scenario.evaluator_with(params)?, jobs)
             .with_base_config(scenario.core.clone());
         if let Some(dir) = store_dir {
-            // Each server appends to its own segment — workers sharing a
-            // store directory (even in one process) must never interleave
-            // writes — while `open_dir` pre-warms from every segment.
+            // Each server appends to its own segment of its run shape's
+            // directory — workers sharing a store root (even in one
+            // process) must never interleave writes — while `open`
+            // pre-warms from every segment of that shape.
             static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
             let label = format!(
                 "{}-{}-{}",
@@ -269,7 +270,7 @@ impl EngineSlot {
                 std::process::id(),
                 STORE_SEQ.fetch_add(1, Ordering::Relaxed)
             );
-            engine = engine.with_store(EvalStore::open_dir(dir, &label)?);
+            engine = engine.with_store(RunStore::open(dir, &params, &label)?);
         }
         let surrogate = match &scenario.surrogate {
             Some(spec) if spec.enabled => Some(Arc::new(Surrogate::new(spec.params())?)),

@@ -5,6 +5,34 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every file the smoke steps write lives in $scratch, and every server
+# they start is listed in $servers until it has exited. One EXIT trap
+# removes the files and stops the servers, so a failing step never leaves
+# `ramp serve` running with the caller's stdout open.
+scratch="$(mktemp -d -t ramp-check-XXXXXX)"
+servers="$scratch/servers"
+cleanup() {
+  local pid
+  for pid in $(cat "$servers" 2>/dev/null); do kill "$pid" 2>/dev/null || true; done
+  rm -rf "$scratch"
+}
+trap cleanup EXIT
+# Starts `ramp serve` with the given arguments in the background, its
+# stdout in file $1; sets server_pid and lists it in $servers. A caller
+# inside $(...) still reaches the trap's list through the file.
+serve_bg() {
+  local log="$1"
+  shift
+  ./target/release/ramp serve "$@" >"$log" &
+  server_pid=$!
+  echo "$server_pid" >>"$servers"
+}
+# Waits for server $1 to exit and drops it from $servers.
+reap() {
+  wait "$1"
+  sed -i "/^$1\$/d" "$servers"
+}
+
 echo "== formatting (rustfmt) =="
 cargo fmt --check
 
@@ -32,8 +60,7 @@ for workload in drm-exhaustive drm-surrogate fleet serve-warm; do
 done
 
 echo "== observability smoke: trace a run, summarize it =="
-trace="$(mktemp -t ramp-check-XXXXXX.jsonl)"
-trap 'rm -f "$trace"' EXIT
+trace="$scratch/trace.jsonl"
 ./target/release/ramp fit --app gzip --tqual 394 --quick --trace "$trace" >/dev/null
 ./target/release/ramp report "$trace" --top 3
 
@@ -41,8 +68,7 @@ echo "== scenario smoke: validate every checked-in scenario file =="
 ./target/release/ramp scenario validate examples/scenarios/*.scn
 
 echo "== fleet smoke: sample a small population, summarize its trace =="
-fleet_trace="$(mktemp -t ramp-check-fleet-XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$fleet_trace"' EXIT
+fleet_trace="$scratch/fleet.jsonl"
 # Capture, then grep: `grep -q` on a live pipe exits at the first match
 # and the writer dies of EPIPE mid-summary.
 fleet_out="$(./target/release/ramp fleet --app twolf --dies 20000 --quick --trace "$fleet_trace")"
@@ -53,14 +79,12 @@ echo "$fleet_report" | grep -q 'fleet population' \
   || { echo "error: fleet trace lacks the report's fleet section" >&2; exit 1; }
 
 echo "== server smoke: serve on an ephemeral port, eval + malformed request + top, clean shutdown =="
-server_log="$(mktemp -t ramp-check-server-XXXXXX.log)"
-server_trace="$(mktemp -t ramp-check-server-XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace"' EXIT
+server_log="$scratch/server.log"
+server_trace="$scratch/server.jsonl"
 # The overdesign scenario carries an [slo] section, so the telemetry
 # ticker (100 ms here) publishes slo.* gauges into the server trace.
-./target/release/ramp serve --addr 127.0.0.1:0 --quick --tick-ms 100 \
-  --scenario examples/scenarios/server-overdesign.scn --trace "$server_trace" >"$server_log" &
-server_pid=$!
+serve_bg "$server_log" --addr 127.0.0.1:0 --quick --tick-ms 100 \
+  --scenario examples/scenarios/server-overdesign.scn --trace "$server_trace"
 addr=""
 for _ in $(seq 1 100); do
   addr="$(sed -n 's/^ramp-serve\/1 listening on //p' "$server_log")"
@@ -107,7 +131,7 @@ echo "$top_out" | grep -q 'requests' \
   || { echo "error: ramp top --once printed no dashboard frame" >&2; exit 1; }
 ./target/release/ramp client --addr "$addr" shutdown | grep -q '^ok shutdown' \
   || { echo "error: shutdown did not answer ok" >&2; exit 1; }
-wait "$server_pid"
+reap "$server_pid"
 server_report="$(./target/release/ramp report "$server_trace" --top 3)"
 echo "$server_report" | grep -q 'requests (lines received)' \
   || { echo "error: server trace lacks the report's server section" >&2; exit 1; }
@@ -115,10 +139,9 @@ echo "$server_report" | grep -q 'service-level objectives' \
   || { echo "error: server trace lacks the report's SLO section" >&2; exit 1; }
 
 echo "== store smoke: a restarted server answers a stored sweep without simulating =="
-store_dir="$(mktemp -d -t ramp-check-store-XXXXXX)"
-fresh_dir="$(mktemp -d -t ramp-check-store-XXXXXX)"
-store_log="$(mktemp -t ramp-check-store-XXXXXX.log)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log"; rm -rf "$store_dir" "$fresh_dir"' EXIT
+store_dir="$scratch/store"
+fresh_dir="$scratch/fresh-store"
+store_log="$scratch/store.log"
 # Serves on store directory $1 at run length $2 (quick or standard),
 # sends the client request in the remaining words, prints its reply and
 # the stats reply, then shuts the server down.
@@ -130,8 +153,8 @@ store_round() {
   # Empty the log first: the background redirect may truncate it only
   # after the loop below has read the previous round's address.
   : >"$store_log"
-  ./target/release/ramp serve "${opts[@]}" >"$store_log" &
-  local pid=$! addr=""
+  serve_bg "$store_log" "${opts[@]}"
+  local pid=$server_pid addr=""
   for _ in $(seq 1 100); do
     addr="$(sed -n 's/^ramp-serve\/1 listening on //p' "$store_log")"
     [ -n "$addr" ] && break
@@ -141,7 +164,7 @@ store_round() {
   ./target/release/ramp client --addr "$addr" "$@"
   ./target/release/ramp client --addr "$addr" stats
   ./target/release/ramp client --addr "$addr" shutdown >/dev/null
-  wait "$pid"
+  reap "$pid"
 }
 cold="$(store_round "$store_dir" quick sweep gzip --strategy dvs)"
 warm="$(store_round "$store_dir" quick sweep gzip --strategy dvs)"
@@ -159,11 +182,14 @@ echo "$shaped" | grep -q ' timing_runs=1 ' \
   || { echo "error: the standard-length server was served a quick run: $shaped" >&2; exit 1; }
 [ "$(echo "$shaped" | head -n 1)" = "$(echo "$fresh" | head -n 1)" ] \
   || { echo "error: the standard-length server answered differently on the quick store" >&2; exit 1; }
+# Each run shape keeps its records in a directory of its own.
+shapes="$(find "$store_dir" -mindepth 1 -maxdepth 1 -type d | wc -l)"
+[ "$shapes" = 2 ] \
+  || { echo "error: the store root holds $shapes shape directories, expected 2" >&2; exit 1; }
 
 echo "== checkpoint smoke: cut checkpoints, inspect them, run a sliced fit =="
-ckpt_dir="$(mktemp -d -t ramp-check-ckpt-XXXXXX)"
-slice_scn="$(mktemp -t ramp-check-slice-XXXXXX.scn)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn"; rm -rf "$store_dir" "$fresh_dir" "$ckpt_dir"' EXIT
+ckpt_dir="$scratch/checkpoints"
+slice_scn="$scratch/slice.scn"
 # A slice-enabled scenario: the paper default plus a [slice] section
 # pointing at a scratch checkpoint directory.
 ./target/release/ramp scenario print > "$slice_scn"
@@ -193,13 +219,12 @@ plain_drm="$(./target/release/ramp drm --app gzip --strategy dvs --quick)"
 
 echo "== paper driver smoke: tables run, and a driver's stdout is byte-stable =="
 RAMP_FAST=1 ./target/release/table1 >/dev/null
-table2_a="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
-table2_b="$(mktemp -t ramp-check-table2-XXXXXX.txt)"
-table2_err="$(mktemp -t ramp-check-table2-XXXXXX.err)"
-fig4_out="$(mktemp -t ramp-check-fig4-XXXXXX.txt)"
-fig1_out="$(mktemp -t ramp-check-fig1-XXXXXX.txt)"
-fig3_out="$(mktemp -t ramp-check-fig3-XXXXXX.txt)"
-trap 'rm -f "$trace" "$fleet_trace" "$server_log" "$server_trace" "$store_log" "$slice_scn" "$table2_a" "$table2_b" "$table2_err" "$fig4_out" "$fig1_out" "$fig3_out"; rm -rf "$store_dir" "$fresh_dir" "$ckpt_dir"' EXIT
+table2_a="$scratch/table2-a.txt"
+table2_b="$scratch/table2-b.txt"
+table2_err="$scratch/table2.err"
+fig4_out="$scratch/fig4.txt"
+fig1_out="$scratch/fig1.txt"
+fig3_out="$scratch/fig3.txt"
 RAMP_FAST=1 ./target/release/table2 >"$table2_a" 2>"$table2_err"
 RAMP_FAST=1 ./target/release/table2 >"$table2_b" 2>/dev/null
 cmp "$table2_a" "$table2_b" \
