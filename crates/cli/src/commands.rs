@@ -9,8 +9,8 @@
 
 use drm::scaling::{required_qualification_temperature, scaling_study, TechnologyNode};
 use drm::{
-    intra_app_best, BatchEngine, ControllerParams, EvalParams, FleetConfig, Oracle, ReactiveDrm,
-    RunDigest, RunStore, SensorParams, SliceParams, Strategy,
+    intra_app_best_among, BatchEngine, ControllerParams, EvalParams, FleetConfig, Oracle,
+    ReactiveDrm, RunDigest, RunStore, SensorParams, SliceParams, Strategy,
 };
 use ramp::{Mechanism, QualificationPoint, ReliabilityModel};
 use scenario::{Qualification, Scenario};
@@ -428,14 +428,10 @@ fn drm_cmd(args: &Args) -> Result<(), SimError> {
     let strategy = parse_strategy(args)?;
     let step = step_from(args)?;
     let oracle = oracle_from(args, &scn)?;
+    let candidates = scn.candidates(strategy, step)?;
+    let base = (scn.base_arch(), scn.base_dvs());
     if args.flag("intra") {
-        let choice = intra_app_best(
-            &oracle,
-            app,
-            strategy,
-            &model,
-            step.unwrap_or(scn.dvs.step_ghz),
-        )?;
+        let choice = intra_app_best_among(&oracle, app, &candidates, base, &model)?;
         println!(
             "{app} @ T_qual {:.0}: intra-application {strategy} schedule",
             model.qualification().temperature.0
@@ -445,9 +441,7 @@ fn drm_cmd(args: &Args) -> Result<(), SimError> {
         println!("  switches       {}", choice.switches);
         println!("  feasible       {}", choice.feasible);
     } else {
-        let candidates = scn.candidates(strategy, step)?;
-        let choice =
-            oracle.best_among(app, &candidates, (scn.base_arch(), scn.base_dvs()), &model)?;
+        let choice = oracle.best_among(app, &candidates, base, &model)?;
         println!(
             "{app} @ T_qual {:.0}: best {strategy} configuration",
             model.qualification().temperature.0
@@ -470,9 +464,10 @@ fn dtm_cmd(args: &Args) -> Result<(), SimError> {
     let scn = scenario_from(args)?;
     let app = args.app()?;
     let t_max = Kelvin(args.f64_or("tmax", 380.0)?);
-    let step = step_from(args)?.unwrap_or(scn.dvs.step_ghz);
     let oracle = oracle_from(args, &scn)?;
-    let choice = drm::dtm_best_dvs(&oracle, app, t_max, step)?;
+    let candidates = scn.candidates(Strategy::Dvs, step_from(args)?)?;
+    let base = (scn.base_arch(), scn.base_dvs());
+    let choice = drm::dtm_best_among(&oracle, app, &candidates, base, t_max)?;
     println!("{app} under DTM with T_max {:.0}:", t_max.0);
     println!(
         "  frequency      {:.2} GHz / {:.3} V",

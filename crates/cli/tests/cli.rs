@@ -225,6 +225,56 @@ fn scenario_run_scores_the_suite() {
     assert!(stdout.contains("verdict"), "{stdout}");
 }
 
+/// `ramp dtm` and `ramp drm --intra` search the scenario's DVS range, as
+/// `ramp drm` does: with `dvs.max_ghz` narrowed to 4.5, DTM at a loose
+/// `T_max` stops at 4.50 GHz, where the paper's grid would reach 4.75.
+#[test]
+fn dtm_and_intra_search_the_scenario_dvs_range() {
+    let paper = std::fs::read_to_string(scn("paper.scn")).expect("read paper.scn");
+    assert!(paper.contains("\ndvs.max_ghz 5\n"), "paper.scn changed");
+    let narrow = paper.replace("\ndvs.max_ghz 5\n", "\ndvs.max_ghz 4.5\n");
+    let path = std::env::temp_dir().join(format!("ramp-cli-dvs-{}.scn", std::process::id()));
+    std::fs::write(&path, narrow).expect("write temp scenario");
+    let path_s = path.to_str().expect("utf-8 temp path");
+    let dtm = ramp(&[
+        "dtm",
+        "--app",
+        "gzip",
+        "--tmax",
+        "400",
+        "--quick",
+        "--scenario",
+        path_s,
+    ]);
+    let intra = ramp(&[
+        "drm",
+        "--intra",
+        "--app",
+        "gzip",
+        "--strategy",
+        "dvs",
+        "--quick",
+        "--scenario",
+        path_s,
+    ]);
+    std::fs::remove_file(&path).ok();
+    let (ok, stdout, stderr) = dtm;
+    assert!(ok, "{stdout}\n{stderr}");
+    let ghz: f64 = stdout
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("frequency"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no frequency line: {stdout}"));
+    assert!(ghz <= 4.5, "DTM chose {ghz} GHz outside the scenario range");
+    let (ok, stdout, stderr) = intra;
+    assert!(ok, "{stdout}\n{stderr}");
+    assert!(
+        stdout.contains("intra-application DVS schedule"),
+        "{stdout}"
+    );
+}
+
 /// Malformed scenario input fails with the file name and a line number,
 /// and bad `scenario` subcommand usage fails with the usage string —
 /// never a panic.

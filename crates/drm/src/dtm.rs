@@ -13,15 +13,15 @@ use ramp::{Fit, ReliabilityModel};
 use sim_common::{Kelvin, SimError};
 use workload::App;
 
-use crate::dvs::{frequency_grid, DvsPoint};
-use crate::oracle::Oracle;
+use crate::dvs::DvsPoint;
+use crate::oracle::{select, Oracle};
 use crate::space::{ArchPoint, Strategy};
-use crate::surrogate::{promote_for_dtm, SurrogateScore};
+use crate::surrogate::Objective;
 
 /// The frequency a DTM policy settles on for one application.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtmChoice {
-    /// Chosen DVS point (on the most aggressive microarchitecture).
+    /// Chosen DVS point (on the base microarchitecture).
     pub dvs: DvsPoint,
     /// Peak structure temperature at that point.
     pub max_temperature: Kelvin,
@@ -32,7 +32,7 @@ pub struct DtmChoice {
 }
 
 /// DTM via DVS: the highest frequency keeping the peak temperature at or
-/// below `t_max` (§7.3, curve DVS-Temp).
+/// below `t_max` (§7.3, curve DVS-Temp), over the paper's DVS grid.
 ///
 /// # Errors
 ///
@@ -43,74 +43,46 @@ pub fn dtm_best_dvs(
     t_max: Kelvin,
     dvs_step_ghz: f64,
 ) -> Result<DtmChoice, SimError> {
-    let arch = ArchPoint::most_aggressive();
-    let grid = frequency_grid(dvs_step_ghz);
-    // Phase 1 (when the surrogate is enabled): score the grid
-    // analytically and keep only frequencies that could be the exact
-    // winner under the measured temperature error bound. The selection
-    // loop below runs over exact evaluations either way.
-    let (selected, verify): (Vec<DvsPoint>, Option<Vec<SurrogateScore>>) = match oracle.surrogate()
-    {
-        Some(surrogate) if !grid.is_empty() => {
-            let engine = oracle.engine();
-            let candidates: Vec<_> = grid.iter().map(|&d| (arch, d)).collect();
-            let base = (arch, DvsPoint::base());
-            let table = surrogate.table_for(engine, app, &candidates, base)?;
-            let bounds = surrogate.bounds(engine, app, &table, None)?;
-            let mut scores = Vec::with_capacity(grid.len());
-            for &dvs in &grid {
-                let config = arch.apply(engine.base_config(), dvs)?;
-                scores.push(table.score(engine.evaluator(), &config));
+    let base = (ArchPoint::most_aggressive(), DvsPoint::base());
+    dtm_best_among(
+        oracle,
+        app,
+        &Strategy::Dvs.candidates(dvs_step_ghz),
+        base,
+        t_max,
+    )
+}
+
+/// Like [`dtm_best_dvs`], but over an explicit DVS candidate list with an
+/// explicit base operating point (e.g. a scenario's DVS range). DTM
+/// adapts only the frequency, so candidates are ranked by it alone.
+///
+/// # Errors
+///
+/// Propagates evaluation errors; returns [`SimError::Infeasible`] when
+/// `candidates` is empty.
+pub fn dtm_best_among(
+    oracle: &Oracle,
+    app: App,
+    candidates: &[(ArchPoint, DvsPoint)],
+    base: (ArchPoint, DvsPoint),
+    t_max: Kelvin,
+) -> Result<DtmChoice, SimError> {
+    let choices = oracle
+        .search(app, candidates, base, Objective::Thermal(t_max))?
+        .into_iter()
+        .map(|(i, ev)| {
+            let peak = ev.max_temperature();
+            DtmChoice {
+                dvs: candidates[i].1,
+                max_temperature: peak,
+                feasible: peak <= t_max,
             }
-            let promoted = if surrogate.prune_active() {
-                let freqs: Vec<_> = grid.iter().map(|d| d.frequency).collect();
-                promote_for_dtm(&scores, &freqs, t_max, &bounds, surrogate.k_floor())
-            } else {
-                (0..grid.len()).collect()
-            };
-            sim_obs::counter!("surrogate.promoted", promoted.len() as u64);
-            (
-                promoted.iter().map(|&i| grid[i]).collect(),
-                Some(promoted.into_iter().map(|i| scores[i].clone()).collect()),
-            )
-        }
-        _ => (grid, None),
-    };
-    // Pre-evaluate the (possibly pruned) grid in one parallel batch pass.
-    let jobs: Vec<_> = selected.iter().map(|&dvs| (app, arch, dvs)).collect();
-    oracle.prefetch(&jobs)?;
-    let mut best: Option<DtmChoice> = None;
-    let mut coolest: Option<DtmChoice> = None;
-    for (k, &dvs) in selected.iter().enumerate() {
-        let ev = oracle.evaluation(app, arch, dvs)?;
-        if let Some(scores) = &verify {
-            if let Some(surrogate) = oracle.surrogate() {
-                surrogate.record_verification(&scores[k], &ev, None);
-            }
-        }
-        let peak = ev.max_temperature();
-        let choice = DtmChoice {
-            dvs,
-            max_temperature: peak,
-            feasible: peak <= t_max,
-        };
-        if choice.feasible {
-            let better = best
-                .as_ref()
-                .is_none_or(|b| choice.dvs.frequency > b.dvs.frequency);
-            if better {
-                best = Some(choice);
-            }
-        }
-        let cooler = coolest
-            .as_ref()
-            .is_none_or(|c| choice.max_temperature < c.max_temperature);
-        if cooler {
-            coolest = Some(choice);
-        }
-    }
-    best.or(coolest)
-        .ok_or_else(|| SimError::infeasible("empty DVS grid"))
+        });
+    select(choices, |c| {
+        (c.feasible, c.dvs.frequency.0, c.max_temperature.0)
+    })
+    .ok_or_else(|| SimError::infeasible("empty DVS grid"))
 }
 
 /// One row of the Figure 4 comparison at a single temperature setting.

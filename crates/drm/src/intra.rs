@@ -22,7 +22,7 @@ use crate::dvs::DvsPoint;
 use crate::evaluator::Evaluation;
 use crate::oracle::Oracle;
 use crate::space::{ArchPoint, Strategy};
-use crate::surrogate::{promote_for_intra, SurrogateScore};
+use crate::surrogate::Objective;
 
 /// The per-interval schedule an intra-application oracle settles on.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,75 +81,50 @@ pub fn intra_app_best(
     model: &ReliabilityModel,
     dvs_step_ghz: f64,
 ) -> Result<IntraAppChoice, SimError> {
+    let base = (ArchPoint::most_aggressive(), DvsPoint::base());
+    intra_app_best_among(oracle, app, &strategy.candidates(dvs_step_ghz), base, model)
+}
+
+/// Like [`intra_app_best`], but over an explicit candidate set with an
+/// explicit base operating point (e.g. a scenario's adaptation space).
+/// With the surrogate enabled, candidates another one surely dominates
+/// are screened out before their cycle-level tables are paid for.
+///
+/// # Errors
+///
+/// Propagates evaluation errors; returns [`SimError::Infeasible`] when
+/// `candidates` is empty.
+pub fn intra_app_best_among(
+    oracle: &Oracle,
+    app: App,
+    candidates: &[(ArchPoint, DvsPoint)],
+    base: (ArchPoint, DvsPoint),
+    model: &ReliabilityModel,
+) -> Result<IntraAppChoice, SimError> {
     let target = model.target_fit().value();
     let base_time: f64 = oracle
-        .base_evaluation(app)?
+        .evaluation(app, base.0, base.1)?
         .intervals
         .iter()
         .map(|iv| iv.duration.0)
         .sum();
-
-    // Phase 1 (when the surrogate is enabled): prune candidates another
-    // candidate dominates with certainty — faster *and* lower-FIT
-    // outside both error intervals at the whole-run level — before
-    // paying for their cycle-level tables.
-    let all = strategy.candidates(dvs_step_ghz);
-    let (chosen, verify): (Vec<(ArchPoint, DvsPoint)>, Option<Vec<SurrogateScore>>) =
-        match oracle.surrogate() {
-            Some(surrogate) if !all.is_empty() => {
-                let engine = oracle.engine();
-                let base = (ArchPoint::most_aggressive(), DvsPoint::base());
-                let table = surrogate.table_for(engine, app, &all, base)?;
-                let bounds = surrogate.bounds(engine, app, &table, Some(model))?;
-                let mut scores = Vec::with_capacity(all.len());
-                for &(arch, dvs) in &all {
-                    let config = arch.apply(engine.base_config(), dvs)?;
-                    scores.push(table.score(engine.evaluator(), &config));
-                }
-                let fits: Vec<Fit> = scores.iter().map(|s| s.fit(model)).collect();
-                let promoted = if surrogate.prune_active() {
-                    promote_for_intra(&scores, &fits, &bounds, surrogate.k_floor())
-                } else {
-                    (0..all.len()).collect()
-                };
-                sim_obs::counter!("surrogate.promoted", promoted.len() as u64);
-                (
-                    promoted.iter().map(|&i| all[i]).collect(),
-                    Some(promoted.into_iter().map(|i| scores[i].clone()).collect()),
-                )
-            }
-            _ => (all, None),
-        };
-
-    // Pre-evaluate the candidate set in one parallel pass, then build
-    // the per-candidate cost tables from cache hits.
-    let jobs: Vec<_> = chosen.iter().map(|&(arch, dvs)| (app, arch, dvs)).collect();
-    oracle.prefetch(&jobs)?;
-    let mut candidates = Vec::new();
-    let mut n_intervals = usize::MAX;
-    for (k, &(arch, dvs)) in chosen.iter().enumerate() {
-        let ev = oracle.evaluation(app, arch, dvs)?;
-        if let Some(scores) = &verify {
-            if let Some(surrogate) = oracle.surrogate() {
-                surrogate.record_verification(&scores[k], &ev, Some(model));
-            }
-        }
-        n_intervals = n_intervals.min(ev.intervals.len());
-        let time: Vec<f64> = ev.intervals.iter().map(|iv| iv.duration.0).collect();
-        let fit: Vec<f64> = (0..ev.intervals.len())
-            .map(|k| interval_fit(&ev, k, model))
-            .collect();
-        candidates.push(Candidate {
-            arch,
-            dvs,
-            time,
-            fit,
-        });
-    }
-    if candidates.is_empty() || n_intervals == 0 {
-        return Err(SimError::infeasible(format!(
-            "{strategy} has no candidates or no intervals"
-        )));
+    let candidates: Vec<Candidate> = oracle
+        .search(app, candidates, base, Objective::Schedule(model))?
+        .into_iter()
+        .map(|(i, ev)| Candidate {
+            arch: candidates[i].0,
+            dvs: candidates[i].1,
+            time: ev.intervals.iter().map(|iv| iv.duration.0).collect(),
+            fit: (0..ev.intervals.len())
+                .map(|k| interval_fit(&ev, k, model))
+                .collect(),
+        })
+        .collect();
+    let n_intervals = candidates.iter().map(|c| c.time.len()).min().unwrap_or(0);
+    if n_intervals == 0 {
+        return Err(SimError::infeasible(
+            "no candidates or no intervals to schedule",
+        ));
     }
 
     // Per-interval selection for a given multiplier; returns (schedule,

@@ -77,7 +77,7 @@ pub use batch::{
     default_workers, BatchEngine, EvalCache, EvalKey, SweepSummary, TimingCache, TimingCacheKey,
 };
 pub use controller::{ControlTrace, ControllerParams, ReactiveDrm};
-pub use dtm::{compare_drm_dtm, dtm_best_dvs, DrmDtmPoint, DtmChoice};
+pub use dtm::{compare_drm_dtm, dtm_best_among, dtm_best_dvs, DrmDtmPoint, DtmChoice};
 pub use dvs::{frequency_grid, voltage_for_frequency, DvsPoint, DvsRange};
 pub use evaluator::{
     EvalParams, EvalStats, Evaluation, Evaluator, IntervalProfile, RunDigest, TimingRun,
@@ -86,7 +86,7 @@ pub use fleet::{
     fleet_partial, fleet_summarize, run_fleet, FleetConfig, FleetPartial, FleetStats, FleetSummary,
     VariationParams, DIE_BATCH,
 };
-pub use intra::{intra_app_best, IntraAppChoice};
+pub use intra::{intra_app_best, intra_app_best_among, IntraAppChoice};
 pub use mix::WorkloadMix;
 pub use oracle::{DrmChoice, Oracle};
 pub use scaling::{scaling_study, ScalingRow, TechnologyNode};
@@ -96,4 +96,4 @@ pub use slice::{slice_lengths, SliceParams};
 pub use solve::{SolveReport, MAX_JUNCTION_K};
 pub use space::{ArchPoint, Strategy};
 pub use store::{RunStore, StoreRecord, STORE_EXTENSION, STORE_HEADER};
-pub use surrogate::{AppTable, ErrorBounds, Surrogate, SurrogateParams, SurrogateScore};
+pub use surrogate::{AppTable, Surrogate, SurrogateParams, SurrogateScore};

@@ -12,7 +12,7 @@ use sim_common::SimError;
 use workload::App;
 
 use crate::dvs::DvsPoint;
-use crate::oracle::{DrmChoice, Oracle};
+use crate::oracle::{select, DrmChoice, Oracle};
 use crate::space::{ArchPoint, Strategy};
 
 /// A time-weighted mix of applications.
@@ -129,42 +129,27 @@ impl WorkloadMix {
     ) -> Result<DrmChoice, SimError> {
         // Pre-evaluate every (constituent, candidate) pair in one
         // parallel pass.
-        let candidates = strategy.candidates(dvs_step_ghz);
-        let mut jobs = Vec::with_capacity(self.entries.len() * (candidates.len() + 1));
-        for &(app, _) in &self.entries {
-            jobs.push((app, ArchPoint::most_aggressive(), DvsPoint::base()));
-            for &(arch, dvs) in &candidates {
-                jobs.push((app, arch, dvs));
-            }
-        }
-        oracle.prefetch(&jobs)?;
+        let apps: Vec<App> = self.entries.iter().map(|&(app, _)| app).collect();
+        oracle.prefetch_suite(&apps, strategy, dvs_step_ghz)?;
         let target = model.target_fit();
-        let mut best_feasible: Option<DrmChoice> = None;
-        let mut min_fit: Option<DrmChoice> = None;
-        for (arch, dvs) in strategy.candidates(dvs_step_ghz) {
-            let fit = self.fit(oracle, arch, dvs, model)?;
-            let perf = self.relative_performance(oracle, arch, dvs)?;
-            let choice = DrmChoice {
-                arch,
-                dvs,
-                relative_performance: perf,
-                fit,
-                feasible: fit <= target,
-            };
-            if choice.feasible
-                && best_feasible
-                    .as_ref()
-                    .is_none_or(|b| choice.relative_performance > b.relative_performance)
-            {
-                best_feasible = Some(choice.clone());
-            }
-            if min_fit.as_ref().is_none_or(|b| choice.fit < b.fit) {
-                min_fit = Some(choice);
-            }
-        }
-        best_feasible
-            .or(min_fit)
-            .ok_or_else(|| SimError::infeasible(format!("{strategy} has no candidates")))
+        let choices = strategy
+            .candidates(dvs_step_ghz)
+            .into_iter()
+            .map(|(arch, dvs)| {
+                let fit = self.fit(oracle, arch, dvs, model)?;
+                Ok(DrmChoice {
+                    arch,
+                    dvs,
+                    relative_performance: self.relative_performance(oracle, arch, dvs)?,
+                    fit,
+                    feasible: fit <= target,
+                })
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        select(choices, |c| {
+            (c.feasible, c.relative_performance, c.fit.value())
+        })
+        .ok_or_else(|| SimError::infeasible(format!("{strategy} has no candidates")))
     }
 }
 
@@ -247,6 +232,35 @@ mod tests {
             mixed <= m.target_fit(),
             "mix {mixed:?} should fit the budget"
         );
+    }
+
+    #[test]
+    fn single_app_mix_chooses_exactly_as_the_oracle() {
+        // With one constituent at share 1.0 the mix's FIT and performance
+        // sums are exact, so the shared selection fold must break every
+        // tie the same way for both callers, to the last bit.
+        let o = oracle();
+        let mix = WorkloadMix::new([(App::Gzip, 1.0)]).unwrap();
+        for t_qual in [366.0, 394.0] {
+            let m = model(t_qual);
+            for strategy in Strategy::ALL {
+                let solo = o.best(App::Gzip, strategy, &m, 0.5).unwrap();
+                let mixed = mix.best(&o, strategy, &m, 0.5).unwrap();
+                let at = format!("{strategy} at T_qual {t_qual}");
+                assert_eq!((solo.arch, solo.dvs), (mixed.arch, mixed.dvs), "{at}");
+                assert_eq!(solo.feasible, mixed.feasible, "{at}");
+                assert_eq!(
+                    solo.relative_performance.to_bits(),
+                    mixed.relative_performance.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    solo.fit.value().to_bits(),
+                    mixed.fit.value().to_bits(),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! shared across threads.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use ramp::{Fit, ReliabilityModel};
 use sim_common::SimError;
@@ -25,7 +24,7 @@ use crate::batch::{BatchEngine, SweepSummary};
 use crate::dvs::DvsPoint;
 use crate::evaluator::{Evaluation, Evaluator};
 use crate::space::{ArchPoint, Strategy};
-use crate::surrogate::{self, promote_for_oracle, Surrogate, SurrogateParams};
+use crate::surrogate::{Objective, Screen, Surrogate, SurrogateParams};
 
 /// The configuration an oracular DRM run settles on for one application.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,9 +247,8 @@ impl Oracle {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors; returns [`SimError::Infeasible`] only
-    /// when the strategy has no candidates (cannot happen for the built-in
-    /// strategies).
+    /// Propagates evaluation errors; the built-in strategies always have
+    /// candidates.
     pub fn best(
         &self,
         app: App,
@@ -258,24 +256,19 @@ impl Oracle {
         model: &ReliabilityModel,
         dvs_step_ghz: f64,
     ) -> Result<DrmChoice, SimError> {
-        self.best_among(
-            app,
-            &strategy.candidates(dvs_step_ghz),
-            (ArchPoint::most_aggressive(), DvsPoint::base()),
-            model,
-        )
-        .map_err(|e| match e {
-            SimError::Infeasible(_) => {
-                SimError::infeasible(format!("{strategy} has no candidates"))
-            }
-            other => other,
-        })
+        let base = (ArchPoint::most_aggressive(), DvsPoint::base());
+        self.best_among(app, &strategy.candidates(dvs_step_ghz), base, model)
     }
 
     /// Like [`Oracle::best`], but over an explicit candidate set with an
     /// explicit base operating point — the scenario-driven entry point,
     /// where the adaptation space and DVS grid come from a scenario file
     /// rather than the built-in paper constants.
+    ///
+    /// With the surrogate enabled, only the screened frontier runs
+    /// through the exact path; the choice comes from exact `Evaluation`s
+    /// either way, so it is bit-identical to exhaustive search whenever
+    /// the error bounds hold.
     ///
     /// # Errors
     ///
@@ -289,204 +282,171 @@ impl Oracle {
         model: &ReliabilityModel,
     ) -> Result<DrmChoice, SimError> {
         let _span = sim_obs::span!("oracle.best");
-        if let Some(surrogate) = &self.surrogate {
-            return self.best_among_two_phase(surrogate, app, candidates, base, model);
-        }
-        let mut jobs: Vec<_> = candidates.iter().map(|&(a, d)| (app, a, d)).collect();
-        jobs.push((app, base.0, base.1));
-        self.engine.evaluate_all(&jobs)?;
-        let promoted: Vec<usize> = (0..candidates.len()).collect();
-        self.select_exact(app, candidates, &promoted, base, model, None)
+        let exact = self.search(app, candidates, base, Objective::Fit(model))?;
+        let base_bips = self.evaluation(app, base.0, base.1)?.bips;
+        let target = model.target_fit();
+        let choices = exact.into_iter().map(|(i, ev)| {
+            let fit = ev.application_fit(model).total();
+            DrmChoice {
+                arch: candidates[i].0,
+                dvs: candidates[i].1,
+                relative_performance: ev.bips / base_bips,
+                fit,
+                feasible: fit <= target,
+            }
+        });
+        select(choices, |c| {
+            (c.feasible, c.relative_performance, c.fit.value())
+        })
+        .ok_or_else(|| SimError::infeasible("candidate set is empty"))
     }
 
-    /// The surrogate-accelerated search: calibrate, score every
-    /// candidate analytically, promote the provable frontier, and
-    /// escalate it through the exact path in incumbent-pruned waves. The
-    /// final choice comes from exact `Evaluation`s, so it is
-    /// bit-identical to exhaustive search whenever the error bounds
-    /// hold.
-    ///
-    /// The FIT bound is inherently loose (FIT is exponentially sensitive
-    /// to temperature), so feasibility alone cannot prune much. Instead,
-    /// the best *exactly*-feasible anchor seeds an incumbent, the
-    /// frontier runs through the cycle-level path in
-    /// predicted-performance order, and every exact feasible result
-    /// raises the bar: a remaining candidate survives only while its
-    /// performance upper bound can still beat the incumbent. The
-    /// exhaustive winner performs at least as well as any exactly
-    /// feasible candidate, so pruned points provably cannot win.
-    fn best_among_two_phase(
+    /// The exact evaluations a DRM, DTM or intra-application search
+    /// chooses from, as `(index, evaluation)` pairs in candidate order.
+    /// Without a surrogate, that is every candidate, evaluated in one
+    /// parallel batch pass (the oracle's pass includes the base point it
+    /// divides by). With one, it is the candidates the screen promotes
+    /// for `objective`: in one batch pass, or for the oracle in
+    /// incumbent-pruned waves ([`Oracle::escalate`]), each verified
+    /// against its prediction.
+    pub(crate) fn search(
         &self,
-        surrogate: &Surrogate,
         app: App,
         candidates: &[(ArchPoint, DvsPoint)],
         base: (ArchPoint, DvsPoint),
-        model: &ReliabilityModel,
-    ) -> Result<DrmChoice, SimError> {
-        let table = surrogate.table_for(&self.engine, app, candidates, base)?;
-        let bounds = surrogate.bounds(&self.engine, app, &table, Some(model))?;
-        let mut scores = Vec::with_capacity(candidates.len());
-        for &(arch, dvs) in candidates {
-            let config = arch.apply(self.engine.base_config(), dvs)?;
-            scores.push(table.score(self.engine.evaluator(), &config));
-        }
-        let fits: Vec<Fit> = scores.iter().map(|s| s.fit(model)).collect();
-        let target = model.target_fit();
-
-        if !surrogate.prune_active() {
-            // Warm-up: score (growing the error pool) but promote all.
-            let promoted: Vec<usize> = (0..candidates.len()).collect();
-            sim_obs::counter!("surrogate.promoted", promoted.len() as u64);
-            let mut jobs: Vec<_> = candidates.iter().map(|&(a, d)| (app, a, d)).collect();
-            jobs.push((app, base.0, base.1));
-            self.engine.evaluate_all(&jobs)?;
-            return self.select_exact(
-                app,
-                candidates,
-                &promoted,
-                base,
-                model,
-                Some((surrogate, &scores)),
-            );
-        }
-
-        // Interval pre-filter: everything that could win given the bounds.
-        let frontier = promote_for_oracle(&scores, &fits, target, &bounds, surrogate.k_floor());
-
-        // Seed the incumbent from the calibration anchors that are
-        // themselves candidates — their exact evaluations are already
-        // cached, so this is free. The exhaustive winner cannot perform
-        // worse than any exactly feasible candidate.
-        let mut promoted: Vec<usize> = Vec::new();
-        let mut incumbent = f64::NEG_INFINITY;
-        for &(a, d) in table.anchors() {
-            if let Some(i) = candidates.iter().position(|&c| c == (a, d)) {
-                if !promoted.contains(&i) {
-                    let ev = self.evaluation(app, a, d)?;
-                    if ev.application_fit(model).total() <= target {
-                        incumbent = incumbent.max(ev.bips);
-                    }
-                    promoted.push(i);
-                }
+        objective: Objective<'_>,
+    ) -> Result<Vec<(usize, Arc<Evaluation>)>, SimError> {
+        let screen = match &self.surrogate {
+            Some(s) if !candidates.is_empty() => {
+                Some(s.screen(&self.engine, app, candidates, base, objective)?)
             }
-        }
-
-        // Escalating exact waves over the frontier in predicted-
-        // performance order. Each wave is one parallel batch; each exact
-        // feasible result can raise the incumbent and shrink the queue.
-        let mut queue: Vec<usize> = frontier
+            _ => None,
+        };
+        let promoted = match (&screen, objective) {
+            (Some(screen), Objective::Fit(model)) if !screen.warm => {
+                self.escalate(app, candidates, model, screen)?
+            }
+            (Some(screen), _) => {
+                self.engine
+                    .evaluate_all(&jobs(app, candidates, &screen.promoted))?;
+                screen.promoted.clone()
+            }
+            (None, _) => {
+                let all: Vec<usize> = (0..candidates.len()).collect();
+                let mut jobs = jobs(app, candidates, &all);
+                if let Objective::Fit(_) = objective {
+                    jobs.push((app, base.0, base.1));
+                }
+                self.engine.evaluate_all(&jobs)?;
+                all
+            }
+        };
+        let exact = promoted
             .into_iter()
-            .filter(|i| !promoted.contains(i))
+            .map(|i| Ok((i, self.evaluation(app, candidates[i].0, candidates[i].1)?)))
+            .collect::<Result<Vec<_>, SimError>>()?;
+        if let Some(screen) = &screen {
+            screen.verify(&exact);
+        }
+        Ok(exact)
+    }
+
+    /// The oracle's exact escalation over a screen. The FIT bound is
+    /// inherently loose (FIT is exponentially sensitive to temperature),
+    /// so feasibility alone cannot prune much. Instead, the best
+    /// *exactly*-feasible anchor seeds an incumbent (the anchors'
+    /// evaluations are cached, so this is free), the promoted frontier
+    /// runs through the cycle-level path in predicted-performance order,
+    /// one parallel wave at a time, and every exact feasible result
+    /// raises the bar: a queued candidate survives only while its
+    /// performance upper bound can still reach the incumbent. The
+    /// exhaustive winner performs at least as well as any exactly
+    /// feasible candidate, so pruned points provably cannot win. Returns
+    /// the evaluated indices, ascending, so candidate order still breaks
+    /// ties.
+    fn escalate(
+        &self,
+        app: App,
+        candidates: &[(ArchPoint, DvsPoint)],
+        model: &ReliabilityModel,
+        screen: &Screen<'_>,
+    ) -> Result<Vec<usize>, SimError> {
+        // The anchors are distinct, so their first positions are too.
+        let mut wave: Vec<usize> = screen
+            .table
+            .anchors()
+            .iter()
+            .filter_map(|a| candidates.iter().position(|c| c == a))
             .collect();
+        let mut queue: Vec<usize> = screen
+            .promoted
+            .iter()
+            .copied()
+            .filter(|i| !wave.contains(i))
+            .collect();
+        let bips = |i: usize| screen.scores[i].bips;
         queue.sort_by(|&a, &b| {
-            scores[b]
-                .bips
-                .partial_cmp(&scores[a].bips)
+            bips(b)
+                .partial_cmp(&bips(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let wave_len = surrogate.k_floor().max(1);
-        while !queue.is_empty() {
-            queue.retain(|&i| surrogate::hi(scores[i].bips, bounds.perf) >= incumbent);
-            let wave: Vec<usize> = queue.drain(..wave_len.min(queue.len())).collect();
-            if wave.is_empty() {
-                break;
-            }
-            let jobs: Vec<_> = wave
-                .iter()
-                .map(|&i| (app, candidates[i].0, candidates[i].1))
-                .collect();
-            self.engine.evaluate_all(&jobs)?;
+        let (target, k) = (model.target_fit(), screen.surrogate.k_floor());
+        let mut promoted = Vec::new();
+        let mut incumbent = f64::NEG_INFINITY;
+        loop {
             for &i in &wave {
-                let (a, d) = candidates[i];
-                let ev = self.evaluation(app, a, d)?;
+                let ev = self.evaluation(app, candidates[i].0, candidates[i].1)?;
                 if ev.application_fit(model).total() <= target {
                     incumbent = incumbent.max(ev.bips);
                 }
                 promoted.push(i);
             }
+            queue.retain(|&i| screen.bips_hi(i) >= incumbent);
+            wave = queue.drain(..k.min(queue.len())).collect();
+            if wave.is_empty() {
+                break;
+            }
+            self.engine.evaluate_all(&jobs(app, candidates, &wave))?;
         }
         promoted.sort_unstable();
-        sim_obs::counter!("surrogate.promoted", promoted.len() as u64);
-        self.select_exact(
-            app,
-            candidates,
-            &promoted,
-            base,
-            model,
-            Some((surrogate, &scores)),
-        )
+        Ok(promoted)
     }
+}
 
-    /// The exact selection loop over `promoted` (indices into
-    /// `candidates`, ascending, so original candidate order — and with
-    /// it tie-breaking — is preserved). With `verify` present, every
-    /// exact evaluation is compared against its surrogate prediction,
-    /// feeding the running error pool and histograms.
-    fn select_exact(
-        &self,
-        app: App,
-        candidates: &[(ArchPoint, DvsPoint)],
-        promoted: &[usize],
-        base: (ArchPoint, DvsPoint),
-        model: &ReliabilityModel,
-        verify: Option<(&Surrogate, &[crate::surrogate::SurrogateScore])>,
-    ) -> Result<DrmChoice, SimError> {
-        let base_bips = self.evaluation(app, base.0, base.1)?.bips;
-        let target = model.target_fit();
-        let mut best_feasible: Option<DrmChoice> = None;
-        let mut min_fit: Option<DrmChoice> = None;
-        for &i in promoted {
-            let (arch, dvs) = candidates[i];
-            let ev = self.evaluation(app, arch, dvs)?;
-            if let Some((surrogate, scores)) = verify {
-                surrogate.record_verification(&scores[i], &ev, Some(model));
-            }
-            let fit = ev.application_fit(model).total();
-            let choice = DrmChoice {
-                arch,
-                dvs,
-                relative_performance: ev.bips / base_bips,
-                fit,
-                feasible: fit <= target,
-            };
-            if choice.feasible {
-                let better = best_feasible
-                    .as_ref()
-                    .is_none_or(|b| choice.relative_performance > b.relative_performance);
-                if better {
-                    best_feasible = Some(choice.clone());
-                }
-            }
-            let lower = min_fit.as_ref().is_none_or(|b| choice.fit < b.fit);
-            if lower {
-                min_fit = Some(choice);
-            }
+/// The batch jobs for `indices` of `candidates`.
+fn jobs(
+    app: App,
+    candidates: &[(ArchPoint, DvsPoint)],
+    indices: &[usize],
+) -> Vec<(App, ArchPoint, DvsPoint)> {
+    indices
+        .iter()
+        .map(|&i| (app, candidates[i].0, candidates[i].1))
+        .collect()
+}
+
+/// The selection fold every DRM search ends in. `key` gives an item's
+/// `(feasible, performance, risk)`; the result is the first feasible item
+/// with the highest performance or, when no item is feasible, the first
+/// with the lowest risk. Comparisons are strict, so the earlier item wins
+/// a tie and candidate order breaks ties the same way for every caller.
+pub(crate) fn select<T>(
+    items: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> (bool, f64, f64),
+) -> Option<T> {
+    let mut items: Vec<T> = items.into_iter().collect();
+    let keys: Vec<(bool, f64, f64)> = items.iter().map(key).collect();
+    let (mut best, mut safest) = (None::<usize>, None::<usize>);
+    for (i, &(feasible, perf, risk)) in keys.iter().enumerate() {
+        if feasible && best.is_none_or(|b| perf > keys[b].1) {
+            best = Some(i);
         }
-        best_feasible
-            .or(min_fit)
-            .ok_or_else(|| SimError::infeasible("candidate set is empty"))
+        if safest.is_none_or(|s| risk < keys[s].2) {
+            safest = Some(i);
+        }
     }
-
-    /// Like [`Oracle::best`], but also returns the wall-clock summary of
-    /// the candidate-sweep batch pass (for drivers that report timing).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn best_with_summary(
-        &self,
-        app: App,
-        strategy: Strategy,
-        model: &ReliabilityModel,
-        dvs_step_ghz: f64,
-    ) -> Result<(DrmChoice, SweepSummary), SimError> {
-        let start = Instant::now();
-        let mut summary = self.prefetch_suite(&[app], strategy, dvs_step_ghz)?;
-        let choice = self.best(app, strategy, model, dvs_step_ghz)?;
-        summary.wall = start.elapsed();
-        Ok((choice, summary))
-    }
+    best.or(safest).map(|i| items.swap_remove(i))
 }
 
 #[cfg(test)]
@@ -495,6 +455,7 @@ mod tests {
     use crate::evaluator::EvalParams;
     use ramp::{FailureParams, QualificationPoint, ReliabilityModel};
     use sim_common::{Floorplan, Hertz, Kelvin, Volts};
+    use std::time::Instant;
 
     fn oracle() -> Oracle {
         Oracle::new(Evaluator::ibm_65nm(EvalParams::quick()).unwrap())

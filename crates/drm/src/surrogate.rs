@@ -22,20 +22,16 @@
 //!    verification — gives an interval around each prediction; only
 //!    candidates whose interval could still contain the exact winner
 //!    (the *frontier*) are promoted into the exact cycle-level path,
-//!    with a conservative `top_k` floor. The oracle then escalates in
-//!    exact waves: the best exactly-feasible anchor seeds an incumbent,
-//!    candidates run through the cycle-level path in predicted-
-//!    performance order, and each exact feasible result raises the bar
-//!    that the remaining candidates' performance upper bounds must
-//!    clear — so the loose (exponentially temperature-sensitive) FIT
-//!    bound never gates pruning, only the tight performance bound does.
-//!    The final selection loop runs over exact `Evaluation`s only, so
-//!    the returned choice and all FIT numbers are bit-identical to
-//!    exhaustive search whenever the error bound holds — and every
-//!    promoted point is verified against its prediction, feeding the
-//!    running error histogram.
+//!    with a conservative `top_k` floor. Each search's objective
+//!    supplies the rule; the oracle then escalates the frontier in
+//!    incumbent-pruned exact waves. The final selection runs over exact
+//!    `Evaluation`s only, so the choice and all FIT numbers are
+//!    bit-identical to exhaustive search whenever the error bound holds,
+//!    and every promoted point is verified against its prediction,
+//!    feeding the running error histogram.
 //!
-//! The surrogate is attached to an [`Oracle`](crate::Oracle) via
+//! Every search enters through one call, `Surrogate::screen`. The
+//! surrogate is attached to an [`Oracle`](crate::Oracle) via
 //! [`Oracle::with_surrogate`](crate::Oracle::with_surrogate) and is off
 //! by default everywhere.
 
@@ -128,13 +124,60 @@ impl SurrogateScore {
 /// Effective relative error bounds used for promotion, per predicted
 /// quantity. A bound ≥ 1 disables pruning on that quantity.
 #[derive(Debug, Clone, Copy)]
-pub struct ErrorBounds {
+struct ErrorBounds {
     /// Relative bound on predicted BIPS.
-    pub perf: f64,
+    perf: f64,
     /// Relative bound on predicted application FIT.
-    pub fit: f64,
+    fit: f64,
     /// Relative bound on predicted peak temperature.
-    pub temp: f64,
+    temp: f64,
+}
+
+/// What a search optimizes: it picks the promote rule a screen applies
+/// and the reliability model (if any) scores are checked against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Objective<'m> {
+    /// The oracle (§5): fastest candidate within the FIT target.
+    Fit(&'m ReliabilityModel),
+    /// DTM (§7.3): highest frequency within `T_max`.
+    Thermal(Kelvin),
+    /// The intra-application scheduler: per-interval picks within the
+    /// FIT budget.
+    Schedule(&'m ReliabilityModel),
+}
+
+/// One screened candidate list, built by [`Surrogate::screen`].
+pub(crate) struct Screen<'s> {
+    /// The surrogate that screened.
+    pub surrogate: &'s Surrogate,
+    model: Option<&'s ReliabilityModel>,
+    perf_bound: f64,
+    /// True while pruning warms up: every candidate is promoted.
+    pub warm: bool,
+    /// The calibrated table; its anchors' exact evaluations are cached.
+    pub table: Arc<AppTable>,
+    /// Every candidate's score, in candidate order.
+    pub scores: Vec<SurrogateScore>,
+    /// Promoted candidate indices, ascending; every index during warm-up.
+    pub promoted: Vec<usize>,
+}
+
+impl Screen<'_> {
+    /// Guaranteed upper bound of candidate `i`'s exact BIPS.
+    pub fn bips_hi(&self, i: usize) -> f64 {
+        hi(self.scores[i].bips, self.perf_bound)
+    }
+
+    /// Checks exact evaluations (`(index, evaluation)` pairs of promoted
+    /// candidates) against their predictions, growing the error pool
+    /// later bounds are widened by.
+    pub fn verify(&self, exact: &[(usize, Arc<Evaluation>)]) {
+        sim_obs::counter!("surrogate.promoted", exact.len() as u64);
+        for (i, ev) in exact {
+            self.surrogate
+                .record_verification(&self.scores[*i], ev, self.model);
+        }
+    }
 }
 
 /// The calibrated per-application cost table: instruction mix over
@@ -315,8 +358,56 @@ impl Surrogate {
 
     /// True once enough applications are calibrated for promotion
     /// pruning to activate (before that, every candidate is promoted).
-    pub fn prune_active(&self) -> bool {
+    fn prune_active(&self) -> bool {
         self.calibrated_apps() >= self.params.calibration_apps
+    }
+
+    /// Screens `candidates` for `objective`: the calibrated table for
+    /// `app` (built on first use), the error bounds, every candidate's
+    /// score, and the objective's promote rule — or every index while
+    /// pruning is still warming up.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors.
+    pub(crate) fn screen<'s>(
+        &'s self,
+        engine: &BatchEngine,
+        app: App,
+        candidates: &[(ArchPoint, DvsPoint)],
+        base: (ArchPoint, DvsPoint),
+        objective: Objective<'s>,
+    ) -> Result<Screen<'s>, SimError> {
+        let model = match objective {
+            Objective::Fit(m) | Objective::Schedule(m) => Some(m),
+            Objective::Thermal(_) => None,
+        };
+        let table = self.table_for(engine, app, candidates, base)?;
+        let bounds = self.bounds(engine, app, &table, model)?;
+        let scores = candidates
+            .iter()
+            .map(|&(a, d)| Ok(table.score(engine.evaluator(), &a.apply(engine.base_config(), d)?)))
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let fits = |m: &ReliabilityModel| -> Vec<Fit> { scores.iter().map(|s| s.fit(m)).collect() };
+        let (k, warm) = (self.k_floor(), !self.prune_active());
+        let promoted = match objective {
+            _ if warm => (0..candidates.len()).collect(),
+            Objective::Fit(m) => promote_for_oracle(&scores, &fits(m), m.target_fit(), &bounds, k),
+            Objective::Thermal(t_max) => {
+                let freqs: Vec<Hertz> = candidates.iter().map(|c| c.1.frequency).collect();
+                promote_for_dtm(&scores, &freqs, t_max, &bounds, k)
+            }
+            Objective::Schedule(m) => promote_for_intra(&scores, &fits(m), &bounds, k),
+        };
+        Ok(Screen {
+            surrogate: self,
+            model,
+            perf_bound: bounds.perf,
+            warm,
+            table,
+            scores,
+            promoted,
+        })
     }
 
     /// The calibrated table for `app`, building it on first use: anchor
@@ -393,7 +484,7 @@ impl Surrogate {
     /// # Errors
     ///
     /// Propagates evaluation errors.
-    pub fn bounds(
+    fn bounds(
         &self,
         engine: &BatchEngine,
         app: App,
@@ -438,7 +529,7 @@ impl Surrogate {
     /// Records a phase-2 verification: the promoted candidate's exact
     /// evaluation against its prediction. Grows the running error pool
     /// (future bounds only widen) and feeds the error histograms.
-    pub fn record_verification(
+    fn record_verification(
         &self,
         predicted: &SurrogateScore,
         exact: &Evaluation,
@@ -478,7 +569,7 @@ fn lo(x: f64, e: f64) -> f64 {
 }
 
 /// Guaranteed upper bound; infinite when the bound is vacuous (`e ≥ 1`).
-pub(crate) fn hi(x: f64, e: f64) -> f64 {
+fn hi(x: f64, e: f64) -> f64 {
     if e >= 1.0 {
         f64::INFINITY
     } else {
@@ -518,7 +609,7 @@ fn fill_to_k(keep: &mut [bool], k: usize, rank: impl Fn(usize) -> f64) {
 /// Otherwise the exact search may fall back to the minimum-FIT point, so
 /// every candidate whose FIT interval overlaps the lowest upper bound is
 /// kept too.
-pub fn promote_for_oracle(
+fn promote_for_oracle(
     scores: &[SurrogateScore],
     fits: &[Fit],
     target: Fit,
@@ -559,7 +650,7 @@ pub fn promote_for_oracle(
 
 /// Promotion set for the DTM search (highest frequency with peak
 /// temperature ≤ `t_max`, coolest-point fallback), in original order.
-pub fn promote_for_dtm(
+fn promote_for_dtm(
     scores: &[SurrogateScore],
     frequencies: &[Hertz],
     t_max: Kelvin,
@@ -606,7 +697,7 @@ pub fn promote_for_dtm(
 /// imply per-interval dominance, so this prunes only far-dominated
 /// points; the margins make inversions vanishingly unlikely and the
 /// parity suite checks the schedules bit-for-bit.
-pub fn promote_for_intra(
+fn promote_for_intra(
     scores: &[SurrogateScore],
     fits: &[Fit],
     bounds: &ErrorBounds,

@@ -209,13 +209,21 @@ plain_fit="$(./target/release/ramp fit --app gzip --quick)"
 [ "$sliced_fit" = "$plain_fit" ] \
   || { echo "error: sliced fit differs from unsliced fit" >&2; exit 1; }
 
-echo "== surrogate smoke: two-phase DRM choice matches exhaustive byte for byte =="
+echo "== surrogate smoke: two-phase DRM, DTM and intra-app choices match exhaustive byte for byte =="
 # The surrogate-enabled scenario is the paper default plus a [surrogate]
-# section; the two-phase search must change nothing about the answer.
-surr_drm="$(./target/release/ramp drm --app gzip --strategy dvs --quick --scenario examples/scenarios/surrogate-search.scn)"
-plain_drm="$(./target/release/ramp drm --app gzip --strategy dvs --quick)"
-[ "$surr_drm" = "$plain_drm" ] \
-  || { echo "error: surrogate-enabled drm differs from exhaustive" >&2; exit 1; }
+# section; the two-phase search must change nothing about the answer of
+# any search that screens candidates through it.
+surrogate_matches() {
+  local name="$1" surr plain
+  shift
+  surr="$(./target/release/ramp "$@" --scenario examples/scenarios/surrogate-search.scn)"
+  plain="$(./target/release/ramp "$@")"
+  [ "$surr" = "$plain" ] \
+    || { echo "error: surrogate-enabled $name differs from exhaustive" >&2; exit 1; }
+}
+surrogate_matches drm drm --app gzip --strategy dvs --quick
+surrogate_matches dtm dtm --app gzip --quick
+surrogate_matches "drm --intra" drm --intra --app gzip --strategy dvs --quick
 
 echo "== paper driver smoke: tables run, and a driver's stdout is byte-stable =="
 RAMP_FAST=1 ./target/release/table1 >/dev/null
@@ -225,6 +233,7 @@ table2_err="$scratch/table2.err"
 fig4_out="$scratch/fig4.txt"
 fig1_out="$scratch/fig1.txt"
 fig3_out="$scratch/fig3.txt"
+extensions_out="$scratch/extensions.txt"
 RAMP_FAST=1 ./target/release/table2 >"$table2_a" 2>"$table2_err"
 RAMP_FAST=1 ./target/release/table2 >"$table2_b" 2>/dev/null
 cmp "$table2_a" "$table2_b" \
@@ -235,12 +244,13 @@ awk '/^sweep:/ { found = 1; jobs = $2; speedup = $NF; sub(/x$/, "", speedup)
        if (speedup + 0 > jobs + 0) { print "error: table2 " $0 ": speedup exceeds the job count" > "/dev/stderr"; exit 1 } }
      END { if (!found) { print "error: table2 printed no sweep: line" > "/dev/stderr"; exit 1 } }' "$table2_err"
 
-echo "== paper artifact pins: RAMP_FAST stdout of table2, fig1, fig3 and fig4 matches the recorded digests =="
+echo "== paper artifact pins: RAMP_FAST stdout of table2, fig1, fig3, fig4 and extensions matches the recorded digests =="
 # A change to a paper number fails here until the digest is re-recorded
 # with the reason in CHANGES.md.
 RAMP_FAST=1 ./target/release/fig1 >"$fig1_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/fig3 >"$fig3_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/fig4 >"$fig4_out" 2>/dev/null
+RAMP_FAST=1 ./target/release/extensions >"$extensions_out" 2>/dev/null
 check_digest() {
   local got
   got="$(sha256sum < "$2" | cut -d' ' -f1)"
@@ -251,6 +261,7 @@ check_digest table2 "$table2_a" fc3288538e4f045127119122aa5ca1971dca8ad91c0da3ae
 check_digest fig1 "$fig1_out" ce2e4259d2557f3a680a82b2507bf74bee4ee434054f620373b017dee3c2cb73
 check_digest fig3 "$fig3_out" 79e1a575eb45df596f108d298e8b04847e5dc0f3f58877ef153bc38091e8f755
 check_digest fig4 "$fig4_out" ee846b353b247c427dde2974e734cee6162658946caf2a6082ee52be51082dc3
+check_digest extensions "$extensions_out" 6ae24ed979d7495ae68b7bed088f914f17f1274ac2945b0d6a8d06818abcc627
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings

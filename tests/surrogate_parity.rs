@@ -202,3 +202,30 @@ fn surrogate_pays_under_a_quarter_of_the_timing_runs() {
         "surrogate paid {two_phase} timing runs, exhaustive {exhaustive}"
     );
 }
+
+/// The DTM and intra-application surrogate searches pay an exact amount
+/// of work: timing runs, cached evaluations, evaluation-cache hits and
+/// timing-cache reuses per search, on a fresh one-worker oracle. The
+/// oracle's count is bounded by the test above; these two had no pin, so
+/// a change that promotes, verifies or looks up one point more or less
+/// fails here. Recorded with the surrogate enabled, at these settings.
+#[test]
+fn surrogate_dtm_and_intra_searches_pay_pinned_work() {
+    let work = |o: &Oracle| {
+        let s = o.summary();
+        (
+            s.timing_runs,
+            o.evaluations_performed(),
+            s.cache_hits,
+            s.timing_reuses,
+        )
+    };
+    for (t_max, want) in [(355.0, (9, 9, 16, 1)), (385.0, (8, 8, 16, 1))] {
+        let o = oracle(1, true);
+        dtm_best_dvs(&o, App::MpgDec, Kelvin(t_max), 0.25).expect("surrogate DTM");
+        assert_eq!(work(&o), want, "DTM at T_max {t_max}");
+    }
+    let o = oracle(1, true);
+    intra_app_best(&o, App::Gzip, Strategy::Dvs, &model(380.0), 0.25).expect("surrogate schedule");
+    assert_eq!(work(&o), (11, 11, 19, 2), "intra-application gzip DVS");
+}
