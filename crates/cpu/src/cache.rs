@@ -133,7 +133,10 @@ pub struct CacheState {
 pub struct Cache {
     lines: Vec<Line>,
     assoc: usize,
-    set_count: u64,
+    /// Set count minus one (the geometry is a power of two, so a line
+    /// address's set is its low bits and its tag the rest).
+    set_mask: u64,
+    set_shift: u32,
     line_shift: u32,
     clock: u64,
     stats: CacheStats,
@@ -157,7 +160,8 @@ impl Cache {
         Ok(Cache {
             lines: vec![Line::EMPTY; (sets * config.assoc as u64) as usize],
             assoc: config.assoc as usize,
-            set_count: sets,
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             line_shift: config.line_bytes.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
@@ -182,8 +186,8 @@ impl Cache {
         self.clock += 1;
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr % self.set_count) as usize;
-        let tag = line_addr / self.set_count;
+        let set = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.set_shift;
         let base = set * self.assoc;
         let ways = &mut self.lines[base..base + self.assoc];
 
@@ -207,11 +211,43 @@ impl Cache {
         Lookup::Miss { writeback }
     }
 
+    /// Writes the state a fresh cache reaches after `count` reads at
+    /// `top`, `top - step`, `top - 2 * step`, ..., where `step` is a power
+    /// of two and `top` a multiple of it. Such a walk visits each line in
+    /// one unbroken run, so every read misses or hits the line the read
+    /// before it filled: the k-th line to enter a set takes way
+    /// `k % assoc` (the first invalid way, then the least recently used),
+    /// each resident line carries the clock of its last read, and the
+    /// clock ends at `count`. Statistics are untouched.
+    fn fill_descending(&mut self, top: u64, step: u64, count: u64) {
+        debug_assert!(self.clock == 0, "the fill writes a fresh cache");
+        if count == 0 {
+            return;
+        }
+        let lowest = top - (count - 1) * step;
+        // The distinct lines, in visiting order: `first`, `first - stride`,
+        // ... Those a multiple of `period` apart share a set.
+        let stride = (step >> self.line_shift).max(1);
+        let first = top >> self.line_shift;
+        let lines = (first - (lowest >> self.line_shift)) / stride + 1;
+        let period = (self.set_mask + 1) / stride.min(self.set_mask + 1);
+        let assoc = self.assoc as u64;
+        for j in lines.saturating_sub(period * assoc)..lines {
+            let line = first - j * stride;
+            let way = (j / period % assoc) as usize;
+            let last_read = (line << self.line_shift).max(lowest);
+            let index = (line & self.set_mask) as usize * self.assoc + way;
+            self.lines[index] =
+                Line::new(line >> self.set_shift, false, (top - last_read) / step + 1);
+        }
+        self.clock = count;
+    }
+
     /// True when the line containing `addr` is resident (no state change).
     pub fn contains(&self, addr: u64) -> bool {
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr % self.set_count) as usize;
-        let tag = line_addr / self.set_count;
+        let set = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.set_shift;
         let base = set * self.assoc;
         self.lines[base..base + self.assoc]
             .iter()
@@ -484,19 +520,49 @@ impl MemHierarchy {
         self.mshrs.iter().filter(|m| m.ready > now).count()
     }
 
-    /// Pre-warms the data path for the line containing `addr` (fills L2 and
-    /// L1D without touching MSHRs). Used to start measurement from the
-    /// steady state a long-running application would reach, skipping the
-    /// compulsory-miss transient that short simulations cannot amortize.
-    pub fn prefill_data(&mut self, addr: u64) {
+    /// Fills the line containing `addr` into L2 and L1D without touching
+    /// MSHRs (the next-line prefetch).
+    fn prefill_data(&mut self, addr: u64) {
         let _ = self.l2.access(addr, false);
         let _ = self.l1d.access(addr, false);
     }
 
-    /// Pre-warms the instruction path for the line containing `addr`.
-    pub fn prefill_inst(&mut self, addr: u64) {
-        let _ = self.l2.access(addr, false);
-        let _ = self.l1i.access(addr, false);
+    /// Pre-warms fresh caches: the data path over `[base, base + bytes)`
+    /// from the top of the range down, so the lowest addresses are most
+    /// recently used, then the instruction path over
+    /// `[code_base, code_base + code_bytes)` upward, one L1I line at a
+    /// time. The data side is written directly, in the state the
+    /// line-by-line walk through L2 and L1D would leave; the code side (a
+    /// few hundred lines) goes through ordinary accesses, so a code range
+    /// that overlaps the data in L2 is exact too. Statistics are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless L1D and L2 are fresh (their clocks are zero).
+    pub fn prewarm(&mut self, base: u64, bytes: u64, code_base: u64, code_bytes: u64) {
+        assert!(
+            self.l1d.clock == 0 && self.l2.clock == 0,
+            "prewarm needs fresh caches"
+        );
+        // Every line-aligned address from the top line down to `base`.
+        let line = self.l1d.line_bytes();
+        let top = base.saturating_add(bytes.saturating_sub(1)) & !(line - 1);
+        let count = if top >= base {
+            (top - base) / line + 1
+        } else {
+            0
+        };
+        self.l2.fill_descending(top, line, count);
+        self.l1d.fill_descending(top, line, count);
+        let mut addr = code_base;
+        while addr < code_base.saturating_add(code_bytes) {
+            let _ = self.l2.access(addr, false);
+            let _ = self.l1i.access(addr, false);
+            addr += self.l1i.line_bytes();
+        }
+        let _ = self.l1i.take_stats();
+        let _ = self.l1d.take_stats();
+        let _ = self.l2.take_stats();
     }
 
     /// Captures the warm hierarchy state for a checkpoint.

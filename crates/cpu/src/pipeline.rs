@@ -12,17 +12,21 @@
 //! the mispredicted branch's fetch until it resolves plus a redirect
 //! penalty, rather than by executing wrong-path work.
 //!
-//! Issue and completion are event driven rather than window scans. Issued
-//! slots wait in a completion queue keyed by `(ready_cycle, seq)`. A
-//! dispatched slot counts its sources that are not yet ready and links
-//! itself onto each such physical register's wakeup list; writeback walks
-//! the list, and a slot whose count reaches zero joins the ready set,
-//! which issue drains in sequence order. Both orders match a full scan of
-//! the window, so predictor training, register writes and issue priority
-//! stay in program order.
+//! The window is a power-of-two ring indexed by sequence number: an
+//! in-flight slot lives at `seq & mask`, so finding it is one mask.
+//!
+//! Issue and completion are event driven rather than window scans. An
+//! issued slot links into the completion bucket of `ready_cycle` modulo
+//! the bucket count; each cycle walks its bucket, completes the slots due
+//! now and leaves those a lap or more ahead in place. A dispatched slot
+//! counts its sources that are not yet ready and links itself onto each
+//! such physical register's wakeup list; writeback walks the list, and a
+//! slot whose count reaches zero joins the ready set, which issue drains
+//! in sequence order. Both lists are intrusive (the links live in the
+//! slots), and both orders match a full scan of the window, so predictor
+//! training, register writes and issue priority stay in program order.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use workload::{InstructionSource, MicroOp, OpClass, RegClass};
 
@@ -39,10 +43,15 @@ enum SlotState {
     Done,
 }
 
-/// End of a wakeup list (sequence numbers stay below `COUNTER_LIMIT`).
+/// End of a wakeup or completion list (sequence numbers stay below
+/// `COUNTER_LIMIT`).
 const NO_SLOT: u64 = u64::MAX;
 
-#[derive(Debug, Clone)]
+/// Completion buckets: a power of two above every latency of the base
+/// configuration, so a slot is almost always found on its first visit.
+const BUCKETS: u64 = 256;
+
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     seq: u64,
     op: MicroOp,
@@ -55,6 +64,95 @@ struct Slot {
     unready_srcs: u8,
     /// Next waiter (by sequence number) on the wakeup list of `srcs[k]`.
     next_waiter: [u64; 2],
+    /// Next issued slot in the same completion bucket.
+    next_done: u64,
+}
+
+impl Slot {
+    /// A ring entry holding no instruction.
+    const EMPTY: Slot = Slot {
+        seq: NO_SLOT,
+        op: MicroOp {
+            pc: 0,
+            class: OpClass::IntAlu,
+            dest: None,
+            srcs: [None, None],
+            addr: None,
+            taken: false,
+        },
+        dest: None,
+        old_dest: None,
+        srcs: [None, None],
+        state: SlotState::Done,
+        ready_cycle: 0,
+        unready_srcs: 0,
+        next_waiter: [NO_SLOT; 2],
+        next_done: NO_SLOT,
+    };
+}
+
+/// The instruction window: a ring whose capacity is the window size
+/// rounded up to a power of two. In-flight sequence numbers are
+/// consecutive, so slot `seq` lives at `seq & mask`.
+#[derive(Debug)]
+struct Window {
+    slots: Vec<Slot>,
+    mask: u64,
+    /// Sequence number of the oldest slot (the next to dispatch when the
+    /// window is empty).
+    head: u64,
+    len: u64,
+}
+
+impl Window {
+    fn new(size: u32) -> Window {
+        let capacity = size.next_power_of_two() as usize;
+        Window {
+            slots: vec![Slot::EMPTY; capacity],
+            mask: capacity as u64 - 1,
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[(seq & self.mask) as usize]
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        &mut self.slots[(seq & self.mask) as usize]
+    }
+
+    fn front(&self) -> Option<&Slot> {
+        (self.len > 0).then(|| self.slot(self.head))
+    }
+
+    /// Sequence numbers in flight, oldest first.
+    fn seqs(&self) -> std::ops::Range<u64> {
+        self.head..self.head + self.len
+    }
+
+    fn push_back(&mut self, slot: Slot) {
+        debug_assert_eq!(slot.seq, self.head + self.len);
+        *self.slot_mut(slot.seq) = slot;
+        self.len += 1;
+    }
+
+    /// Retires the oldest slot.
+    fn pop_front(&mut self) {
+        self.head += 1;
+        self.len -= 1;
+    }
+
+    /// Empties the window; the next slot pushed carries `head`.
+    fn reset(&mut self, head: u64) {
+        self.head = head;
+        self.len = 0;
+    }
 }
 
 /// The 8-byte words targeted by stores in the window, each with the number
@@ -224,7 +322,7 @@ pub struct Processor<S> {
     bpred: Bpred,
     mem: MemHierarchy,
 
-    window: VecDeque<Slot>,
+    window: Window,
     fetch_queue: VecDeque<Fetched>,
     pending: Option<MicroOp>,
 
@@ -248,8 +346,9 @@ pub struct Processor<S> {
     mem_in_window: u32,
     store_addrs: StoreWords,
 
-    /// Issued slots as `(ready_cycle, seq)`, earliest first.
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Head of each completion bucket's list of issued slots (bucket
+    /// `ready_cycle % BUCKETS`), or `NO_SLOT`.
+    done_heads: Vec<u64>,
     /// Scratch: the sequence numbers completing this cycle.
     due: Vec<u64>,
     /// Waiting slots whose sources are all ready, ascending by `seq`.
@@ -287,7 +386,7 @@ impl<S: InstructionSource> Processor<S> {
                 mem.set_prefetch_next_line(config.prefetch_next_line);
                 mem
             },
-            window: VecDeque::with_capacity(config.window_size as usize),
+            window: Window::new(config.window_size),
             fetch_queue: VecDeque::with_capacity(config.fetch_queue_capacity() as usize),
             pending: None,
             now: 0,
@@ -304,7 +403,7 @@ impl<S: InstructionSource> Processor<S> {
             agen_free: vec![0; config.addr_gens as usize],
             mem_in_window: 0,
             store_addrs: StoreWords::with_capacity(config.mem_queue),
-            completions: BinaryHeap::with_capacity(config.window_size as usize),
+            done_heads: vec![NO_SLOT; BUCKETS as usize],
             due: Vec::with_capacity(config.window_size as usize),
             ready: Vec::with_capacity(config.window_size as usize),
             wakeup_heads: vec![NO_SLOT; (config.int_regs + config.fp_regs) as usize],
@@ -365,33 +464,23 @@ impl<S: InstructionSource> Processor<S> {
     }
 
     /// Pre-warms the data caches over `[base, base + bytes)` and the
-    /// instruction caches over `[code_base, code_base + code_bytes)`.
+    /// instruction caches over `[code_base, code_base + code_bytes)`
+    /// (see [`MemHierarchy::prewarm`]).
     ///
     /// Short simulations cannot amortize the compulsory misses of a
     /// multi-megabyte footprint the way the paper's 500-million-instruction
     /// runs do; prefilling starts measurement from the warmed steady state.
+    /// The data range is filled from the top down, so its lowest addresses
+    /// (the hot/mid regions at the bottom of the data segment) are most
+    /// recently used and survive in the capacity-limited levels.
     /// Statistics perturbed by prefilling are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the processor is fresh: prewarm comes right after
+    /// [`Processor::new`].
     pub fn prewarm(&mut self, base: u64, bytes: u64, code_base: u64, code_bytes: u64) {
-        // Walk from the top of the range down so the lowest addresses (the
-        // hot/mid regions at the bottom of the data segment) are
-        // most-recently-used and survive in the capacity-limited levels.
-        let line = self.config.l1d.line_bytes as u64;
-        let mut addr = base.saturating_add(bytes.saturating_sub(1)) & !(line - 1);
-        while addr >= base {
-            self.mem.prefill_data(addr);
-            match addr.checked_sub(line) {
-                Some(a) => addr = a,
-                None => break,
-            }
-        }
-        let mut addr = code_base;
-        while addr < code_base.saturating_add(code_bytes) {
-            self.mem.prefill_inst(addr);
-            addr += self.config.l1i.line_bytes as u64;
-        }
-        let _ = self.mem.l1i.take_stats();
-        let _ = self.mem.l1d.take_stats();
-        let _ = self.mem.l2.take_stats();
+        self.mem.prewarm(base, bytes, code_base, code_bytes);
     }
 
     /// Runs until `instructions` more instructions have committed and
@@ -448,20 +537,25 @@ impl<S: InstructionSource> Processor<S> {
 
     fn complete(&mut self) {
         let now = self.now;
-        while let Some(&Reverse((at, seq))) = self.completions.peek() {
-            if at > now {
-                break;
+        let bucket = (now % BUCKETS) as usize;
+        let mut seq = std::mem::replace(&mut self.done_heads[bucket], NO_SLOT);
+        while seq != NO_SLOT {
+            let slot = self.window.slot_mut(seq);
+            let next = slot.next_done;
+            if slot.ready_cycle <= now {
+                self.due.push(seq);
+            } else {
+                // Due a lap or more from now: stays in this bucket.
+                slot.next_done = std::mem::replace(&mut self.done_heads[bucket], seq);
             }
-            self.completions.pop();
-            self.due.push(seq);
+            seq = next;
         }
         // Program order, also for restored slots already past due.
         self.due.sort_unstable();
         let mut resolved_blocker = false;
         for k in 0..self.due.len() {
             let seq = self.due[k];
-            let i = self.position(seq);
-            let slot = &mut self.window[i];
+            let slot = self.window.slot_mut(seq);
             slot.state = SlotState::Done;
             let (dest, op) = (slot.dest, slot.op);
             if let Some(dest) = dest {
@@ -485,10 +579,10 @@ impl<S: InstructionSource> Processor<S> {
         }
     }
 
-    /// Window position of the in-flight sequence number `seq` (window
-    /// sequence numbers are consecutive).
-    fn position(&self, seq: u64) -> usize {
-        (seq - self.window[0].seq) as usize
+    /// Makes issued slot `seq` the head of the completion bucket of
+    /// cycle `at` and returns the previous head, the slot's `next_done`.
+    fn push_done(&mut self, at: u64, seq: u64) -> u64 {
+        std::mem::replace(&mut self.done_heads[(at % BUCKETS) as usize], seq)
     }
 
     fn wakeup_head(&mut self, reg: PhysReg) -> &mut u64 {
@@ -504,8 +598,7 @@ impl<S: InstructionSource> Processor<S> {
     fn wake(&mut self, reg: PhysReg) {
         let mut seq = std::mem::replace(self.wakeup_head(reg), NO_SLOT);
         while seq != NO_SLOT {
-            let i = self.position(seq);
-            let slot = &mut self.window[i];
+            let slot = self.window.slot_mut(seq);
             let k = usize::from(slot.srcs[0] != Some(reg));
             let next = slot.next_waiter[k];
             slot.unready_srcs -= 1;
@@ -519,7 +612,8 @@ impl<S: InstructionSource> Processor<S> {
 
     /// Appends `slot` to the window. A waiting slot links onto the wakeup
     /// list of each distinct source that is not ready, or joins the ready
-    /// set (as the youngest slot, at its end) when there is none.
+    /// set (as the youngest slot, at its end) when there is none; an
+    /// issued one joins its completion bucket.
     fn push_slot(&mut self, mut slot: Slot) {
         match slot.state {
             SlotState::Waiting => {
@@ -536,7 +630,10 @@ impl<S: InstructionSource> Processor<S> {
                     self.ready.push(slot.seq);
                 }
             }
-            SlotState::Issued => self.completions.push(Reverse((slot.ready_cycle, slot.seq))),
+            // A restored slot already past due completes this cycle.
+            SlotState::Issued => {
+                slot.next_done = self.push_done(slot.ready_cycle.max(self.now), slot.seq);
+            }
             SlotState::Done => {}
         }
         self.window.push_back(slot);
@@ -556,23 +653,24 @@ impl<S: InstructionSource> Processor<S> {
         }
         let mut retired = 0;
         while retired < self.config.retire_width && self.committed < self.commit_target {
-            match self.window.front() {
-                Some(slot) if slot.state == SlotState::Done => {}
+            let slot = match self.window.front() {
+                Some(slot) if slot.state == SlotState::Done => slot,
                 _ => break,
-            }
-            let slot = self.window.pop_front().expect("checked non-empty");
-            if let Some(old) = slot.old_dest {
+            };
+            let (op, old_dest) = (slot.op, slot.old_dest);
+            self.window.pop_front();
+            if let Some(old) = old_dest {
                 self.rename.release(old);
             }
-            if slot.op.class.is_mem() {
+            if op.class.is_mem() {
                 self.mem_in_window -= 1;
-                if slot.op.class == OpClass::Store {
-                    if let Some(addr) = slot.op.addr {
+                if op.class == OpClass::Store {
+                    if let Some(addr) = op.addr {
                         self.store_addrs.retire(addr >> 3);
                     }
                 }
             }
-            self.counters.class_commits[slot.op.class.index()] += 1;
+            self.counters.class_commits[op.class.index()] += 1;
             self.committed += 1;
             retired += 1;
         }
@@ -602,8 +700,10 @@ impl<S: InstructionSource> Processor<S> {
     fn try_issue(&mut self, seq: u64, dcache_used: &mut u32) -> bool {
         let now = self.now;
         let l1_hit = self.config.l1_hit_cycles as u64;
-        let i = self.position(seq);
-        let class = self.window[i].op.class;
+        let (class, addr) = {
+            let op = &self.window.slot(seq).op;
+            (op.class, op.addr)
+        };
         match class {
             OpClass::IntAlu
             | OpClass::IntMul
@@ -616,7 +716,7 @@ impl<S: InstructionSource> Processor<S> {
                 if !Self::take_unit(&mut self.int_free, now, now + occupancy) {
                     return false;
                 }
-                self.start_execution(i, now + latency);
+                self.start_execution(seq, now + latency);
                 self.counters.int_busy += occupancy;
             }
             OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => {
@@ -625,7 +725,7 @@ impl<S: InstructionSource> Processor<S> {
                 if !Self::take_unit(&mut self.fp_free, now, now + occupancy) {
                     return false;
                 }
-                self.start_execution(i, now + latency);
+                self.start_execution(seq, now + latency);
                 self.counters.fp_busy += occupancy;
             }
             OpClass::Load => {
@@ -638,22 +738,22 @@ impl<S: InstructionSource> Processor<S> {
                 {
                     return false;
                 }
-                let addr = self.window[i].op.addr.expect("loads carry addresses");
+                let addr = addr.expect("loads carry addresses");
                 self.counters.lsq_searches += 1;
-                if self.store_addr_is_older(i, addr) {
+                if self.store_addr_is_older(seq, addr) {
                     // Store-to-load forwarding: value comes from the
                     // memory queue, no cache access.
                     Self::take_unit(&mut self.agen_free, now, now + 1);
                     self.counters.agen_busy += 1;
                     self.counters.forwards += 1;
-                    self.start_execution(i, now + 1 + l1_hit);
+                    self.start_execution(seq, now + 1 + l1_hit);
                 } else {
                     match self.mem.access_data(now + 1, addr, false) {
                         DataAccess::Ready { ready } => {
                             Self::take_unit(&mut self.agen_free, now, now + 1);
                             self.counters.agen_busy += 1;
                             *dcache_used += 1;
-                            self.start_execution(i, ready);
+                            self.start_execution(seq, ready);
                         }
                         DataAccess::Retry => return false, // all MSHRs busy
                     }
@@ -665,7 +765,7 @@ impl<S: InstructionSource> Processor<S> {
                 {
                     return false;
                 }
-                let addr = self.window[i].op.addr.expect("stores carry addresses");
+                let addr = addr.expect("stores carry addresses");
                 match self.mem.access_data(now + 1, addr, true) {
                     DataAccess::Ready { .. } => {
                         Self::take_unit(&mut self.agen_free, now, now + 1);
@@ -675,7 +775,7 @@ impl<S: InstructionSource> Processor<S> {
                         // The store retires from the pipeline's point of
                         // view once its address and data are delivered to
                         // the memory queue.
-                        self.start_execution(i, now + 1);
+                        self.start_execution(seq, now + 1);
                     }
                     DataAccess::Retry => return false,
                 }
@@ -684,29 +784,30 @@ impl<S: InstructionSource> Processor<S> {
         true
     }
 
-    /// True when a store older than the load in window slot `load_idx`
-    /// targets the same 8-byte word (store-to-load forwarding hit).
-    fn store_addr_is_older(&self, load_idx: usize, addr: u64) -> bool {
+    /// True when a store older than the load `load_seq` targets the same
+    /// 8-byte word (store-to-load forwarding hit).
+    fn store_addr_is_older(&self, load_seq: u64, addr: u64) -> bool {
         if !self.store_addrs.contains(addr >> 3) {
             return false;
         }
-        let load_seq = self.window[load_idx].seq;
-        self.window.iter().any(|s| {
-            s.seq < load_seq
-                && s.op.class == OpClass::Store
-                && s.op.addr.is_some_and(|a| a >> 3 == addr >> 3)
+        (self.window.head..load_seq).any(|seq| {
+            let op = &self.window.slot(seq).op;
+            op.class == OpClass::Store && op.addr.is_some_and(|a| a >> 3 == addr >> 3)
         })
     }
 
-    fn start_execution(&mut self, slot_idx: usize, ready_cycle: u64) {
-        let slot = &mut self.window[slot_idx];
+    /// Issues slot `seq`, whose result arrives at `ready_cycle` (always
+    /// after the current cycle).
+    fn start_execution(&mut self, seq: u64, ready_cycle: u64) {
+        let next_done = self.push_done(ready_cycle, seq);
+        let slot = self.window.slot_mut(seq);
         slot.state = SlotState::Issued;
         slot.ready_cycle = ready_cycle;
-        let (seq, srcs) = (slot.seq, slot.srcs);
+        slot.next_done = next_done;
+        let srcs = slot.srcs;
         for src in srcs.iter().flatten() {
             self.rename.count_read(src.class);
         }
-        self.completions.push(Reverse((ready_cycle, seq)));
         self.counters.window_issues += 1;
     }
 
@@ -767,6 +868,7 @@ impl<S: InstructionSource> Processor<S> {
                 ready_cycle: 0,
                 unready_srcs: 0,
                 next_waiter: [NO_SLOT; 2],
+                next_done: NO_SLOT,
             });
             self.counters.window_writes += 1;
             budget -= 1;
@@ -879,9 +981,8 @@ impl<S: InstructionSource> Processor<S> {
             rename: self.rename.state(),
             bpred: self.bpred.state(),
             mem: self.mem.state(),
-            window: self
-                .window
-                .iter()
+            window: (self.window.seqs())
+                .map(|seq| self.window.slot(seq))
                 .map(|s| WindowSlotState {
                     seq: s.seq,
                     op: s.op,
@@ -1000,10 +1101,12 @@ impl<S: InstructionSource> Processor<S> {
         self.rename.restore_state(&state.rename)?;
         self.bpred.restore_state(&state.bpred)?;
         self.mem.restore_state(&state.mem)?;
-        // The completion queue, wakeup lists and ready set are a function
-        // of the window and the restored ready bits.
-        self.window.clear();
-        self.completions.clear();
+        // The completion buckets, wakeup lists and ready set are a
+        // function of the window and the restored ready bits; slots already
+        // past due complete on the first cycle.
+        self.now = state.now;
+        self.window.reset(first);
+        self.done_heads.fill(NO_SLOT);
         self.ready.clear();
         self.wakeup_heads.fill(NO_SLOT);
         for s in &state.window {
@@ -1021,6 +1124,7 @@ impl<S: InstructionSource> Processor<S> {
                 ready_cycle: s.ready_cycle,
                 unready_srcs: 0,
                 next_waiter: [NO_SLOT; 2],
+                next_done: NO_SLOT,
             });
         }
         self.fetch_queue.clear();
@@ -1031,7 +1135,6 @@ impl<S: InstructionSource> Processor<S> {
                 dispatch_at: f.dispatch_at,
             }));
         self.pending = state.pending;
-        self.now = state.now;
         self.seq_next = state.seq_next;
         self.committed = state.committed;
         self.last_commit_cycle = state.last_commit_cycle;
@@ -1044,9 +1147,9 @@ impl<S: InstructionSource> Processor<S> {
         self.agen_free.copy_from_slice(&state.agen_free);
         // Memory-queue occupancy and the published store addresses are a
         // function of the window contents.
-        self.mem_in_window = self.window.iter().filter(|s| s.op.class.is_mem()).count() as u32;
+        self.mem_in_window = state.window.iter().filter(|s| s.op.class.is_mem()).count() as u32;
         self.store_addrs.0.clear();
-        for slot in &self.window {
+        for slot in &state.window {
             if slot.op.class == OpClass::Store {
                 if let Some(addr) = slot.op.addr {
                     self.store_addrs.publish(addr >> 3);
@@ -1253,7 +1356,7 @@ mod tests {
     }
 
     /// Every app's cut holds waiting slots with unready sources, so the
-    /// restore-time rebuild of the completion queue, wakeup lists and
+    /// restore-time rebuild of the completion buckets, wakeup lists and
     /// ready set is exercised on each.
     #[test]
     fn state_round_trip_resumes_bit_for_bit() {

@@ -234,6 +234,10 @@ fig4_out="$scratch/fig4.txt"
 fig1_out="$scratch/fig1.txt"
 fig3_out="$scratch/fig3.txt"
 extensions_out="$scratch/extensions.txt"
+table1_out="$scratch/table1.txt"
+scaling_out="$scratch/scaling.txt"
+sensitivity_out="$scratch/sensitivity.txt"
+ablation_out="$scratch/ablation.txt"
 RAMP_FAST=1 ./target/release/table2 >"$table2_a" 2>"$table2_err"
 RAMP_FAST=1 ./target/release/table2 >"$table2_b" 2>/dev/null
 cmp "$table2_a" "$table2_b" \
@@ -244,13 +248,17 @@ awk '/^sweep:/ { found = 1; jobs = $2; speedup = $NF; sub(/x$/, "", speedup)
        if (speedup + 0 > jobs + 0) { print "error: table2 " $0 ": speedup exceeds the job count" > "/dev/stderr"; exit 1 } }
      END { if (!found) { print "error: table2 printed no sweep: line" > "/dev/stderr"; exit 1 } }' "$table2_err"
 
-echo "== paper artifact pins: RAMP_FAST stdout of table2, fig1, fig3, fig4 and extensions matches the recorded digests =="
+echo "== paper artifact pins: RAMP_FAST stdout of table2, table1, fig1, fig3, fig4, scaling, sensitivity, ablation and extensions matches the recorded digests =="
 # A change to a paper number fails here until the digest is re-recorded
 # with the reason in CHANGES.md.
 RAMP_FAST=1 ./target/release/fig1 >"$fig1_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/fig3 >"$fig3_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/fig4 >"$fig4_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/extensions >"$extensions_out" 2>/dev/null
+RAMP_FAST=1 ./target/release/table1 >"$table1_out" 2>/dev/null
+RAMP_FAST=1 ./target/release/scaling >"$scaling_out" 2>/dev/null
+RAMP_FAST=1 ./target/release/sensitivity >"$sensitivity_out" 2>/dev/null
+RAMP_FAST=1 ./target/release/ablation >"$ablation_out" 2>/dev/null
 check_digest() {
   local got
   got="$(sha256sum < "$2" | cut -d' ' -f1)"
@@ -262,6 +270,10 @@ check_digest fig1 "$fig1_out" ce2e4259d2557f3a680a82b2507bf74bee4ee434054f620373
 check_digest fig3 "$fig3_out" 79e1a575eb45df596f108d298e8b04847e5dc0f3f58877ef153bc38091e8f755
 check_digest fig4 "$fig4_out" ee846b353b247c427dde2974e734cee6162658946caf2a6082ee52be51082dc3
 check_digest extensions "$extensions_out" 6ae24ed979d7495ae68b7bed088f914f17f1274ac2945b0d6a8d06818abcc627
+check_digest table1 "$table1_out" e5e2fd6d87e97d712604637e33f9c126e8b1574edfbfa9bd3c2dbd865f344db6
+check_digest scaling "$scaling_out" f67dd28140601590dfa820712ba8eca8220e73077608304225100e5341454877
+check_digest sensitivity "$sensitivity_out" 2d6917116c7b787e78c1f75caf5f487c7051bad62fb58a988b6a00644ef7999b
+check_digest ablation "$ablation_out" be32ffe33e2118f57a4734da7b5858f33ca8dcf90544461064bea43a0ab5ab9e
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings

@@ -227,5 +227,5 @@ fn surrogate_dtm_and_intra_searches_pay_pinned_work() {
     }
     let o = oracle(1, true);
     intra_app_best(&o, App::Gzip, Strategy::Dvs, &model(380.0), 0.25).expect("surrogate schedule");
-    assert_eq!(work(&o), (11, 11, 19, 2), "intra-application gzip DVS");
+    assert_eq!(work(&o), (11, 11, 20, 1), "intra-application gzip DVS");
 }
