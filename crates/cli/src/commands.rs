@@ -850,6 +850,7 @@ fn checkpoint_info(args: &Args) -> Result<(), SimError> {
             "checkpoint directory `{dir}` does not exist"
         )));
     }
+    let shapes = RunStore::list_shapes(Path::new(dir))?;
     let entries = RunStore::list_cuts(Path::new(dir))?;
     let mut bytes = 0u64;
     for (path, _) in &entries {
@@ -859,14 +860,22 @@ fn checkpoint_info(args: &Args) -> Result<(), SimError> {
         "checkpoints in {dir}: {} file(s), {bytes} bytes",
         entries.len()
     );
-    for (path, chk) in &entries {
+    let relative = |path: &Path| path.strip_prefix(dir).unwrap_or(path).display().to_string();
+    for (shape, line) in &shapes {
         println!(
-            "  {}  cut @ {} instructions (workload {}, seed {})",
-            path.strip_prefix(dir).unwrap_or(path).display(),
-            chk.instructions(),
-            chk.workload,
-            chk.seed
+            "  {}/  {}",
+            relative(shape),
+            line.as_deref().unwrap_or("(no shape file)")
         );
+        for (path, chk) in entries.iter().filter(|(p, _)| p.parent() == Some(shape)) {
+            println!(
+                "  {}  cut @ {} instructions (workload {}, seed {})",
+                relative(path),
+                chk.instructions(),
+                chk.workload,
+                chk.seed
+            );
+        }
     }
     Ok(())
 }

@@ -20,7 +20,11 @@
 //!    density × its own β at `T̄`) perturbs the per-structure power
 //!    vector; because the pinned-sink steady state is *affine* in power,
 //!    the temperature delta from two fixed-point iterations of the
-//!    prefactored solve is exact for that leakage delta.
+//!    prefactored solve is exact for that leakage delta. Dies run in
+//!    lockstep lanes of 8 consecutive indices: each iteration builds
+//!    every lane's load and sink, then one multi-right-hand-side
+//!    substitution solves all 8 (each lane bit-identical to a die
+//!    sampled alone).
 //! 3. **Per-die FIT** — each mechanism's FIT is the baseline value times
 //!    the analytic rate ratio at run-average conditions (all die-
 //!    invariant factors — current density, powered fraction, the
@@ -55,6 +59,12 @@ use crate::space::ArchPoint;
 /// Dies per work batch. Fixed (never derived from the worker count) so
 /// partial aggregates fold in the same order at any parallelism.
 pub const DIE_BATCH: u64 = 4096;
+
+/// Dies sampled in lockstep: each fixed-point pass solves the pinned-sink
+/// system for this many dies in one substitution. A constant, not a
+/// knob: every lane runs the arithmetic of a lone die, so the width
+/// changes only speed.
+const LANES: usize = 8;
 
 /// Iterations of the per-die leakage/temperature fixed point. The
 /// response is a small perturbation of an already-converged operating
@@ -299,6 +309,23 @@ struct DieOutcome {
     lifetime_hours: f64,
 }
 
+/// One die's process-variation draws (from its own RNG substream).
+struct DieDraws {
+    /// Lognormal leakage-density multiplier.
+    lambda: f64,
+    /// The die's leakage β, clamped at zero.
+    beta_die: f64,
+    /// `beta_die` minus the nominal β.
+    d_beta: f64,
+    /// EM and SM activation-energy offsets (eV).
+    d_ea_em: f64,
+    d_ea_sm: f64,
+    /// Log of the interconnect-geometry rate factor.
+    ln_g: f64,
+    /// Unit-exponential draw of the series lifetime.
+    wear_draw: f64,
+}
+
 /// Per-structure baseline terms precomputed once per fleet run.
 struct StructBase {
     /// Run-average temperature `T̄` (K).
@@ -333,11 +360,8 @@ struct StructBase {
 struct FleetBaseline<'a> {
     thermal: &'a sim_thermal::ThermalModel,
     structs: Vec<StructBase>,
-    /// Nominal leakage vector at `T̄` — the base point of the affine
-    /// thermal delta (any base gives the same delta; this one lets the
-    /// solve input be built in a single pass).
-    base_leak: StructureMap<Watts>,
-    /// Pinned-sink solve of `base_leak` — subtracted from each die's
+    /// Pinned-sink solve of the nominal leakage vector at `T̄` (the base
+    /// point of the affine thermal delta) — subtracted from each die's
     /// solve to get its exact temperature delta.
     t_ref: StructureMap<Kelvin>,
     sink0: Kelvin,
@@ -446,7 +470,6 @@ impl<'a> FleetBaseline<'a> {
         Ok(FleetBaseline {
             thermal: evaluator.thermal_model(),
             structs,
-            base_leak,
             t_ref,
             sink0,
             r_sink: evaluator.thermal_model().params().r_sink_ambient,
@@ -471,8 +494,9 @@ impl<'a> FleetBaseline<'a> {
         })
     }
 
-    /// Samples die `index` (its own RNG substream: scheduling-independent).
-    fn die(&self, index: u64) -> DieOutcome {
+    /// Draws die `index`'s variation from its own RNG substream
+    /// (scheduling-independent).
+    fn draws(&self, index: u64) -> DieDraws {
         let mut rng = sim_common::Xoshiro256pp::seed_from_u64(
             splitmix64(self.seed) ^ splitmix64(index.wrapping_add(1)),
         );
@@ -481,36 +505,55 @@ impl<'a> FleetBaseline<'a> {
         let (z3, z4) = gaussian_pair(&mut rng);
         let (z5, _) = gaussian_pair(&mut rng);
         let wear_draw = -(1.0 - rng.next_f64()).ln();
-
-        let lambda = (v.sigma_leakage * z1).exp();
         let beta_die = (self.leakage_beta + v.sigma_beta * z2).max(0.0);
-        let d_beta = beta_die - self.leakage_beta;
-        let d_ea_em = v.sigma_ea * z3;
-        let d_ea_sm = v.sigma_ea * z4;
-        let ln_g = v.sigma_geometry * z5;
+        DieDraws {
+            lambda: (v.sigma_leakage * z1).exp(),
+            beta_die,
+            d_beta: beta_die - self.leakage_beta,
+            d_ea_em: v.sigma_ea * z3,
+            d_ea_sm: v.sigma_ea * z4,
+            ln_g: v.sigma_geometry * z5,
+            wear_draw,
+        }
+    }
+
+    /// Samples dies `first .. first + L` in lockstep: lane `l` is die
+    /// `first + l`, bit-identical to `dies::<1>(first + l)` because every
+    /// lane runs a lone die's arithmetic in a lone die's order.
+    fn dies<const L: usize>(&self, first: u64) -> [DieOutcome; L] {
+        let draws: [DieDraws; L] = std::array::from_fn(|l| self.draws(first + l as u64));
 
         // Per-die temperature delta: the die's leakage (its own density
         // multiplier and β, at the perturbed temperature) feeds the
         // prefactored pinned-sink solve; the solve is affine in power and
         // sink, so subtracting the baseline solve gives the exact linear
-        // response. Two passes close the leakage-heats-itself loop.
+        // response. Two passes close the leakage-heats-itself loop; each
+        // pass solves every lane in one substitution.
         // Not `crate::solve`: a clamp or residual of this delta means nothing.
-        let mut dt: StructureMap<f64> = StructureMap::splat(0.0);
+        let mut dt: StructureMap<[f64; L]> = StructureMap::splat([0.0; L]);
         for _ in 0..FIXED_POINT_ITERS {
-            let mut load = self.base_leak;
-            let mut delta_total = 0.0;
-            for (i, s) in Structure::ALL.into_iter().enumerate() {
-                let b = &self.structs[i];
-                let mult = lambda * (d_beta * b.t_minus_ref + beta_die * dt[s]).exp();
-                let d = (mult - 1.0) * b.leak0;
-                delta_total += d;
-                load[s] = Watts(b.leak0 + d);
+            let mut load = StructureMap::splat([Watts(0.0); L]);
+            let mut sinks = [Kelvin(0.0); L];
+            for (l, d) in draws.iter().enumerate() {
+                let mut delta_total = 0.0;
+                for (i, s) in Structure::ALL.into_iter().enumerate() {
+                    let b = &self.structs[i];
+                    let mult = d.lambda * (d.d_beta * b.t_minus_ref + d.beta_die * dt[s][l]).exp();
+                    let delta = (mult - 1.0) * b.leak0;
+                    delta_total += delta;
+                    load[s][l] = Watts(b.leak0 + delta);
+                }
+                sinks[l] = Kelvin(self.sink0.0 + self.r_sink * delta_total);
             }
-            let sink = Kelvin(self.sink0.0 + self.r_sink * delta_total);
-            let solved = self.thermal.steady_state_with_sink(&load, sink);
-            dt = StructureMap::from_fn(|s| solved[s].0 - self.t_ref[s].0);
+            let solved = self.thermal.steady_states_with_sink(&load, sinks);
+            dt = StructureMap::from_fn(|s| solved[s].map(|t| t.0 - self.t_ref[s].0));
         }
+        std::array::from_fn(|l| self.outcome(&draws[l], |s| dt[s][l]))
+    }
 
+    /// The FIT and lifetime of one die from its draws and its temperature
+    /// delta `dt(s)` per structure.
+    fn outcome(&self, d: &DieDraws, dt: impl Fn(Structure) -> f64) -> DieOutcome {
         // Per-mechanism FIT ratios at run-average conditions, in log
         // space: `lr` is ln(rate_die/rate_nominal), so exp(lr) scales the
         // FIT and exp(β·lr) scales FIT^β for the series lifetime.
@@ -522,10 +565,10 @@ impl<'a> FleetBaseline<'a> {
         };
         for (i, s) in Structure::ALL.into_iter().enumerate() {
             let b = &self.structs[i];
-            let t_die = b.tbar + dt[s];
+            let t_die = b.tbar + dt(s);
             let inv_kt = 1.0 / (BOLTZMANN_EV * t_die);
             if b.fit0_em > 0.0 {
-                let lr = ln_g + self.em_ea * b.inv_kt0 - (self.em_ea + d_ea_em) * inv_kt;
+                let lr = d.ln_g + self.em_ea * b.inv_kt0 - (self.em_ea + d.d_ea_em) * inv_kt;
                 add(b.fit0_em, b.pow_em, lr);
             }
             if b.fit0_sm > 0.0 {
@@ -533,8 +576,8 @@ impl<'a> FleetBaseline<'a> {
                     let stress = (self.sm_t0 - t_die).abs();
                     // stress → 0 drives ln → −∞ and the contribution
                     // cleanly to zero through exp.
-                    let lr = ln_g + self.sm_n * (stress.ln() - ls0) + self.sm_ea * b.inv_kt0
-                        - (self.sm_ea + d_ea_sm) * inv_kt;
+                    let lr = d.ln_g + self.sm_n * (stress.ln() - ls0) + self.sm_ea * b.inv_kt0
+                        - (self.sm_ea + d.d_ea_sm) * inv_kt;
                     add(b.fit0_sm, b.pow_sm, lr);
                 } else {
                     // Degenerate baseline stress: no ratio to scale by.
@@ -570,7 +613,7 @@ impl<'a> FleetBaseline<'a> {
         // Closed-form series-Weibull draw: min of common-shape Weibulls
         // is Weibull with η_series = (Σ FIT_c^β)^{-1/β} · 10⁹/Γ(1+1/β).
         let lifetime_hours = if eta_sum > 0.0 {
-            1e9 * self.unit_scale * (wear_draw / eta_sum).powf(self.inv_shape)
+            1e9 * self.unit_scale * (d.wear_draw / eta_sum).powf(self.inv_shape)
         } else {
             f64::INFINITY
         };
@@ -649,9 +692,19 @@ fn batch_partial(baseline: &FleetBaseline, target_fit: f64, dies: u64, batch: u6
     let lo = batch * DIE_BATCH;
     let hi = (lo + DIE_BATCH).min(dies);
     let mut part = FleetPartial::new();
-    for die in lo..hi {
-        part.record(&baseline.die(die), target_fit);
+    // Lane groups of `LANES` dies; the last group of a run whose count is
+    // not a multiple pads with the next die indices (sampling is a pure
+    // function of the index) and records only its live lanes.
+    for first in (lo..hi).step_by(LANES) {
+        let live = (hi - first).min(LANES as u64) as usize;
+        for outcome in &baseline.dies::<LANES>(first)[..live] {
+            part.record(outcome, target_fit);
+        }
     }
+    // The lane solves count no `thermal.solves`; count the live dies'.
+    let solves = u64::from(FIXED_POINT_ITERS) * (hi - lo);
+    sim_obs::counter!("thermal.solves", solves);
+    sim_obs::counter!("thermal.factor_reuse", solves);
     part
 }
 
@@ -996,6 +1049,45 @@ mod tests {
         assert_eq!(merged.timing_runs, 1);
         // Past-the-end batches are rejected.
         assert!(fleet_partial(&e, point.0, point.1, point.2, &m, &cfg, batches).is_err());
+    }
+
+    /// Lane `k` of an 8-lane group is die `first + k` sampled alone, bit
+    /// for bit, at seeded group starts and at every variation edge (none,
+    /// the default, and a β spread that clamps about a fifth of the dies).
+    #[test]
+    fn lanes_equal_lone_dies() {
+        let e = engine(1);
+        let m = model();
+        let ev = e
+            .evaluation(App::Twolf, ArchPoint::most_aggressive(), DvsPoint::base())
+            .unwrap();
+        let clamping = VariationParams {
+            sigma_beta: 0.02,
+            ..VariationParams::default()
+        };
+        let mut rng = sim_common::Xoshiro256pp::seed_from_u64(0x1a4e5);
+        for variation in [
+            VariationParams::default(),
+            VariationParams::none(),
+            clamping,
+        ] {
+            let cfg = FleetConfig {
+                variation,
+                ..small(1)
+            };
+            let baseline = FleetBaseline::new(e.evaluator(), &ev, &m, &cfg).unwrap();
+            for _ in 0..64 {
+                let first = rng.next_u64() >> 28;
+                for (k, lane) in baseline.dies::<8>(first).iter().enumerate() {
+                    let [alone] = baseline.dies::<1>(first + k as u64);
+                    assert_eq!(lane.total_fit.to_bits(), alone.total_fit.to_bits());
+                    assert_eq!(
+                        lane.lifetime_hours.to_bits(),
+                        alone.lifetime_hours.to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! directory per run shape:
 //!
 //! ```text
+//! <root>/<shape>/shape                            the run-shape line `<shape>` digests
 //! <root>/<shape>/<label>.evalstore               timing runs, one segment per writer
 //! <root>/<shape>/<digest>-n<slice>-k<index>.ckpt  checkpoint cuts
 //! ```
 //!
-//! `<shape>` digests the run-shape fields of [`EvalParams`] (warmup,
-//! measurement, interval, seed, prewarm), so an engine or a sliced
-//! evaluator opens only its own shape's directory and never reads a
-//! record of another length; deleting a shape's directory prunes it.
+//! `<shape>` is `{:016x}` of `fnv1a64` over the run-shape line
+//! `ramp-shape/1|warmup=…|measure=…|interval=…|seed=…|prewarm=…` of
+//! [`EvalParams`], so an engine or a sliced evaluator opens only its own
+//! shape's directory and never reads a record of another length; deleting
+//! a shape's directory prunes it. The directory's `shape` file holds that
+//! line (written at open when absent), so a root names its shapes
+//! (`ramp checkpoint info` prints them); no scan reads it as a segment or
+//! a cut.
 //! Records and cuts are keyed by their [`RunDigest`], and an engine serves
 //! a record only when its own digest for the record's point equals the
 //! stored one (`BatchEngine::with_store`).
@@ -61,6 +66,9 @@ pub const STORE_EXTENSION: &str = "evalstore";
 
 /// File extension for checkpoint cuts.
 const CUT_EXTENSION: &str = "ckpt";
+
+/// File of a shape directory holding the run-shape line its name digests.
+const SHAPE_FILE: &str = "shape";
 
 /// Values per interval in a record's positional payload:
 /// cycles + instructions, 9 activity factors, 25 pipeline counters,
@@ -412,17 +420,23 @@ fn read_cut(path: &Path) -> Result<Option<Checkpoint>, SimError> {
 
 impl RunStore {
     /// Opens the directory of `params`' run shape under `root` for
-    /// checkpoint cuts, creating it if needed. Reads no segment.
+    /// checkpoint cuts, creating it and its `shape` file if needed. Reads
+    /// no segment.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the directory cannot be
-    /// created, or the root holds files of the flat layout.
+    /// Returns [`SimError::InvalidConfig`] when the directory or its
+    /// `shape` file cannot be created, or the root holds files of the
+    /// flat layout.
     pub fn open_shape(root: &Path, params: &EvalParams) -> Result<RunStore, SimError> {
         refuse_flat_layout(root)?;
-        let shape = fnv1a64(format!("ramp-shape/1|{}", params.run_shape()).as_bytes());
-        let dir = root.join(format!("{shape:016x}"));
+        let line = format!("ramp-shape/1|{}", params.run_shape());
+        let dir = root.join(format!("{:016x}", fnv1a64(line.as_bytes())));
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create dir", &e))?;
+        let shape_file = dir.join(SHAPE_FILE);
+        if !shape_file.exists() {
+            write_file(&shape_file, &line)?;
+        }
         Ok(RunStore {
             dir,
             segment: Mutex::default(),
@@ -583,6 +597,26 @@ impl RunStore {
             cuts.push((path, checkpoint));
         }
         Ok(Some(cuts))
+    }
+
+    /// Every shape directory under a store root, sorted, with the
+    /// run-shape line of its `shape` file (`None` when the file is
+    /// missing or empty).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when a directory or a `shape`
+    /// file cannot be read, or the root holds files of the flat layout.
+    pub fn list_shapes(root: &Path) -> Result<Vec<(PathBuf, Option<String>)>, SimError> {
+        refuse_flat_layout(root)?;
+        scan(root)?
+            .into_iter()
+            .filter(|p| p.is_dir())
+            .map(|dir| {
+                let line = read(&dir.join(SHAPE_FILE))?;
+                Ok((dir, Some(line).filter(|l| !l.is_empty())))
+            })
+            .collect()
     }
 
     /// Every cut under a store root, shape directory by shape directory,

@@ -253,18 +253,39 @@ impl ThermalModel {
         state.blocks()
     }
 
-    fn steady_rhs(
+    /// [`ThermalModel::steady_state_with_sink`] for `L` independent
+    /// lanes at once: lane `l` of the result is bit-identical to
+    /// `steady_state_with_sink(&lane l of power, sinks[l])`, but the
+    /// substitution walks the prefactored matrix once for every lane.
+    ///
+    /// Counts no `thermal.solves`: a caller that pads a lane group knows
+    /// which lanes are live and counts those.
+    pub fn steady_states_with_sink<const L: usize>(
         &self,
-        power: &StructureMap<Watts>,
-        pinned_sink: Option<Kelvin>,
-    ) -> [f64; N_NODES] {
-        let p = self.power_vector(power);
-        let mut b = [0.0f64; N_NODES];
-        for i in 0..N_NODES {
-            b[i] = p[i] + self.g_ambient[i] * self.params.ambient.0;
+        power: &StructureMap<[Watts; L]>,
+        sinks: [Kelvin; L],
+    ) -> StructureMap<[Kelvin; L]> {
+        let temps = self.lu_pinned.solve(self.steady_rhs(power, Some(sinks)));
+        StructureMap::from_fn(|s| temps[s.index()].map(Kelvin))
+    }
+
+    /// The right-hand sides `b` of `A·T = b` for `L` lanes, node by node.
+    fn steady_rhs<const L: usize>(
+        &self,
+        power: &StructureMap<[Watts; L]>,
+        pinned_sinks: Option<[Kelvin; L]>,
+    ) -> [[f64; L]; N_NODES] {
+        let mut b = [[0.0f64; L]; N_NODES];
+        for (s, w) in power.iter() {
+            b[s.index()] = w.map(|w| w.0);
         }
-        if let Some(sink) = pinned_sink {
-            b[SINK] = sink.0;
+        for (i, lanes) in b.iter_mut().enumerate() {
+            for x in lanes {
+                *x += self.g_ambient[i] * self.params.ambient.0;
+            }
+        }
+        if let Some(sinks) = pinned_sinks {
+            b[SINK] = sinks.map(|k| k.0);
         }
         b
     }
@@ -279,13 +300,13 @@ impl ThermalModel {
         power: &StructureMap<Watts>,
         pinned_sink: Option<Kelvin>,
     ) -> ThermalState {
-        let b = self.steady_rhs(power, pinned_sink);
+        let b = self.steady_rhs(&power.map(|_, &w| [w]), pinned_sink.map(|k| [k]));
         let factors = if pinned_sink.is_some() {
             &self.lu_pinned
         } else {
             &self.lu_free
         };
-        let temps = factors.solve(b);
+        let temps = factors.solve(b).map(|[t]| t);
         sim_obs::counter!("thermal.solves", 1);
         sim_obs::counter!("thermal.factor_reuse", 1);
         ThermalState { temps }
@@ -301,8 +322,8 @@ impl ThermalModel {
         pinned_sink: Option<Kelvin>,
     ) -> ThermalState {
         let a = assemble_steady_matrix(&self.conductance, &self.g_ambient, pinned_sink.is_some());
-        let b = self.steady_rhs(power, pinned_sink);
-        let temps = solve_dense(a, b);
+        let b = self.steady_rhs(&power.map(|_, &w| [w]), pinned_sink.map(|k| [k]));
+        let temps = solve_dense(a, b.map(|[v]| v));
         sim_obs::counter!("thermal.solves", 1);
         ThermalState { temps }
     }
@@ -439,24 +460,39 @@ impl LuFactors {
         LuFactors { lu: a, piv }
     }
 
+    /// Solves `A·x = b` for `L` right-hand sides at once, stored node by
+    /// node with the lanes innermost. Every lane runs exactly the
+    /// operations of a one-lane solve, in the same order (the `f != 0.0`
+    /// skip depends only on the factors), so each lane is bit-identical
+    /// to solving it alone; the pivots, multipliers and loop control are
+    /// paid once for all lanes.
     #[allow(clippy::needless_range_loop)] // dense numeric kernel: indices are clearest
-    fn solve(&self, mut b: [f64; N_NODES]) -> [f64; N_NODES] {
+    fn solve<const L: usize>(&self, mut b: [[f64; L]; N_NODES]) -> [[f64; L]; N_NODES] {
         for col in 0..N_NODES {
             b.swap(col, self.piv[col]);
+            let pivot_row = b[col];
             for row in (col + 1)..N_NODES {
                 let f = self.lu[row][col];
                 if f != 0.0 {
-                    b[row] -= f * b[col];
+                    for l in 0..L {
+                        b[row][l] -= f * pivot_row[l];
+                    }
                 }
             }
         }
-        let mut x = [0.0f64; N_NODES];
+        let mut x = [[0.0f64; L]; N_NODES];
         for row in (0..N_NODES).rev() {
             let mut acc = b[row];
             for k in (row + 1)..N_NODES {
-                acc -= self.lu[row][k] * x[k];
+                let u = self.lu[row][k];
+                for l in 0..L {
+                    acc[l] -= u * x[k][l];
+                }
             }
-            x[row] = acc / self.lu[row][row];
+            let diag = self.lu[row][row];
+            for l in 0..L {
+                x[row][l] = acc[l] / diag;
+            }
         }
         x
     }
@@ -688,6 +724,53 @@ mod tests {
             let lu = m.solve_steady(&power, pin);
             let ge = m.solve_steady_unfactored(&power, pin);
             assert_eq!(lu, ge, "pin {pin:?}");
+        }
+    }
+
+    /// Eight right-hand sides substituted together equal eight one-lane
+    /// substitutions bit for bit, on the free and on the pinned factors,
+    /// over seeded power maps (some blocks unpowered) and sink pins; so
+    /// does the public lane form of the pinned-sink solve.
+    #[test]
+    fn multi_rhs_substitution_equals_single_solves() {
+        const L: usize = 8;
+        let m = model();
+        let mut rng = sim_common::Xoshiro256pp::seed_from_u64(0x1a9e5);
+        for _ in 0..64 {
+            let maps: [StructureMap<Watts>; L] = std::array::from_fn(|_| {
+                StructureMap::from_fn(|_| {
+                    let w = rng.gen_f64(-2.0..8.0);
+                    Watts(w.max(0.0))
+                })
+            });
+            let sinks: [Kelvin; L] = std::array::from_fn(|_| Kelvin(rng.gen_f64(318.0..400.0)));
+            let lanes = StructureMap::from_fn(|s| maps.map(|p| p[s]));
+            let public = m.steady_states_with_sink(&lanes, sinks);
+            for (l, map) in maps.iter().enumerate() {
+                let alone = m.steady_state_with_sink(map, sinks[l]);
+                for s in Structure::ALL {
+                    assert_eq!(
+                        public[s][l].0.to_bits(),
+                        alone[s].0.to_bits(),
+                        "{s}, lane {l}"
+                    );
+                }
+            }
+            for (factors, pins) in [(&m.lu_free, None), (&m.lu_pinned, Some(sinks))] {
+                let together = factors.solve(m.steady_rhs(&lanes, pins));
+                for (l, map) in maps.iter().enumerate() {
+                    let rhs = m.steady_rhs(&map.map(|_, &w| [w]), pins.map(|k| [k[l]]));
+                    let alone = factors.solve(rhs);
+                    for node in 0..N_NODES {
+                        assert_eq!(
+                            together[node][l].to_bits(),
+                            alone[node][0].to_bits(),
+                            "lane {l}, node {node}, pinned {}",
+                            pins.is_some()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -32,6 +32,13 @@ reap() {
   wait "$1"
   sed -i "/^$1\$/d" "$servers"
 }
+# Fails unless file $2 (the stdout of run $1) has the SHA-256 digest $3.
+check_digest() {
+  local got
+  got="$(sha256sum < "$2" | cut -d' ' -f1)"
+  [ "$got" = "$3" ] \
+    || { echo "error: $1 stdout digest $got, recorded $3" >&2; exit 1; }
+}
 
 echo "== formatting (rustfmt) =="
 cargo fmt --check
@@ -77,6 +84,16 @@ echo "$fleet_out" | grep -q 'dies' \
 fleet_report="$(./target/release/ramp report "$fleet_trace" --top 3)"
 echo "$fleet_report" | grep -q 'fleet population' \
   || { echo "error: fleet trace lacks the report's fleet section" >&2; exit 1; }
+# 20003 dies end in a lane group with three live dies of eight. The
+# summary, less its throughput line, must match the recorded digest at
+# one and at two workers.
+for jobs in 1 2; do
+  fleet_pin="$scratch/fleet-jobs$jobs.txt"
+  ./target/release/ramp fleet --app twolf --dies 20003 --quick --jobs "$jobs" \
+    | grep -v 'throughput' >"$fleet_pin"
+  check_digest "ramp fleet --dies 20003 --jobs $jobs" "$fleet_pin" \
+    f6d72e121f2271332a1898fcdd1c559650ca1776300e8b32fa8f9789ffcb0739
+done
 
 echo "== server smoke: serve on an ephemeral port, eval + malformed request + top, clean shutdown =="
 server_log="$scratch/server.log"
@@ -259,21 +276,15 @@ RAMP_FAST=1 ./target/release/table1 >"$table1_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/scaling >"$scaling_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/sensitivity >"$sensitivity_out" 2>/dev/null
 RAMP_FAST=1 ./target/release/ablation >"$ablation_out" 2>/dev/null
-check_digest() {
-  local got
-  got="$(sha256sum < "$2" | cut -d' ' -f1)"
-  [ "$got" = "$3" ] \
-    || { echo "error: RAMP_FAST=1 $1 stdout digest $got, recorded $3" >&2; exit 1; }
-}
-check_digest table2 "$table2_a" fc3288538e4f045127119122aa5ca1971dca8ad91c0da3ae5b1a8623659e01af
-check_digest fig1 "$fig1_out" ce2e4259d2557f3a680a82b2507bf74bee4ee434054f620373b017dee3c2cb73
-check_digest fig3 "$fig3_out" 79e1a575eb45df596f108d298e8b04847e5dc0f3f58877ef153bc38091e8f755
-check_digest fig4 "$fig4_out" ee846b353b247c427dde2974e734cee6162658946caf2a6082ee52be51082dc3
-check_digest extensions "$extensions_out" 6ae24ed979d7495ae68b7bed088f914f17f1274ac2945b0d6a8d06818abcc627
-check_digest table1 "$table1_out" e5e2fd6d87e97d712604637e33f9c126e8b1574edfbfa9bd3c2dbd865f344db6
-check_digest scaling "$scaling_out" f67dd28140601590dfa820712ba8eca8220e73077608304225100e5341454877
-check_digest sensitivity "$sensitivity_out" 2d6917116c7b787e78c1f75caf5f487c7051bad62fb58a988b6a00644ef7999b
-check_digest ablation "$ablation_out" be32ffe33e2118f57a4734da7b5858f33ca8dcf90544461064bea43a0ab5ab9e
+check_digest "RAMP_FAST=1 table2" "$table2_a" fc3288538e4f045127119122aa5ca1971dca8ad91c0da3ae5b1a8623659e01af
+check_digest "RAMP_FAST=1 fig1" "$fig1_out" ce2e4259d2557f3a680a82b2507bf74bee4ee434054f620373b017dee3c2cb73
+check_digest "RAMP_FAST=1 fig3" "$fig3_out" 79e1a575eb45df596f108d298e8b04847e5dc0f3f58877ef153bc38091e8f755
+check_digest "RAMP_FAST=1 fig4" "$fig4_out" ee846b353b247c427dde2974e734cee6162658946caf2a6082ee52be51082dc3
+check_digest "RAMP_FAST=1 extensions" "$extensions_out" 6ae24ed979d7495ae68b7bed088f914f17f1274ac2945b0d6a8d06818abcc627
+check_digest "RAMP_FAST=1 table1" "$table1_out" e5e2fd6d87e97d712604637e33f9c126e8b1574edfbfa9bd3c2dbd865f344db6
+check_digest "RAMP_FAST=1 scaling" "$scaling_out" f67dd28140601590dfa820712ba8eca8220e73077608304225100e5341454877
+check_digest "RAMP_FAST=1 sensitivity" "$sensitivity_out" 2d6917116c7b787e78c1f75caf5f487c7051bad62fb58a988b6a00644ef7999b
+check_digest "RAMP_FAST=1 ablation" "$ablation_out" be32ffe33e2118f57a4734da7b5858f33ca8dcf90544461064bea43a0ab5ab9e
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings

@@ -55,6 +55,17 @@ fn an_engine_parses_no_record_of_another_shape() {
     }
     let shapes = std::fs::read_dir(&root).unwrap().count();
     assert_eq!(shapes, 11);
+    // Each shape directory names itself: its `shape` file holds the
+    // run-shape line whose digest is the directory's name.
+    let named = RunStore::list_shapes(&root).unwrap();
+    assert_eq!(named.len(), 11);
+    for (dir, line) in named {
+        let text = std::fs::read_to_string(dir.join("shape")).unwrap();
+        assert_eq!(line.as_deref(), Some(text.as_str()));
+        assert!(text.starts_with("ramp-shape/1|warmup="), "{text}");
+        let name = dir.file_name().unwrap().to_str().unwrap();
+        assert_eq!(format!("{:016x}", drm::fnv1a64(text.as_bytes())), name);
+    }
 
     sim_obs::reset_for_tests();
     sim_obs::set_enabled(true);
